@@ -12,10 +12,11 @@ Two parts, appended as records to ``BENCH_parallel.json`` at the repo root
 
 1. **Precise-kernel scaling** (``part = "precise_kernels"``): sort n
    uniform keys on precise memory with the serial numpy kernels vs a
-   :class:`ShardedSorter` at ``--shards`` shards.  On a single-CPU host the
-   speedup comes from the fused per-shard kernels (one stable argsort +
-   analytic accounting per shard) rather than parallelism; the record says
-   which.  Guards: the sharded output must equal the serial output
+   :class:`ShardedSorter` at ``--shards`` shards.  Serial and per-shard
+   sorts take the same fused precise path of ``BaseSorter.sort``, so the
+   speedup is what sharding itself buys; ``speedup_source`` records whether
+   the shard sorts ran pooled or in-process and how many CPUs the process
+   could use.  Guards: the sharded output must equal the serial output
    bit-for-bit, and a pooled (2-worker) run must equal the in-process run
    in output *and* stats — the bench fails hard on either mismatch.
 
@@ -49,6 +50,11 @@ from repro.workloads.generators import uniform_keys
 FIT = 20_000
 
 SWEET_SPOT_T = 0.055
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (not the host's total)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _append_records(path: Path, records: list[dict]) -> None:
@@ -87,10 +93,10 @@ def bench_precise(algo: str, n: int, shards: int, seed: int) -> dict:
     serial_s, serial_out, _ = _timed_sort(
         make_base_sorter(algo, kernels="numpy"), keys
     )
-    sharded_s, sharded_out, _ = _timed_sort(
-        ShardedSorter(make_base_sorter(algo), shards=shards, kernels="numpy"),
-        keys,
-    )
+    sharded = ShardedSorter(make_base_sorter(algo), shards=shards,
+                            kernels="numpy")
+    sharded_s, sharded_out, _ = _timed_sort(sharded, keys)
+    plan = sharded.last_plan
 
     # Bit-identity guards.  The sharded plan must reproduce the serial
     # output exactly, and moving the shard sorts into pool workers must
@@ -110,22 +116,24 @@ def bench_precise(algo: str, n: int, shards: int, seed: int) -> dict:
     pooled_matches = pooled_out == local_out and pooled_stats == local_stats
 
     speedup = serial_s / sharded_s if sharded_s else float("inf")
+    cpus = _usable_cpus()
+    ran = (
+        f"pooled shard sorts ({plan['workers']} workers)"
+        if plan["pooled"]
+        else "in-process shard sorts"
+    )
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "part": "precise_kernels",
         "algo": algo,
         "n": n,
         "shards": shards,
-        "cpus": os.cpu_count(),
+        "cpus": cpus,
         "serial_s": round(serial_s, 3),
         "sharded_s": round(sharded_s, 3),
         "speedup": round(speedup, 3),
         "scaling_efficiency": round(speedup / shards, 3),
-        "speedup_source": (
-            "fused shard kernels (single-CPU host)"
-            if (os.cpu_count() or 1) < 2
-            else "fused shard kernels + worker parallelism"
-        ),
+        "speedup_source": f"{ran} on {cpus} usable CPUs",
         "digest_serial": digest_serial,
         "digest_sharded": digest_sharded,
         "digests_match": digest_serial == digest_sharded,
@@ -133,7 +141,8 @@ def bench_precise(algo: str, n: int, shards: int, seed: int) -> dict:
     }
     print(
         f"[precise] {algo:10s} n={n}: serial {serial_s:.2f}s,"
-        f" sharded({shards}) {sharded_s:.2f}s, speedup {speedup:.2f}x,"
+        f" sharded({shards}) {sharded_s:.2f}s, speedup {speedup:.2f}x"
+        f" ({record['speedup_source']}),"
         f" digests_match={record['digests_match']},"
         f" pooled==inprocess={pooled_matches}"
     )
@@ -175,7 +184,7 @@ def bench_fig09_row(n: int, shards: int, seed: int) -> dict:
         "n": n,
         "T": SWEET_SPOT_T,
         "shards": shards,
-        "cpus": os.cpu_count(),
+        "cpus": _usable_cpus(),
         "kernels": "numpy",
         "serial_wall_s": round(serial_s, 2),
         "sharded_wall_s": round(sharded_s, 2),

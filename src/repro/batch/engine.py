@@ -65,7 +65,8 @@ from .segments import (
     precise_views,
 )
 
-#: Sorters with a fully segmented kernel (stable + closed-form traffic).
+#: Sorters with a fully segmented kernel: the stable sorters that publish a
+#: ``precise_schedule``.
 LSD_BITS = {f"lsd{bits}": bits for bits in (3, 4, 5, 6)}
 SEGMENTED_SORTERS = tuple(LSD_BITS) + ("mergesort",)
 
@@ -364,7 +365,7 @@ def run_approx_refine_batch(
             # back (e.g. mergesort in scalar mode) — they carry no state
             # between the two sorts.
             sorted_rem = sort_rem_segments(
-                rem_lists, key0, name, LSD_BITS.get(name)
+                rem_lists, key0, make_base_sorter(name)
             )
         else:
             sorted_rem = [
@@ -419,7 +420,7 @@ def run_precise_sort_batch(
     key_views = precise_views(key_buf, plan, stats_list, "Key")
     id_views = precise_views(identity_ids(plan), plan, stats_list, "ID")
     if name in SEGMENTED_SORTERS:
-        sort_segments_precise(key_views, id_views, name, LSD_BITS.get(name))
+        sort_segments_precise(key_views, id_views, make_base_sorter(name))
     else:
         kwargs = {} if kernels is None else {"kernels": kernels}
         for j in range(count):

@@ -6,11 +6,12 @@ corruption RNG consumption — while hoisting the heavy numpy compute out of
 the per-job loop.  Two regimes (DESIGN.md section 13):
 
 * **Precise segments** collapse entirely: a stable sort is a pure
-  permutation and the per-pass/per-level memory traffic of LSD radix and
-  bottom-up mergesort is a closed-form function of ``n`` alone (the
-  grouping-invariance the repo's accounting has relied on since the PR-2
-  kernels).  One packed row-wise sort produces every segment's final keys
-  and IDs; the pass-exact traffic is charged analytically.
+  permutation and the sorter's per-array traffic is its published
+  :meth:`~repro.sorting.base.BaseSorter.precise_schedule`, a closed form in
+  ``n`` alone.  One packed row-wise sort produces every segment's final
+  keys and IDs, and each segment is charged the schedule — the same
+  collapse :meth:`~repro.sorting.base.BaseSorter.sort` makes for one
+  array, hoisted over the whole batch.
 
 * **Approximate segments** cannot collapse: every pass's writes corrupt
   the values the next pass reads, and each job must consume *its own*
@@ -31,11 +32,11 @@ before the pads of the same digit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.sorting.base import BaseSorter
 from repro.sorting.mergesort import _merge_pair, _merge_walk
 from repro.sorting.radix import _digits_np, lsd_digit_plan
 
@@ -47,60 +48,15 @@ PAD_WORD = np.uint32(0xFFFFFFFF)
 _U64_PAD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-@lru_cache(maxsize=None)
-def _merge_levels(n: int) -> int:
-    """Bottom-up merge levels for ``n`` elements, plus the copy-home pass."""
-    levels = math.ceil(math.log2(n))
-    return levels + (levels % 2)
-
-
-@lru_cache(maxsize=None)
-def _precise_traffic(algorithm: str, n: int, bits: Optional[int]) -> tuple[int, int]:
-    """(reads, writes) a looped precise sort of ``n >= 2`` keys+IDs charges.
-
-    LSD radix: per pass, keys and IDs are each read once and written once,
-    through the bucket region and back — ``4n`` reads and ``4n`` writes per
-    pass, identical in scalar and numpy mode (grouping-invariance).
-    Mergesort: each level reads and rewrites keys and IDs once (``2n``
-    each), with the copy-home pass counting as one more level when the
-    level count is odd.  Both are value-independent on precise memory.
-    """
-    if algorithm == "mergesort":
-        effective = _merge_levels(n)
-        return 2 * n * effective, 2 * n * effective
-    passes = len(lsd_digit_plan(bits))
-    return 4 * n * passes, 4 * n * passes
-
-
-@lru_cache(maxsize=None)
-def _rem_traffic(algorithm: str, m: int, bits: Optional[int]) -> tuple[int, int]:
-    """(reads, writes) the looped REM sort of ``m >= 2`` IDs charges.
-
-    Mirrors :func:`repro.core.refine.sort_rem_ids`: the ID array and the
-    transferred shadow-key reads both land on the run's stats, the shadow's
-    writes do not.  Per LSD pass that is ``2m`` ID-side reads plus ``2m``
-    transferred shadow reads and ``2m`` ID writes; per merge level ``m`` ID
-    reads plus ``m`` transferred shadow reads and ``m`` ID writes.  The
-    one-read-per-REM-key gather is charged separately at gather time.
-    """
-    if algorithm == "mergesort":
-        effective = _merge_levels(m)
-        return 2 * m * effective, m * effective
-    passes = len(lsd_digit_plan(bits))
-    return 4 * m * passes, 2 * m * passes
-
-
 def sort_segments_precise(
-    key_arrays: Sequence, id_arrays: Sequence, algorithm: str,
-    bits: Optional[int] = None,
+    key_arrays: Sequence, id_arrays: Sequence, sorter: BaseSorter
 ) -> None:
-    """Sort every precise segment as LSD radix (``bits``) or mergesort would.
+    """Sort every precise segment as the stable, scheduled ``sorter`` would.
 
-    Both algorithms are stable, so the final keys/IDs equal the stable
-    sort-by-key of the segment; one row-wise sort of ``key << 32 | pos``
-    packed words (all distinct, so any sort is stable-equivalent) yields
-    every segment's result at once.  Traffic is charged analytically with
-    the looped pass/level counts (:func:`_precise_traffic`).
+    The final keys/IDs equal the stable sort-by-key of the segment; one
+    row-wise sort of ``key << 32 | pos`` packed words (all distinct, so any
+    sort is stable-equivalent) yields every segment's result at once.  Each
+    segment's keys and IDs are charged ``sorter.precise_schedule(n)``.
     """
     active = [j for j in range(len(key_arrays)) if len(key_arrays[j]) >= 2]
     if not active:
@@ -121,10 +77,10 @@ def sort_segments_precise(
         id_buf = raw(id_arrays[j])
         id_buf[:n] = id_buf[perms[a, :n]]  # fancy index copies before store
         key_buf[:n] = sorted_keys[a, :n]
-        reads, writes = _precise_traffic(algorithm, n, bits)
-        stats = key_arrays[j].stats
-        stats.record_precise_read(reads)
-        stats.record_precise_write(writes)
+        reads, writes = sorter.precise_schedule(n)
+        for array in (key_arrays[j], id_arrays[j]):
+            array.stats.record_precise_read(reads)
+            array.stats.record_precise_write(writes)
 
 
 def lsd_sort_segments_approx(
@@ -399,16 +355,17 @@ def find_rem_segments(id_arrays: Sequence, key0_arrays: Sequence) -> list[list[i
 def sort_rem_segments(
     rem_lists: Sequence[list[int]],
     key0_arrays: Sequence,
-    algorithm: str,
-    bits: Optional[int] = None,
+    sorter: BaseSorter,
 ) -> list[list[int]]:
-    """Segmented REM sort for the stable closed-form sorters (LSD, mergesort).
+    """Segmented REM sort for a stable sorter with a precise schedule.
 
     The REM sort runs on a *precise* shadow whatever the approx-stage
     memory was, so the precise collapse applies: one stable composite
     argsort of ``(segment << 32) | key`` orders every segment's REM IDs
-    (ties keep scan order, matching the stable looped sort), and the
-    looped traffic is charged analytically (:func:`_rem_traffic`).
+    (ties keep scan order, matching the stable looped sort).  The charge
+    follows :func:`repro.core.refine.sort_rem_ids`: the ID array's
+    schedule plus the shadow keys' reads, transferred, but not the
+    shadow's writes.  The one-read-per-REM-key gather is charged here too.
     """
     out = [list(rem) for rem in rem_lists]
     work = [j for j in range(len(rem_lists)) if len(rem_lists[j]) >= 2]
@@ -431,8 +388,8 @@ def sort_rem_segments(
     for k, j in enumerate(work):
         m = lens[k]
         out[j] = [int(v) for v in sorted_ids[offsets[k] : offsets[k + 1]]]
-        reads, writes = _rem_traffic(algorithm, m, bits)
+        reads, writes = sorter.precise_schedule(m)
         stats = key0_arrays[j].stats
-        stats.record_precise_read(reads)
+        stats.record_precise_read(2 * reads)
         stats.record_precise_write(writes)
     return out

@@ -237,12 +237,12 @@ class InstrumentedArray:
     def poke_block_np(self, start: int, values: np.ndarray) -> None:
         """Unaccounted raw store — the write-side dual of :meth:`peek_block_np`.
 
-        Only for kernels whose accounting is *analytic*: the fused shard
-        kernels (:mod:`repro.parallel.shard_kernels`) compute a whole sort's
-        result in one vectorized step and charge the exact read/write
-        counts of the pass-by-pass reference separately, so the store
-        itself must not touch the counters, any RNG stream, or tracing.
-        Never use this where per-access accounting or corruption applies.
+        Only for kernels whose accounting is *analytic*: the fused precise
+        path of :meth:`repro.sorting.base.BaseSorter.sort` computes a whole
+        sort's result in one vectorized step and charges the sorter's
+        ``precise_schedule`` separately, so the store itself must not touch
+        the counters, any RNG stream, or tracing.  Never use this where
+        per-access accounting or corruption applies.
         """
         vals = _as_words(values)
         self._data[start : start + vals.size] = vals

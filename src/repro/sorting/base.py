@@ -17,8 +17,10 @@ import math
 import time
 from typing import Optional, Protocol
 
+import numpy as np
+
 from repro.kernels import resolve_kernels
-from repro.memory.approx_array import InstrumentedArray
+from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.obs import get_metrics, get_tracer
 
 
@@ -49,6 +51,11 @@ class BaseSorter:
     memory both modes produce bit-identical output and identical accounted
     counts (see DESIGN.md section 8 and
     ``tests/sorting/test_kernel_equivalence.py``).
+
+    A sorter that publishes a :meth:`precise_schedule` also gets the fused
+    precise path: :meth:`sort` replaces the pass-by-pass run with one stable
+    sort plus the schedule's charge wherever that is bit-identical (see
+    :meth:`_fused_schedule`).
     """
 
     name = "base"
@@ -89,21 +96,80 @@ class BaseSorter:
         tracer = get_tracer()
         metrics = get_metrics()
         t0 = time.perf_counter() if metrics.enabled else 0.0
+        schedule = self._fused_schedule(keys, ids)
         if tracer.enabled:
             with tracer.span(
                 f"sort.{self.name}", stats=keys.stats,
                 attrs={"algo": self.name, "n": len(keys),
                        "kernels": resolve_kernels(self.kernels),
-                       "region": keys.region},
+                       "region": keys.region,
+                       "fused": schedule is not None},
             ):
-                self._sort(keys, ids)
+                self._run(keys, ids, schedule)
         else:
-            self._sort(keys, ids)
+            self._run(keys, ids, schedule)
         if metrics.enabled:
             metrics.observe(
                 "sort.wall_s", time.perf_counter() - t0,
                 algo=self.name, region=keys.region,
             )
+
+    def _fused_schedule(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> "tuple[int, int] | None":
+        """The schedule to charge if this sort may fuse, else ``None``.
+
+        Fusing is bit-identical only when every pass is exact and
+        unobserved: the sorter publishes a schedule, the kernels resolve to
+        numpy (scalar is the reference path), and both operands are bare
+        ``PreciseArray`` instances with no trace hook.  The strict type checks
+        keep approximate memory (corruption is drawn pass by pass) and
+        every wrapper (sanitizer shadows, write-combining fronts) on
+        :meth:`_sort`.
+        """
+        if resolve_kernels(self.kernels) != "numpy":
+            return None
+        for array in (keys, ids):
+            if array is not None and (
+                type(array) is not PreciseArray or array.trace is not None
+            ):
+                return None
+        return self.precise_schedule(len(keys))
+
+    def _run(
+        self,
+        keys: InstrumentedArray,
+        ids: Optional[InstrumentedArray],
+        schedule: "tuple[int, int] | None",
+    ) -> None:
+        """The fused sort when ``schedule`` is given, else :meth:`_sort`.
+
+        A stable sort's output is the unique stable ascending order, so one
+        stable sort by key reproduces it bit for bit, and ``schedule`` is
+        what the pass-by-pass run would have charged each array.  The peek
+        and the stores are unaccounted; the charge is the accounting.
+        """
+        if schedule is None:
+            self._sort(keys, ids)
+            return
+        reads, writes = schedule
+        n = len(keys)
+        # ``key << 32 | position`` words are distinct, so any sort of them
+        # is the stable sort by key (several times faster than a stable
+        # argsort), and their low halves are its permutation.
+        packed = keys.peek_block_np(0, n).astype(np.uint64)
+        packed <<= np.uint64(32)
+        packed |= np.arange(n, dtype=np.uint64)
+        packed.sort()
+        if ids is not None:
+            order = packed & np.uint64(0xFFFFFFFF)
+            ids.poke_block_np(0, ids.peek_block_np(0, n)[order])
+            ids.stats.record_precise_read(reads)
+            ids.stats.record_precise_write(writes)
+        packed >>= np.uint64(32)
+        keys.poke_block_np(0, packed.astype(np.uint32))
+        keys.stats.record_precise_read(reads)
+        keys.stats.record_precise_write(writes)
 
     # Subclasses implement the actual algorithm.
     def _sort(
@@ -114,19 +180,32 @@ class BaseSorter:
     def expected_key_writes(self, n: int) -> float:
         raise NotImplementedError
 
+    def precise_schedule(self, n: int) -> "tuple[int, int] | None":
+        """Per-array ``(reads, writes)`` of a whole precise sort of ``n`` keys.
+
+        ``None`` (the default) means the traffic depends on the values
+        (quicksort's swaps, MSD's bucket recursion) or the sorter is not
+        stable.  A stable sorter whose traffic on each array (keys, and
+        ids when present) is a closed form in ``n`` publishes it, and this
+        is the one place that closed form lives: :meth:`max_key_writes`,
+        the fused path of :meth:`sort` and the batch engine's packed sorts
+        all read it.
+        """
+        return None
+
     def max_key_writes(self, n: int) -> Optional[float]:
         """Closed-form worst-case key writes to sort ``n`` elements.
 
-        ``None`` (the default) means the algorithm's write count is
-        value-dependent with no useful deterministic bound (quicksort's
-        swap count, MSD bucket recursion).  Sorters with a
-        value-independent write schedule override this with the exact
-        bound; the ``write_budget`` oracle class in
-        :mod:`repro.verify.oracle` asserts measured ``MemoryStats`` write
-        counts never exceed it, on precise and approximate memory, in
-        both kernel modes.
+        ``None`` means the algorithm's write count is value-dependent with
+        no useful deterministic bound.  By default it is the write count of
+        :meth:`precise_schedule`; sorters with a value-independent write
+        schedule but no published traffic schedule override it.  The
+        ``write_budget`` oracle class in :mod:`repro.verify.oracle` asserts
+        measured ``MemoryStats`` write counts never exceed it, on precise
+        and approximate memory, in both kernel modes.
         """
-        return None
+        schedule = self.precise_schedule(n)
+        return None if schedule is None else float(schedule[1])
 
     @staticmethod
     def _swap(

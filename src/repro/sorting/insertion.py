@@ -49,4 +49,6 @@ class InsertionSort(BaseSorter):
 
     def expected_key_writes(self, n: int) -> float:
         """Average-case writes on random input: ~ n^2/4 shifts."""
+        if n < 2:
+            return 0.0
         return n * n / 4.0

@@ -18,7 +18,6 @@ memory write stream, so the classic run-size-1 bottom-up schedule is used
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -195,20 +194,17 @@ class Mergesort(BaseSorter):
         if dst_ids is not None and merged_ids is not None:
             dst_ids.write_block(lo, merged_ids)
 
+    def precise_schedule(self, n: int) -> "tuple[int, int]":
+        """Per array, each of the ``ceil(log2 n)`` levels reads and rewrites
+        every element once, plus the copy-home pass when the level count is
+        odd (the result would otherwise sit in the scratch buffer)."""
+        levels = (n - 1).bit_length() if n >= 2 else 0
+        touches = (levels + levels % 2) * n
+        return touches, touches
+
     def expected_key_writes(self, n: int) -> float:
         """alpha_mergesort(n) ~ n*log2(n) (paper Section 4.3)."""
-        if n < 2:
-            return 0.0
-        # ceil(log2 n) full rewrite passes, plus the copy-home pass when the
-        # pass count is odd.
-        passes = math.ceil(math.log2(n))
-        if passes % 2 == 1:
-            passes += 1
-        return float(passes) * n
-
-    def max_key_writes(self, n: int) -> "float | None":
-        """The pass schedule is value-independent: worst case = expected."""
-        return self.expected_key_writes(n)
+        return float(self.precise_schedule(n)[1])
 
     # Kept for reference against the paper's closed form.
     @staticmethod

@@ -193,13 +193,15 @@ class LSDRadixSort(BaseSorter):
         if ids is not None and bucket_ids is not None:
             ids.write_block(0, bucket_ids.read_block_np(0, n))
 
+    def precise_schedule(self, n: int) -> "tuple[int, int]":
+        """Per array, each pass moves every element out to the bucket region
+        and back: ``2n`` reads and ``2n`` writes."""
+        touches = 2 * len(self._plan) * n if n >= 2 else 0
+        return touches, touches
+
     def expected_key_writes(self, n: int) -> float:
         """alpha_LSD(n): two writes per element per pass."""
-        return 2.0 * len(self._plan) * n
-
-    def max_key_writes(self, n: int) -> "float | None":
-        """The pass schedule is value-independent: worst case = expected."""
-        return 0.0 if n < 2 else self.expected_key_writes(n)
+        return float(self.precise_schedule(n)[1])
 
 
 class MSDRadixSort(BaseSorter):

@@ -123,6 +123,8 @@ class HistogramLSDRadixSort(BaseSorter):
 
     def expected_key_writes(self, n: int) -> float:
         """alpha_hLSD(n): one write per element per pass (+ odd-pass copy)."""
+        if n < 2:
+            return 0.0
         passes = len(self._plan)
         if passes % 2 == 1:
             passes += 1

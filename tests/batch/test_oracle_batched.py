@@ -34,19 +34,20 @@ class TestBatchedLoopClass:
         assert result.passed, [d.describe() for d in result.divergences]
 
     def test_detects_an_injected_divergence(self, monkeypatch):
-        # Corrupt the engine's analytic traffic helper: the oracle must
-        # localize the stats divergence rather than pass vacuously.
-        from repro.batch import segmented_kernels
+        # Skew the charge of the batched precise sort, which only the
+        # batched path runs (a looped sort charges the same schedule through
+        # BaseSorter.sort): the oracle must localize the stats divergence
+        # rather than pass vacuously.
+        from repro.batch import engine
 
-        real = segmented_kernels._precise_traffic.__wrapped__
+        real = engine.sort_segments_precise
 
-        def skewed(algorithm, n, bits):
-            reads, writes = real(algorithm, n, bits)
-            return reads + 1, writes
+        def skewed(key_arrays, id_arrays, sorter):
+            real(key_arrays, id_arrays, sorter)
+            for keys in key_arrays:
+                keys.stats.record_precise_read(1)
 
-        monkeypatch.setattr(
-            segmented_kernels, "_precise_traffic", skewed
-        )
+        monkeypatch.setattr(engine, "sort_segments_precise", skewed)
         divergences = check_batched_loop(OracleCase(algorithm="lsd6", n=60))
         assert divergences
-        assert "stats" in divergences[0].field
+        assert divergences[0].field == "precise[0].stats.precise_reads"
