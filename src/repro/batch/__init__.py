@@ -12,7 +12,6 @@ from .engine import (
     SEGMENTED_SORTERS,
     run_approx_refine_batch,
     run_batch,
-    run_job_group,
     run_precise_sort_batch,
 )
 from .segments import SegmentPlan, tiled_aggregate
@@ -25,7 +24,6 @@ __all__ = [
     "batching_enabled",
     "run_approx_refine_batch",
     "run_batch",
-    "run_job_group",
     "run_precise_sort_batch",
     "tiled_aggregate",
 ]

@@ -4,7 +4,7 @@
 groups them by (memory config, algorithm, kernel mode), and routes each
 group through segmented kernels that advance all of the group's jobs per
 vectorized pass — the fourth execution substrate after scalar, numpy and
-sharded, and the coalescing core ROADMAP item 1's batch server needs.
+sharded.
 
 Contracts (tested in ``tests/batch`` and by the ``batched_loop`` oracle):
 
@@ -30,7 +30,6 @@ path they observe.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,14 +39,13 @@ import numpy as np
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.core.refine import merge_refined, sort_rem_ids
 from repro.core.report import ApproxRefineResult, BaselineResult
-from repro.errors import ConfigError
 from repro.kernels import resolve_kernels
 from repro.memory.approx_array import ApproxArray
 from repro.memory.stats import MemoryStats
 from repro.metrics.sortedness import rem_ratio
 from repro.obs import get_metrics, get_tracer
 from repro.obs.tracer import stats_to_dict
-from repro.sorting.registry import SHARDS_ENV, make_base_sorter
+from repro.sorting.registry import env_shards, make_base_sorter
 from repro.verify import sanitizing
 
 from .segmented_kernels import (
@@ -58,7 +56,6 @@ from .segmented_kernels import (
     sort_segments_precise,
 )
 from .segments import (
-    SegmentPlan,
     approx_views,
     concat_segments,
     identity_ids,
@@ -88,14 +85,6 @@ class BatchJob:
     kernels: Optional[str] = None
 
 
-def _env_shards() -> int:
-    raw_value = os.environ.get(SHARDS_ENV)
-    try:
-        return int(raw_value) if raw_value else 1
-    except ValueError:
-        return 1
-
-
 def _needs_looped_run() -> bool:
     """Process-wide conditions under which the engine defers to the loop.
 
@@ -106,7 +95,7 @@ def _needs_looped_run() -> bool:
     vectorized path and synthesize their span stream afterwards
     (:func:`_emit_batch_spans`).
     """
-    return sanitizing() or _env_shards() >= 2
+    return sanitizing() or env_shards() >= 2
 
 
 def _memory_batchable(memory) -> bool:
@@ -133,7 +122,6 @@ def run_batch(jobs: Sequence[BatchJob]) -> list:
     results: list = [None] * len(jobs)
     tracer = get_tracer()
     metrics = get_metrics()
-    looped = _needs_looped_run()
     groups: dict[tuple, list[int]] = {}
     for i, job in enumerate(jobs):
         if not isinstance(job.sorter, str) or job.sorter.startswith("sharded:"):
@@ -143,6 +131,7 @@ def run_batch(jobs: Sequence[BatchJob]) -> list:
             continue
         key = (job.sorter, job.kernels, id(job.memory) if job.memory is not None else None)
         groups.setdefault(key, []).append(i)
+    looped = bool(groups) and _needs_looped_run()
     for indices in groups.values():
         first = jobs[indices[0]]
         if looped or (
@@ -184,43 +173,6 @@ def run_batch(jobs: Sequence[BatchJob]) -> list:
                 tracer, first.sorter, first.kernels, lane, batch, wall_s
             )
     return results
-
-
-def run_job_group(jobs: Sequence[BatchJob]) -> list:
-    """Execute one *externally assembled* same-config job group.
-
-    The admission scheduler of :mod:`repro.serve` (and any other caller
-    that already buckets its requests) assembles coalescing groups itself.
-    :func:`run_batch` would accept such a group as-is, but it would also
-    silently *re-group* a caller mistake — jobs with mixed configs would
-    quietly split into several kernel dispatches and the caller's batching
-    arithmetic (window sizing, fairness accounting) would be wrong without
-    any signal.  This entry point makes the contract explicit: every job
-    must share the same ``(sorter, kernels)`` and the same ``memory``
-    object (``ConfigError`` otherwise), and the validated group then runs
-    through the engine as exactly one group — same fallbacks, same
-    metrics, same synthesized span stream, same per-job bit-identity
-    contract as :func:`run_batch`.
-
-    Results are returned in job order.
-    """
-    if not jobs:
-        return []
-    first = jobs[0]
-    for job in jobs:
-        if (
-            job.sorter != first.sorter
-            or job.kernels != first.kernels
-            or job.memory is not first.memory
-        ):
-            raise ConfigError(
-                "run_job_group requires a same-config group: every job must"
-                " share sorter, kernels and the memory factory instance"
-                f" (got {job.sorter!r}/{job.kernels!r} vs"
-                f" {first.sorter!r}/{first.kernels!r}); use run_batch for"
-                " mixed-config batches"
-            )
-    return run_batch(list(jobs))
 
 
 def _emit_batch_spans(

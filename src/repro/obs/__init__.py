@@ -21,10 +21,7 @@ The observability layer has three pieces:
   snapshot export and a Prometheus-style text exposition.  The process
   default is :data:`NULL_METRICS` (disabled, ~free), activated per process
   by ``REPRO_METRICS_DIR`` — which is what the runner's ``--metrics`` flag
-  exports.  The sort service (:mod:`repro.serve`) publishes its queue and
-  latency gauges through the same registry and serves the
-  :func:`snapshot_to_prometheus` exposition over TCP via its ``metrics``
-  op (docs/serving.md).
+  exports.
 * :mod:`repro.obs.flight` — an always-on, always-cheap in-memory ring of
   recent obs events, dumped to ``flight-<pid>.jsonl`` on crash, SIGKILL or
   fault-injection trip when ``REPRO_FLIGHT_DIR`` is armed.

@@ -114,7 +114,13 @@ def make_base_sorter(name: str, **kwargs) -> BaseSorter:
     return factory()
 
 
-def _env_shards() -> int:
+def env_shards() -> int:
+    """The shard count :data:`SHARDS_ENV` requests (1 when it is unset).
+
+    The one parser of the variable: :func:`make_sorter` and the batch
+    engine's fallback both call it, so a bad value (not an integer, or
+    below 1) raises :class:`~repro.errors.ConfigError` on every path.
+    """
     raw = os.environ.get(SHARDS_ENV)
     if raw is None:
         return 1
@@ -173,11 +179,11 @@ def make_sorter(name: str, **kwargs) -> BaseSorter:
             **wrapper_kwargs,
         )
     sorter = make_base_sorter(name, **kwargs)
-    env_shards = _env_shards()
-    if env_shards >= 2:
+    shards = env_shards()
+    if shards >= 2:
         from repro.parallel.sharded import ShardedSorter
 
-        return ShardedSorter(sorter, shards=env_shards)
+        return ShardedSorter(sorter, shards=shards)
     return sorter
 
 

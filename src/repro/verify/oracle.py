@@ -39,14 +39,6 @@ and compares everything observable:
     tiling law: the per-segment stats must merge to exactly the sum of
     the looped per-job stats.  Batching, like sharding, must be a pure
     performance decision.
-``served_direct``
-    Sort responses from a live :class:`repro.serve.SortServer` (real TCP
-    round trip, pipelined requests riding one coalesced admission drain)
-    vs direct :func:`run_approx_refine`/:func:`run_precise_baseline`
-    calls with the tenant profile's configuration — bit-identical keys,
-    IDs, Rem~ and ``MemoryStats`` after a JSON round trip, on both
-    lanes.  The serving stack (protocol, scheduler, batching, executor
-    thread) must be a pure transport, never an observable one.
 ``write_budget``
     Measured key-write counts vs the sorter's closed-form worst-case
     bound (:meth:`~repro.sorting.base.BaseSorter.max_key_writes`).  For
@@ -704,119 +696,6 @@ def check_batch_span_tiling(case: OracleCase) -> list[Divergence]:
     return out
 
 
-def check_served_direct(case: OracleCase) -> list[Divergence]:
-    """Served sort responses ≡ direct library calls, bit for bit.
-
-    Boots a real :class:`repro.serve.SortServer` on an ephemeral port
-    with one approx and one precise tenant pinned to the case's
-    configuration, pipelines several differently-sized requests down a
-    single connection (so they coalesce into the same admission drain),
-    and compares every response field against the direct call.  Floats
-    survive the JSON hop exactly (shortest-round-trip encoding), so the
-    comparison is bit-level even for ``approx_write_units``.
-    """
-    import asyncio
-    import json
-
-    from repro.serve import SortServer, TenantProfile
-    from repro.serve import protocol as serve_protocol
-
-    out: list[Divergence] = []
-    name = "served_direct"
-    memory = memory_for(case.t)
-
-    profiles = (
-        TenantProfile(
-            name="oracle-approx", lane="approx", sorter=case.algorithm,
-            kernels="numpy", t=case.t, fit_samples=ORACLE_FIT_SAMPLES,
-        ),
-        TenantProfile(
-            name="oracle-precise", lane="precise", sorter=case.algorithm,
-            kernels="numpy",
-        ),
-    )
-
-    def keys_for(n: int, seed: int) -> list[int]:
-        if case.workload in EXTRA_WORKLOADS:
-            return EXTRA_WORKLOADS[case.workload](n, seed)
-        return make_keys(case.workload, n, seed=seed)
-
-    requests = [
-        (tenant, keys_for(n, case.seed + j), case.seed + 17 * j)
-        for tenant in ("oracle-approx", "oracle-precise")
-        for j, n in enumerate((case.n, 1, max(2, case.n // 2), 3))
-    ]
-
-    async def round_trip() -> dict[int, dict]:
-        server = SortServer(profiles=profiles, window_s=0.02)
-        await server.start()
-        try:
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
-            for i, (tenant, keys, seed) in enumerate(requests):
-                writer.write(serve_protocol.encode_frame({
-                    "op": "sort", "tenant": tenant, "keys": keys,
-                    "seed": seed, "id": i,
-                }))
-            await writer.drain()
-            responses: dict[int, dict] = {}
-            for _ in requests:
-                responses.update(
-                    (r["id"], r)
-                    for r in [json.loads(await reader.readline())]
-                )
-            writer.close()
-        finally:
-            await server.aclose()
-        return responses
-
-    responses = asyncio.run(round_trip())
-
-    for i, (tenant, keys, seed) in enumerate(requests):
-        response = responses.get(i)
-        if response is None or not response.get("ok"):
-            out.append(Divergence(
-                name, f"response[{i}]", i, "ok", repr(response)
-            ))
-            return out
-        if tenant == "oracle-approx":
-            want = run_approx_refine(
-                keys, case.algorithm, memory, seed=seed, kernels="numpy"
-            )
-        else:
-            want = run_precise_baseline(keys, case.algorithm, kernels="numpy")
-        where = f"{tenant}[{i}]"
-        _first_mismatch(out, name, f"{where}.final_keys",
-                        want.final_keys, response["keys"])
-        _first_mismatch(out, name, f"{where}.final_ids",
-                        want.final_ids, response["ids"])
-        want_stats = want.stats.as_dict()
-        for counter, want_value in want_stats.items():
-            got_value = response["stats"].get(counter)
-            if want_value != got_value:
-                out.append(Divergence(
-                    name, f"{where}.stats.{counter}", i,
-                    want_value, got_value,
-                ))
-                break
-        if tenant == "oracle-approx":
-            if response.get("rem_tilde") != want.rem_tilde:
-                out.append(Divergence(
-                    name, f"{where}.rem_tilde", i,
-                    want.rem_tilde, response.get("rem_tilde"),
-                ))
-            if response.get("tier") != 0 or response.get("tier_t") != case.t:
-                out.append(Divergence(
-                    name, f"{where}.tier", i, (0, case.t),
-                    (response.get("tier"), response.get("tier_t")),
-                    detail="degradation must stay off by default",
-                ))
-        if out:
-            return out
-    return out
-
-
 def check_write_budget(case: OracleCase) -> list[Divergence]:
     """Measured key writes never exceed the closed-form worst-case bound.
 
@@ -879,7 +758,6 @@ EQUIVALENCE_CLASSES: dict[str, Callable[[OracleCase], list[Divergence]]] = {
     "sharded_serial": check_sharded_serial,
     "batched_loop": check_batched_loop,
     "batch_span_tiling": check_batch_span_tiling,
-    "served_direct": check_served_direct,
     "write_budget": check_write_budget,
 }
 
@@ -891,7 +769,6 @@ BIT_CLASSES = (
     "sharded_serial",
     "batched_loop",
     "batch_span_tiling",
-    "served_direct",
     "write_budget",
 )
 

@@ -18,6 +18,7 @@ from repro.batch import (
     tiled_aggregate,
 )
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
+from repro.errors import ConfigError
 from repro.memory.stats import MemoryStats
 from repro.sorting.registry import SHARDS_ENV, available_sorters
 from repro.verify import SANITIZE_ENV
@@ -159,6 +160,21 @@ class TestFallbacks:
         reference = run_precise_baseline(keys, "lsd6")
         assert results[0].final_keys == reference.final_keys
         assert results[0].stats.as_dict() == reference.stats.as_dict()
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_shards_env_raises_like_the_loop(self, monkeypatch, raw):
+        monkeypatch.setenv(SHARDS_ENV, raw)
+        keys = uniform_keys(30, seed=2)
+        with pytest.raises(ConfigError, match=SHARDS_ENV):
+            run_precise_baseline(keys, "lsd6")
+        with pytest.raises(ConfigError, match=SHARDS_ENV):
+            run_batch([BatchJob(keys=keys, sorter="lsd6")])
+        # An explicit sharded spec never reads the variable, looped or batched.
+        spec = "sharded:lsd6:2"
+        batched = run_batch([BatchJob(keys=keys, sorter=spec)])[0]
+        assert batched.stats.as_dict() == (
+            run_precise_baseline(keys, spec).stats.as_dict()
+        )
 
     def test_spintronic_memory_runs_looped_but_equal(self, stt_33):
         keys_list = [uniform_keys(18, seed=6), uniform_keys(9, seed=7)]

@@ -54,25 +54,19 @@ MEASURED_FIELDS = frozenset({
     "metrics_active_overhead_frac", "metrics_guard_ns",
     "metrics_guard_sites", "est_metrics_disabled_overhead_frac",
     "metrics_observe_ns", "est_metrics_active_overhead_frac",
-    "p50_s", "p95_s", "p99_s", "rps", "nobatch_total_s", "nobatch_rps",
-    "speedup_vs_nobatch", "ok", "rejected", "errors", "drains", "groups",
-    "jobs_per_drain", "key_writes", "write_bound", "writes_mergesort",
-    "write_ratio", "bound_ratio",
+    "key_writes", "write_bound", "writes_mergesort", "write_ratio",
+    "bound_ratio",
 })
 
 #: Files whose records must carry an integer ``schema`` stamp (``--check``
 #: enforces it); other files adopt the rule as soon as one record has it.
-SCHEMA_REQUIRED = frozenset({
-    "BENCH_obs.json", "BENCH_serve.json", "BENCH_write_efficient.json",
-})
+SCHEMA_REQUIRED = frozenset({"BENCH_obs.json", "BENCH_write_efficient.json"})
 
 #: Primary timing metric, first match wins (seconds-like, lower is better).
 METRIC_FIELDS = ("seconds", "total_s", "sharded_s", "sharded_wall_s", "active_s")
 
 #: Recorded speedup ratios carried through to the report (higher is better).
-SPEEDUP_FIELDS = (
-    "speedup_vs_loop", "speedup_vs_serial", "speedup_vs_nobatch", "speedup",
-)
+SPEEDUP_FIELDS = ("speedup_vs_loop", "speedup_vs_serial", "speedup")
 
 
 def series_key(record: dict) -> tuple:
