@@ -104,6 +104,22 @@ def test_approx_write_block(benchmark, model):
     benchmark(lambda: array.write_block(0, keys))
 
 
+def test_approx_write_block_2p20(benchmark, model):
+    """One 2^20-word block write at T = 0.055, the grain of an LSD pass in
+    approx-refine at n = 2^20: the summed cost lookup, one uniform per
+    word, and the exact per-word probability only for the words whose
+    uniform reaches the model's no-error floor."""
+    keys = np.random.default_rng(10).integers(
+        0, 2**32, size=1 << 20, dtype=np.uint64
+    ).astype(np.uint32)
+    array = ApproxArray(
+        np.zeros(keys.size, dtype=np.uint32), model=model,
+        precise_iterations=3.0, seed=11,
+    )
+
+    benchmark(lambda: array.write_block(0, keys))
+
+
 def test_get_model_cold_without_cache(benchmark, monkeypatch):
     """Full Monte-Carlo fit + table compilation (the disk cache disabled)."""
     monkeypatch.setenv(CACHE_DIR_ENV, "off")

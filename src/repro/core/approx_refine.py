@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.memory.approx_array import PreciseArray
 from repro.memory.factories import ApproxMemoryFactory
 from repro.memory.stats import MemoryStats
@@ -120,16 +122,16 @@ def run_approx_refine(
 
         # Stage: approx preparation (accounted copy Key0 -> Key~).
         with stages.stage("approx_preparation"):
-            approx_keys = wrap(
-                memory.make_array([0] * n, stats=stats, seed=seed)
-            )
+            approx_keys = wrap(memory.make_array(
+                np.zeros(n, dtype=np.uint32), stats=stats, seed=seed
+            ))
             approx_keys.trace = hook("Key~", "approx")
             approx_keys.load_from(key0)
 
         # Stage: approx stage (the offloaded sort).
         with stages.stage("approx_stage"):
             algorithm.sort(approx_keys, ids)
-        approx_rem = rem_ratio(approx_keys.to_list())
+        approx_rem = rem_ratio(approx_keys.to_numpy())
 
         # Stage: refine preparation (nothing materialized — see module
         # docs).
@@ -149,11 +151,11 @@ def run_approx_refine(
         # Refine step 3: merge into the final precise output.
         with stages.stage("refine_merge"):
             final_keys = wrap(PreciseArray(
-                [0] * n, stats=stats, name="finalKey",
+                np.zeros(n, dtype=np.uint32), stats=stats, name="finalKey",
                 trace=hook("finalKey", "precise"),
             ))
             final_ids = wrap(PreciseArray(
-                [0] * n, stats=stats, name="finalID",
+                np.zeros(n, dtype=np.uint32), stats=stats, name="finalID",
                 trace=hook("finalID", "precise"),
             ))
             merge_refined(

@@ -57,12 +57,16 @@ def _as_words(values) -> np.ndarray:
     """Coerce ``values`` to a validated ``np.uint32`` array.
 
     Bounds are tested once on an int64 view (``min``/``max``), so a block of
-    any size pays two reductions rather than a per-element range check.
+    any size pays two reductions rather than a per-element range check.  A
+    ``range`` (the ID array's initial contents) becomes an ``np.arange``
+    without passing through a list.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.uint32:
         return values
+    if isinstance(values, range):
+        values = np.arange(values.start, values.stop, values.step, dtype=np.int64)
     try:
-        wide = np.array(
+        wide = np.asarray(
             values if isinstance(values, (np.ndarray, list, tuple)) else list(values),
             dtype=np.int64,
         )
@@ -247,14 +251,45 @@ class InstrumentedArray:
         vals = _as_words(values)
         self._data[start : start + vals.size] = vals
 
+    def _block_slots(self, start: int, count: int) -> slice:
+        """The checked destination of a ``count``-word block write at ``start``.
+
+        Block writes check their destination before any counter, RNG draw
+        or trace event moves, so a write that does not fit the array raises
+        and leaves it, its accounting and its corruption streams unchanged.
+        """
+        size = self._data.size
+        if start < 0 or start + count > size:
+            raise ValueError(
+                f"block [{start}, {start + count}) outside [0, {size})"
+            )
+        return slice(start, start + count)
+
+    def _scatter_slots(self, indices: np.ndarray, count: int) -> np.ndarray:
+        """The checked ``int64`` destination of a ``count``-value scatter.
+
+        As :meth:`_block_slots`: one index per value, each inside the array,
+        or the scatter raises before anything is charged.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size != count:
+            raise ValueError(f"scatter of {count} values to {idx.size} indices")
+        size = self._data.size
+        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= size):
+            raise IndexError(f"scatter index outside [0, {size})")
+        return idx
+
     def _trace_block(self, op: str, start: int, count: int) -> None:
         """Emit one trace event per element of a block access."""
         trace = self.trace
         for i in range(start, start + count):
             trace(op, self.region, i)
 
-    def _trace_indices(self, op: str, indices: np.ndarray) -> None:
-        """Emit one trace event per element of a gather/scatter access."""
+    def _trace_indices(self, op: str, indices: "np.ndarray | slice") -> None:
+        """Emit one trace event per element of a gather/scatter access
+        (or of a block access, given its slice)."""
+        if isinstance(indices, slice):
+            indices = range(indices.start, indices.stop)
         trace = self.trace
         for i in indices:
             trace(op, self.region, int(i))
@@ -286,10 +321,11 @@ class PreciseArray(InstrumentedArray):
 
     def write_block(self, start: int, values: Sequence[int]) -> None:
         checked = _as_words(values)
+        slots = self._block_slots(start, checked.size)
         self.stats.record_precise_write(checked.size)
         if self.trace is not None:
             self._trace_block("W", start, checked.size)
-        self._data[start : start + checked.size] = checked
+        self._data[slots] = checked
 
     def gather_np(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
@@ -299,8 +335,8 @@ class PreciseArray(InstrumentedArray):
         return self._data[idx]
 
     def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
         checked = _as_words(values)
+        idx = self._scatter_slots(indices, checked.size)
         self.stats.record_precise_write(idx.size)
         if self.trace is not None:
             self._trace_indices("W", idx)
@@ -429,18 +465,8 @@ class ApproxArray(InstrumentedArray):
         (``corrupt_block`` on the block RNG stream) as :meth:`write_block`,
         so scalar-vs-kernel corruption rates agree in distribution.
         """
-        idx = np.asarray(indices, dtype=np.int64)
         vals = _as_words(values)
-        if idx.size == 0:
-            return
-        cost, p_ok = self.model.block_cost_and_no_error(vals)
-        units = float(cost.sum() / self.precise_iterations)
-        stored = self.model.corrupt_block(vals, self._np_rng, p_ok=p_ok)
-        corrupted = int(np.count_nonzero(stored != vals))
-        self.stats.record_approx_write_block(idx.size, units, corrupted)
-        if self.trace is not None:
-            self._trace_indices("W", idx)
-        self._data[idx] = stored
+        self._write_words(self._scatter_slots(indices, vals.size), vals)
 
     def peek_block_np(self, start: int, count: int) -> np.ndarray:
         return self._data[start : start + count].copy()
@@ -467,16 +493,26 @@ class ApproxArray(InstrumentedArray):
     def write_block(self, start: int, values: Sequence[int]) -> None:
         """Vectorized block write (numpy path; same distribution as scalar)."""
         vals = _as_words(values)
+        self._write_words(self._block_slots(start, vals.size), vals)
+
+    def _write_words(self, slots: "slice | np.ndarray", vals: np.ndarray) -> None:
+        """Cost, corrupt, account, trace and store ``vals`` at ``slots``.
+
+        The one body of :meth:`write_block` and :meth:`scatter_np`.  The
+        destination is already checked, so no store is refused after it
+        has been charged.
+        """
         if vals.size == 0:
             return
         cost, p_ok = self.model.block_cost_and_no_error(vals)
-        units = float(cost.sum() / self.precise_iterations)
         stored = self.model.corrupt_block(vals, self._np_rng, p_ok=p_ok)
         corrupted = int(np.count_nonzero(stored != vals))
-        self.stats.record_approx_write_block(vals.size, units, corrupted)
+        self.stats.record_approx_write_block(
+            vals.size, cost / self.precise_iterations, corrupted
+        )
         if self.trace is not None:
-            self._trace_block("W", start, vals.size)
-        self._data[start : start + vals.size] = stored
+            self._trace_indices("W", slots)
+        self._data[slots] = stored
 
     def load_from(self, source: InstrumentedArray) -> None:
         """Approx-preparation copy: read ``source``, write every element here.

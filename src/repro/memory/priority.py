@@ -214,15 +214,14 @@ class PriorityWordErrorModel:
 
     def block_cost_and_no_error(
         self, values: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(block_write_cost, block_no_error_probability)`` pair.
+    ) -> "tuple[float, np.ndarray]":
+        """The block's summed write cost and its per-word no-error array.
 
-        Interface parity with ``WordErrorModel``; the per-position tables
-        make a fused gather less attractive here, so this simply composes
-        the two sweeps.
+        The contract of ``WordErrorModel.block_cost_and_no_error``; this
+        model has no no-error floor, so the array is always returned.
         """
         return (
-            self.block_write_cost(values),
+            float(self.block_write_cost(values).sum()),
             self.block_no_error_probability(values),
         )
 

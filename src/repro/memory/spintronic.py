@@ -153,18 +153,8 @@ class SpintronicArray(InstrumentedArray):
 
     def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Accounted scatter; corruption from the batched block sampler."""
-        idx = np.asarray(indices, dtype=np.int64)
         vals = _as_words(values)
-        if idx.size == 0:
-            return
-        stored = self.model.corrupt_block(vals, self._np_rng)
-        corrupted = int(np.count_nonzero(stored != vals))
-        self.stats.record_approx_write_block(
-            idx.size, self.model.write_cost * idx.size, corrupted
-        )
-        if self.trace is not None:
-            self._trace_indices("W", idx)
-        self._data[idx] = stored
+        self._write_words(self._scatter_slots(indices, vals.size), vals)
 
     def peek_block_np(self, start: int, count: int) -> np.ndarray:
         return self._data[start : start + count].copy()
@@ -181,6 +171,11 @@ class SpintronicArray(InstrumentedArray):
 
     def write_block(self, start: int, values: Sequence[int]) -> None:
         vals = _as_words(values)
+        self._write_words(self._block_slots(start, vals.size), vals)
+
+    def _write_words(self, slots: "slice | np.ndarray", vals: np.ndarray) -> None:
+        """Corrupt, account, trace and store ``vals`` at checked ``slots``
+        (the one body of :meth:`write_block` and :meth:`scatter_np`)."""
         if vals.size == 0:
             return
         stored = self.model.corrupt_block(vals, self._np_rng)
@@ -189,8 +184,8 @@ class SpintronicArray(InstrumentedArray):
             vals.size, self.model.write_cost * vals.size, corrupted
         )
         if self.trace is not None:
-            self._trace_block("W", start, vals.size)
-        self._data[start : start + vals.size] = stored
+            self._trace_indices("W", slots)
+        self._data[slots] = stored
 
     def load_from(self, source: InstrumentedArray) -> None:
         """Accounted approx-preparation copy from a precise array."""

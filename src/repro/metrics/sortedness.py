@@ -44,6 +44,9 @@ def longest_nondecreasing_subsequence_length(values: Sequence[int]) -> int:
         starts = np.flatnonzero(arr[1:] < arr[:-1]) + 1
         if starts.size < max(8, n // 4):
             return _lnds_by_runs(arr, starts)
+        # Plain ints: the bisect loop is several times slower on numpy
+        # scalars, and an ndarray input would hand it those.
+        values = arr.tolist()
     return _lnds_bisect(values)
 
 

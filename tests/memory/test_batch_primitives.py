@@ -174,3 +174,70 @@ class TestBaseClassFallbacks:
         assert arr.peek_block_np(4, 2).tolist() == [44, 55]
         assert stats.precise_writes == 2
         assert stats.precise_reads >= 5
+
+
+class TestRejectedBlockWrites:
+    """A block write whose destination does not fit raises before it moves
+    any counter, RNG stream or trace event, like a rejected scalar write
+    (tests/verify/test_sanitizer.py)."""
+
+    REJECTED = {
+        "block_past_end": (
+            lambda arr: arr.write_block(2, np.array([1, 2, 3, 4])),
+            ValueError,
+        ),
+        "scatter_index_out_of_range": (
+            lambda arr: arr.scatter_np(np.array([0, 9]), np.array([1, 2])),
+            IndexError,
+        ),
+        "scatter_fewer_values_than_indices": (
+            lambda arr: arr.scatter_np(np.array([0, 1, 2]), np.array([5])),
+            ValueError,
+        ),
+    }
+
+    @staticmethod
+    def make(kind, pcm_model, precise_iterations, events):
+        def trace(op, region, index):
+            events.append((op, index))
+
+        if kind == "precise":
+            return PreciseArray([0] * 4, trace=trace)
+        if kind == "approx":
+            arr = make_approx(
+                pcm_model, precise_iterations, [0] * 4, MemoryStats(), seed=3
+            )
+        else:
+            model = SpintronicErrorModel(
+                SpintronicParams(energy_saving=0.5, bit_error_rate=1e-2)
+            )
+            arr = SpintronicArray([0] * 4, model=model, seed=3)
+        arr.trace = trace
+        return arr
+
+    @pytest.mark.parametrize("case", list(REJECTED))
+    @pytest.mark.parametrize("kind", ["precise", "approx", "spintronic"])
+    def test_rejected_block_write_charges_nothing(
+        self, kind, case, pcm_model, precise_iterations
+    ):
+        events, twin_events = [], []
+        arr = self.make(kind, pcm_model, precise_iterations, events)
+        twin = self.make(kind, pcm_model, precise_iterations, twin_events)
+        call, error = self.REJECTED[case]
+        with pytest.raises(error):
+            call(arr)
+        assert arr.stats.as_dict() == MemoryStats().as_dict()
+        assert events == []
+        assert arr.to_list() == [0, 0, 0, 0]
+        if kind != "precise":
+            assert (
+                arr._np_rng.bit_generator.state
+                == twin._np_rng.bit_generator.state
+            )
+        # The next accepted write behaves as on an array that never saw
+        # the rejected one.
+        for target in (arr, twin):
+            target.write_block(0, np.array([7, 8, 9, 10], dtype=np.uint32))
+        assert arr.to_list() == twin.to_list()
+        assert arr.stats.as_dict() == twin.stats.as_dict()
+        assert events == twin_events

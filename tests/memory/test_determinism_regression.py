@@ -5,7 +5,8 @@ change the sampled corruption stream: experiment tables are reproduced from
 (configuration, seed) pairs, so a drive-by change to RNG consumption order
 would invalidate every recorded number.  These tests pin the exact stored
 words and accounting of one (T, seed) pair for both the scalar and the
-block write path, plus distribution-level agreement between the two paths.
+block write path, the block sampler's no-error-floor paths at two more T,
+plus distribution-level agreement between the two paths.
 
 If an intentional change to the corruption streams lands, regenerate the
 golden values below and say so loudly in the commit message.
@@ -57,6 +58,53 @@ GOLDEN_BLOCK_STORED = [
 GOLDEN_BLOCK_CORRUPTED = 22
 
 GOLDEN_WRITE_UNITS = 31.684875
+
+#: Floor-sparse goldens, same fit and array seed.  At T = 0.07 the model's
+#: no-error floor (0.9646 at this fit) proves every block sparse, so the
+#: block sampler evaluates the exact per-word probability only where the
+#: uniform reaches the floor; the 64 golden keys give 4 erring words (the
+#: scalar slow path), ``uniform_keys(1024, seed=9)`` gives 22 (the batched
+#: one).  At T = 0.025 the floor is 1.0 and no word can err.  ``scatter_np``
+#: writes the same values to the positions in reverse order.  Each entry is
+#: ``(corrupted position -> stored word, approx_write_units)``; every other
+#: position holds the word written.  The values were generated with the
+#: full per-word comparison, so they also pin that the floor changes none.
+SPARSE_GOLDENS = {
+    (0.07, 64, "write_block"): (
+        {25: 1804348685, 40: 916663901, 48: 3184817074, 56: 2873580726},
+        37.5609140625,
+    ),
+    (0.07, 64, "scatter_np"): (
+        {7: 2873580726, 15: 3184817074, 23: 916663901, 38: 1804348685},
+        37.5609140625,
+    ),
+    (0.07, 1024, "write_block"): (
+        {
+            25: 1804348685, 40: 916663901, 48: 3184817074, 56: 2873580726,
+            138: 1187079457, 145: 732582653, 263: 3820680359,
+            266: 3064038283, 291: 1943651511, 372: 2123197492,
+            438: 720651801, 476: 62416579, 499: 1968806531, 545: 3806040834,
+            563: 3630152173, 702: 4268881700, 732: 4130178167,
+            824: 3179795014, 881: 1647096541, 994: 998930984,
+            996: 2978114086, 1018: 4142306151,
+        },
+        603.1911119791666,
+    ),
+    (0.07, 1024, "scatter_np"): (
+        {
+            5: 4142306151, 27: 2978114086, 29: 998930984, 142: 1647096541,
+            199: 3179795014, 291: 4130178167, 321: 4268881700,
+            460: 3630152173, 478: 3806040834, 524: 1968806531,
+            547: 62416579, 585: 720651801, 651: 2123197492,
+            732: 1943651511, 757: 3064038283, 760: 3820680359,
+            878: 732582653, 885: 1187079457, 967: 2873580726,
+            975: 3184817074, 983: 916663901, 998: 1804348685,
+        },
+        603.1911119791666,
+    ),
+    (0.025, 64, "write_block"): ({}, 64.59311458333333),
+    (0.025, 1024, "scatter_np"): ({}, 1035.9050026041666),
+}
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +161,30 @@ class TestGoldenValues:
         for index, key in enumerate(GOLDEN_KEYS):
             b.write(index, key)
         assert a.to_list() == b.to_list()
+
+    @pytest.mark.parametrize(
+        "case", list(SPARSE_GOLDENS), ids=lambda c: f"T{c[0]}-n{c[1]}-{c[2]}"
+    )
+    def test_floor_sparse_block_paths_pinned(self, case):
+        t, n, path = case
+        corrupted, units = SPARSE_GOLDENS[case]
+        model = get_model(MLCParams(t=t), samples_per_level=GOLDEN_FIT)
+        keys = np.asarray(uniform_keys(n, seed=9), dtype=np.uint32)
+        array = fresh_array(model, n)
+        if path == "write_block":
+            slots = np.arange(n)
+            array.write_block(0, keys)
+        else:
+            slots = np.arange(n)[::-1]
+            array.scatter_np(slots, keys)
+        expected = np.empty_like(keys)
+        expected[slots] = keys
+        for position, word in corrupted.items():
+            expected[position] = word
+        assert array.to_list() == expected.tolist()
+        assert array.stats.approx_writes == n
+        assert array.stats.corrupted_writes == len(corrupted)
+        assert array.stats.approx_write_units == units
 
     def test_write_cost_identical_across_paths(self, model):
         """Write-unit accounting depends only on values, never on the path."""

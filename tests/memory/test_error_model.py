@@ -173,6 +173,55 @@ class TestCorruption:
         assert count <= 25
 
 
+class TestNoErrorFloor:
+    """The block sampler's floor: ``_half_p_ok.min() ** 2`` bounds every
+    word's no-error probability, and comparing uniforms against it first
+    changes no draw and no outcome."""
+
+    @pytest.mark.parametrize(
+        "t,floor_sparse",
+        [(0.025, True), (0.055, True), (0.07, True), (0.08, False), (0.1, False)],
+    )
+    def test_which_t_the_floor_proves_sparse(self, t, floor_sparse):
+        model = get_model(MLCParams(t=t), samples_per_level=FIT)
+        assert model._floor_sparse is floor_sparse
+        cost, p_ok = model.block_cost_and_no_error(np.arange(8, dtype=np.uint32))
+        assert isinstance(cost, float)
+        assert (p_ok is None) is floor_sparse
+
+    def test_floor_bounds_every_word(self, sweet_model):
+        values = np.random.default_rng(7).integers(
+            0, 2**32, size=50_000, dtype=np.uint64
+        ).astype(np.uint32)
+        floor = sweet_model._no_error_floor
+        assert sweet_model.block_no_error_probability(values).min() >= floor
+        lowest = int(np.argmin(sweet_model._half_p_ok))
+        word = np.array([lowest | (lowest << 16)], dtype=np.uint32)
+        assert sweet_model.block_no_error_probability(word)[0] == floor
+
+    def test_summed_cost_equals_per_word_costs_exactly(self, sweet_model):
+        values = np.random.default_rng(8).integers(
+            0, 2**32, size=100_003, dtype=np.uint64
+        ).astype(np.uint32)
+        cost, _ = sweet_model.block_cost_and_no_error(values)
+        assert cost == float(sweet_model.block_write_cost(values).sum())
+
+    @pytest.mark.parametrize("t", [0.055, 0.065, 0.07])
+    def test_floor_path_matches_full_comparison(self, t):
+        model = get_model(MLCParams(t=t), samples_per_level=FIT)
+        values = np.random.default_rng(9).integers(
+            0, 2**32, size=30_000, dtype=np.uint64
+        ).astype(np.uint32)
+        floor_rng, full_rng = (np.random.default_rng(10) for _ in range(2))
+        by_floor = model.corrupt_block(values, floor_rng)
+        by_full = model.corrupt_block(
+            values, full_rng, p_ok=model.block_no_error_probability(values)
+        )
+        assert np.count_nonzero(by_floor != values) > 4
+        assert np.array_equal(by_floor, by_full)
+        assert floor_rng.bit_generator.state == full_rng.bit_generator.state
+
+
 class TestModelCache:
     def test_same_params_share_instance(self):
         a = get_model(MLCParams(t=0.07), samples_per_level=2_000)
