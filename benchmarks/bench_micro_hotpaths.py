@@ -120,6 +120,35 @@ def test_approx_write_block_2p20(benchmark, model):
     benchmark(lambda: array.write_block(0, keys))
 
 
+def test_approx_write_block_small_dense(benchmark):
+    """One 10-word block write at T = 0.1, the grain of an MSD bucket
+    write in fig09: the block takes the dense path, which a block this
+    small walks from one generator draw."""
+    model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
+    keys = uniform_keys(10, seed=17)
+    array = ApproxArray(
+        np.zeros(len(keys), dtype=np.uint32), model=model,
+        precise_iterations=3.0, seed=18,
+    )
+
+    benchmark(lambda: array.write_block(0, keys))
+
+
+def test_approx_refine_msd3_fig09_cell(benchmark):
+    """One fig09 cell: approx-refine with msd3 at n = 2048, T = 0.1, whose
+    thousands of few-word block writes mostly take the dense path."""
+    from repro.core.approx_refine import run_approx_refine
+    from repro.memory.factories import PCMMemoryFactory
+
+    keys = uniform_keys(2048, seed=19)
+    memory = PCMMemoryFactory(MLCParams(t=0.1), fit_samples=FIT)
+
+    benchmark(lambda: run_approx_refine(
+        keys, make_sorter("msd3", kernels="numpy"), memory, seed=20,
+        kernels="numpy",
+    ))
+
+
 def test_get_model_cold_without_cache(benchmark, monkeypatch):
     """Full Monte-Carlo fit + table compilation (the disk cache disabled)."""
     monkeypatch.setenv(CACHE_DIR_ENV, "off")

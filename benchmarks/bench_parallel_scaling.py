@@ -123,6 +123,7 @@ def bench_precise(algo: str, n: int, shards: int, seed: int) -> dict:
         else "in-process shard sorts"
     )
     record = {
+        "schema": 1,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "part": "precise_kernels",
         "algo": algo,
@@ -178,6 +179,7 @@ def bench_fig09_row(n: int, shards: int, seed: int) -> dict:
 
     speedup = serial_s / sharded_s if sharded_s else float("inf")
     record = {
+        "schema": 1,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "part": "fig09_paper",
         "algo": algo,

@@ -13,8 +13,8 @@ record per (algo, kernels) measurement to a JSON array file (default
 ``BENCH_sorters.json`` at the repo root), in the same append-style format
 as ``BENCH_runner.json``::
 
-    {"timestamp": ..., "n": ..., "T": ..., "algo": ..., "kernels": ...,
-     "seconds": ..., "rem_tilde": ...}
+    {"schema": 1, "timestamp": ..., "n": ..., "T": ..., "algo": ...,
+     "kernels": ..., "seconds": ..., "rem_tilde": ...}
 
 The printed table reports the scalar/numpy speedup per algorithm — the
 PR-acceptance target is >= 5x for mergesort and lsd6 at n = 1e5.
@@ -111,6 +111,7 @@ def batch_sweep(args, memory) -> list[dict]:
                 _assert_jobs_equal(looped, batched)
             speedup = loop_best / batch_best
             records.append({
+                "schema": 1,
                 "timestamp": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"
                 ),
@@ -185,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                 assert result.final_keys == sorted(keys)
             seconds[(algo, kernels)] = best
             records.append({
+                "schema": 1,
                 "timestamp": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"
                 ),

@@ -1083,6 +1083,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else:
             workers_effective = min(args.jobs, max(1, len(names)))
         record = {
+            "schema": 1,
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
             ),

@@ -53,6 +53,11 @@ def _check_word(value: int) -> int:
     return value
 
 
+def _index_error(index: int, size: int) -> IndexError:
+    """The error a scalar write to ``index`` outside ``[0, size)`` raises."""
+    return IndexError(f"write index {index} outside [0, {size})")
+
+
 def _as_words(values) -> np.ndarray:
     """Coerce ``values`` to a validated ``np.uint32`` array.
 
@@ -352,9 +357,12 @@ class PreciseArray(InstrumentedArray):
         return self._mv[index]
 
     def write(self, index: int, value: int) -> None:
+        # The memoryview would store a negative index counted from the end.
+        if not 0 <= index < len(self._mv):
+            raise _index_error(index, len(self._mv))
         try:
             # The uint32 memoryview rejects out-of-range values itself, so
-            # the hot path needs no explicit bounds check.
+            # the hot path needs no explicit value check.
             self._mv[index] = value
         except (ValueError, TypeError):
             self._data[index] = _check_word(value)  # canonical error message
@@ -481,6 +489,9 @@ class ApproxArray(InstrumentedArray):
         return self._u_buffer[pos]
 
     def write(self, index: int, value: int) -> None:
+        # Checked before the cost, the draws and the store move.
+        if not 0 <= index < len(self._mv):
+            raise _index_error(index, len(self._mv))
         value = _check_word(value)
         model = self.model
         units = model.word_write_cost(value) / self.precise_iterations

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,6 +33,14 @@ from .mlc import pv_write, drift_read
 
 #: Number of Monte-Carlo writes per level used to fit the compiled model.
 DEFAULT_FIT_SAMPLES = 100_000
+
+#: Largest dense block, in words, that :meth:`WordErrorModel.corrupt_block`
+#: corrupts by walking one generator draw in Python; larger blocks keep the
+#: per-column numpy loop.  Measured, not tuned per run (DESIGN.md section 7).
+DENSE_WALK_MAX_WORDS = 64
+
+#: PCG64's period: advancing by ``PCG64_PERIOD - k`` steps it back ``k`` draws.
+PCG64_PERIOD = 1 << 128
 
 #: Number of Monte-Carlo fits executed by this process (cache-miss counter;
 #: tests assert warm-cache paths leave it untouched).
@@ -318,6 +327,10 @@ class WordErrorModel:
         self._byte_iters_list = self._byte_iters.tolist()
         self._p_err_list = self._p_err.tolist()
         self._cond_cdf_list = [row.tolist() for row in self._cond_cdf]
+        # The dense walker's tables, indexed by a cell's stored bit pattern.
+        self._p_err_by_bits = [self._p_err_list[lv] for lv in bits_to_level]
+        self._cond_cdf_by_bits = [self._cond_cdf_list[lv] for lv in bits_to_level]
+        self._max_p_err = max(self._p_err_list)
         # Per-halfword (16-bit) tables halve the lookup count of the block
         # paths; 2 x 64 KiB entries of float64 is well worth the two table
         # reads saved per word.
@@ -532,8 +545,8 @@ class WordErrorModel:
           floor no word can err, so the erring words, their probabilities
           and the draws are those of the full comparison.
         * **dense** — when the expected error fraction exceeds
-          :data:`_DENSE_ERROR_CUTOFF`, resample every cell column
-          vectorized (the pre-optimization behaviour).
+          :data:`_DENSE_ERROR_CUTOFF`, sample every cell
+          (:meth:`_corrupt_block_dense`).
         """
         vals = np.asarray(values, dtype=np.uint32)
         if vals.size == 0:
@@ -548,6 +561,8 @@ class WordErrorModel:
         u = rng.random(vals.shape)
         if p_ok is None:
             near = np.flatnonzero(u >= self._no_error_floor)
+            if near.size == 0:
+                return out
             near_p_ok = self.block_no_error_probability(vals[near])
             erring = u[near] >= near_p_ok
             err_idx, err_p_ok = near[erring], near_p_ok[erring]
@@ -612,7 +627,27 @@ class WordErrorModel:
     def _corrupt_block_dense(
         self, vals: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-cell-column vectorized corruption (high-error-rate regime)."""
+        """Per-cell corruption (high-error-rate regime).
+
+        The cells are sampled column by column, cell 0 of every word first.
+        Each column draws one uniform per word, in word order; a cell errs
+        when its uniform is below its level's error probability.  Then it
+        draws one uniform per erring cell, in word order, which picks the
+        misread level from the conditional transition CDF.
+
+        The loop below makes about a dozen numpy calls per column whatever
+        the block size.  A block of at most :data:`DENSE_WALK_MAX_WORDS`
+        words on a PCG64 generator goes to :meth:`_corrupt_block_walk`
+        instead, which consumes the same draws in the same order from one
+        ``rng.random`` call, so the stored words and the generator's next
+        draw are the loop's.  Other generators and larger blocks run the
+        loop.
+        """
+        if (
+            vals.size <= DENSE_WALK_MAX_WORDS
+            and type(rng.bit_generator) is np.random.PCG64
+        ):
+            return self._corrupt_block_walk(vals, rng)
         out = vals.copy()
         for k in range(CELLS_PER_WORD):
             bits = (vals >> np.uint32(2 * k)) & np.uint32(3)
@@ -630,6 +665,56 @@ class WordErrorModel:
             cleared = out[err_mask] & ~np.uint32(0b11 << (2 * k))
             out[err_mask] = cleared | (new_bits << np.uint32(2 * k))
         return out
+
+    def _corrupt_block_walk(
+        self, vals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`_corrupt_block_dense` for a small block, from one draw.
+
+        The column loop consumes ``m`` cell uniforms and then one target
+        uniform per erring cell for each of the 16 columns, so it never
+        needs more than ``2 * 16 * m`` draws.  This draws that many in one
+        call, walks them in the loop's order, and steps the PCG64 generator
+        back over the ones the loop would not have drawn.  The step back
+        also drops a buffered 32-bit half, which the arrays' block
+        generators never hold: they draw only float64 uniforms.
+
+        Only a uniform below the largest cell error probability can make a
+        cell err, so only those become Python floats; each target uniform
+        is read where the walk reaches it.
+        """
+        m = vals.size
+        drawn = 2 * CELLS_PER_WORD * m
+        u = rng.random(drawn)
+        near = np.flatnonzero(u < self._max_p_err)
+        near_pos, near_u = near.tolist(), u[near].tolist()
+        words = vals.tolist()
+        out = list(words)
+        p_err, cdf = self._p_err_by_bits, self._cond_cdf_by_bits
+        level_to_bits = self._level_to_bits
+        top = self.params.levels - 1
+        pos = c = 0
+        for shift in range(0, 2 * CELLS_PER_WORD, 2):
+            end = pos + m
+            erring = []
+            while c < len(near_pos) and near_pos[c] < end:
+                i = near_pos[c] - pos
+                # i < 0: a target uniform of the previous column.
+                if i >= 0 and near_u[c] < p_err[(words[i] >> shift) & 3]:
+                    erring.append(i)
+                c += 1
+            for i in erring:
+                # The CDF is nondecreasing, so bisect_right counts the
+                # entries <= u, as the loop's ``(u >= cdf).sum()`` does.
+                level = bisect_right(cdf[(words[i] >> shift) & 3], u.item(end))
+                end += 1
+                out[i] = (out[i] & ~(3 << shift)) | (
+                    level_to_bits[min(level, top)] << shift
+                )
+            pos = end
+        if pos < drawn:
+            rng.bit_generator.advance(PCG64_PERIOD - (drawn - pos))
+        return np.array(out, dtype=np.uint32)
 
     def block_write_cost(self, values: np.ndarray) -> np.ndarray:
         """Vectorized expected per-word write cost (#P per cell, averaged)."""

@@ -24,7 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .approx_array import InstrumentedArray, TraceHook, _as_words, _check_word
+from .approx_array import (
+    InstrumentedArray, TraceHook, _as_words, _check_word, _index_error,
+)
 from .config import SpintronicParams, WORD_BITS
 from .stats import MemoryStats
 
@@ -160,6 +162,8 @@ class SpintronicArray(InstrumentedArray):
         return self._data[start : start + count].copy()
 
     def write(self, index: int, value: int) -> None:
+        if not 0 <= index < len(self._mv):
+            raise _index_error(index, len(self._mv))
         value = _check_word(value)
         stored = self.model.corrupt_word(value, self._rng)
         self.stats.record_approx_write(

@@ -72,6 +72,7 @@ class TestRunnerCLI:
         records = json.loads(path.read_text())
         assert len(records) == 2
         for record in records:
+            assert record["schema"] == 1
             assert record["scale"] == "smoke"
             assert record["jobs"] == 1
             assert set(record["experiments"]) == {"fig02"}

@@ -241,3 +241,48 @@ class TestRejectedBlockWrites:
         assert arr.to_list() == twin.to_list()
         assert arr.stats.as_dict() == twin.stats.as_dict()
         assert events == twin_events
+
+
+def scalar_rng_state(arr):
+    """Both scalar corruption streams of ``arr``: the batched fast-path
+    uniforms (generator state and buffer position) and the slow path's
+    ``random.Random``."""
+    state = {"slow": arr._rng.getstate()}
+    if hasattr(arr, "_scalar_rng"):
+        state["fast"] = (
+            arr._scalar_rng.bit_generator.state, arr._u_pos, len(arr._u_buffer)
+        )
+    return state
+
+
+class TestRejectedScalarWrites:
+    """A scalar write to an index outside [0, n) raises IndexError before
+    any counter, RNG draw, trace event or store moves; without the check
+    the memoryview wraps -1 to the last slot and refuses n only after the
+    write was charged."""
+
+    @pytest.mark.parametrize("index", [4, -1, 9, -5])
+    @pytest.mark.parametrize("kind", ["precise", "approx", "spintronic"])
+    def test_rejected_scalar_write_charges_nothing(
+        self, kind, index, pcm_model, precise_iterations
+    ):
+        events, twin_events = [], []
+        make = TestRejectedBlockWrites.make
+        arr = make(kind, pcm_model, precise_iterations, events)
+        twin = make(kind, pcm_model, precise_iterations, twin_events)
+        with pytest.raises(IndexError):
+            arr.write(index, 5)
+        assert arr.stats.as_dict() == MemoryStats().as_dict()
+        assert events == []
+        assert arr.to_list() == [0, 0, 0, 0]
+        if kind != "precise":
+            assert scalar_rng_state(arr) == scalar_rng_state(twin)
+        # The next accepted write behaves as on an array that never saw
+        # the rejected one.
+        for target in (arr, twin):
+            target.write(3, 0xDEADBEEF)
+        assert arr.to_list() == twin.to_list()
+        assert arr.stats.as_dict() == twin.stats.as_dict()
+        assert events == twin_events
+        if kind != "precise":
+            assert scalar_rng_state(arr) == scalar_rng_state(twin)

@@ -5,9 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.memory import error_model
+from repro.memory.approx_array import ApproxArray
 from repro.memory.config import CELLS_PER_WORD, MLCParams
 from repro.memory.error_model import (
+    DENSE_WALK_MAX_WORDS,
     MODEL_CACHE,
+    CellCharacteristics,
     WordErrorModel,
     characterize_cells,
     get_model,
@@ -220,6 +224,128 @@ class TestNoErrorFloor:
         assert np.count_nonzero(by_floor != values) > 4
         assert np.array_equal(by_floor, by_full)
         assert floor_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+class TestDenseWalk:
+    """Dense blocks of at most ``DENSE_WALK_MAX_WORDS`` words on a PCG64
+    generator are walked from one draw; stored words and the generator's
+    next draw equal the per-column loop's."""
+
+    @staticmethod
+    def dense_both_ways(model, values, make_rng, monkeypatch):
+        """``_corrupt_block_dense`` as dispatched, then forced onto the
+        column loop, each from a fresh generator; with walker calls counted."""
+        walks = []
+        walk = type(model)._corrupt_block_walk
+
+        def counted(self, vals, rng):
+            walks.append(vals.size)
+            return walk(self, vals, rng)
+
+        monkeypatch.setattr(type(model), "_corrupt_block_walk", counted)
+        rng = make_rng()
+        dispatched = model._corrupt_block_dense(values, rng)
+        loop_rng = make_rng()
+        with monkeypatch.context() as patch:
+            patch.setattr(error_model, "DENSE_WALK_MAX_WORDS", 0)
+            loop = model._corrupt_block_dense(values, loop_rng)
+        return dispatched, rng, loop, loop_rng, bool(walks)
+
+    #: A fitted cell errs only one level up, so which misread level a
+    #: target uniform picks never varies there; these rows spread it.
+    SPREAD = CellCharacteristics(
+        transition=np.array([
+            [0.96, 0.02, 0.01, 0.01],
+            [0.01, 0.95, 0.03, 0.01],
+            [0.005, 0.015, 0.95, 0.03],
+            [0.01, 0.01, 0.03, 0.95],
+        ]),
+        mean_iterations=np.array([2.0, 3.0, 3.0, 1.0]),
+    )
+
+    @pytest.mark.parametrize("encoding", ["binary", "gray"])
+    @pytest.mark.parametrize("t", [0.075, 0.1, 0.124, "spread"])
+    def test_walk_matches_column_loop(self, t, encoding, monkeypatch):
+        if t == "spread":
+            model = WordErrorModel(
+                MLCParams(t=0.1), encoding=encoding, characteristics=self.SPREAD
+            )
+        else:
+            model = get_model(
+                MLCParams(t=t), samples_per_level=FIT, encoding=encoding
+            )
+        keys = np.random.default_rng(21).integers(
+            0, 2**32, size=(DENSE_WALK_MAX_WORDS + 8) * 4, dtype=np.uint64
+        ).astype(np.uint32)
+        corrupted = 0
+        for m in range(1, DENSE_WALK_MAX_WORDS + 9):
+            for seed in range(4):
+                values = keys[seed * m : (seed + 1) * m]
+                walked, rng, loop, loop_rng, took_walk = self.dense_both_ways(
+                    model, values, lambda: np.random.default_rng((seed, m)),
+                    monkeypatch,
+                )
+                assert took_walk is (m <= DENSE_WALK_MAX_WORDS)
+                assert walked.dtype == np.uint32
+                assert np.array_equal(walked, loop), (m, seed)
+                assert rng.random() == loop_rng.random(), (m, seed)
+                corrupted += int(np.count_nonzero(walked != values))
+        assert corrupted > 100
+
+    def test_other_generators_keep_the_column_loop(self, monkeypatch):
+        model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
+        values = np.random.default_rng(3).integers(
+            0, 2**32, size=10, dtype=np.uint64
+        ).astype(np.uint32)
+        walked, rng, loop, loop_rng, took_walk = self.dense_both_ways(
+            model, values,
+            lambda: np.random.Generator(np.random.MT19937(4)), monkeypatch,
+        )
+        assert not took_walk
+        assert np.array_equal(walked, loop)
+        assert np.count_nonzero(walked != values) > 0
+        assert rng.random() == loop_rng.random()
+
+    def test_block_generator_draws_only_float64_uniforms(self):
+        """``advance`` drops a buffered 32-bit half, so the walk is exact
+        only on a generator that never holds one: every draw an array's
+        block writes make is a float64 ``random``, on every path."""
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, []
+
+            @property
+            def bit_generator(self):
+                return self.inner.bit_generator
+
+            def __getattr__(self, name):
+                method = getattr(self.inner, name)
+
+                def call(*args, **kwargs):
+                    self.calls.append((name, len(args), tuple(kwargs)))
+                    return method(*args, **kwargs)
+
+                return call
+
+        keys = np.random.default_rng(5).integers(
+            0, 2**32, size=4096, dtype=np.uint64
+        ).astype(np.uint32)
+        calls = []
+        for t in (0.025, 0.055, 0.07, 0.075, 0.1, 0.124):
+            model = get_model(MLCParams(t=t), samples_per_level=FIT)
+            arr = ApproxArray(
+                np.zeros(keys.size, np.uint32), model=model,
+                precise_iterations=3.0, seed=6,
+            )
+            recording = Recording(arr._np_rng)
+            arr._np_rng = recording
+            for m in (1, 10, DENSE_WALK_MAX_WORDS, DENSE_WALK_MAX_WORDS + 1, 4096):
+                arr.write_block(0, keys[:m])
+                arr.scatter_np(np.arange(m)[::-1], keys[-m:])
+            assert recording.inner.bit_generator.state["has_uint32"] == 0
+            calls += recording.calls
+        assert calls and set(calls) <= {("random", 0, ()), ("random", 1, ())}
 
 
 class TestModelCache:

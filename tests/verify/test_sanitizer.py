@@ -148,12 +148,15 @@ class TestBounds:
         with pytest.raises(SanitizerError, match="bounds"):
             array.scatter_np(np.array([1, 3]), np.array([0, 0]))
 
-    def test_unsanitized_negative_index_goes_undetected(self):
-        # The hazard the bounds invariant exists for: without the
-        # sanitizer a negative index silently wraps to the array tail.
+    def test_unsanitized_negative_write_raises(self):
+        # The memoryview alone would wrap a negative index to the array
+        # tail; a plain array's scalar write refuses it before it charges
+        # or stores anything (tests/memory/test_batch_primitives.py).
         plain = PreciseArray([1, 2, 3])
-        plain.write(-1, 99)
-        assert plain.to_list() == [1, 2, 99]
+        with pytest.raises(IndexError):
+            plain.write(-1, 99)
+        assert plain.to_list() == [1, 2, 3]
+        assert plain.stats.precise_writes == 0
 
 
 class _LazyAccountingArray(PreciseArray):

@@ -26,9 +26,9 @@ Usage::
 conventions: not a JSON array of objects, a record without a timestamp or
 without any recognized metric field, a field changing type within a
 series, or a missing integer ``schema`` stamp in files that require one
-(``BENCH_obs.json``; any file adopts the rule as soon as one record
-carries the stamp).  CI can run it to catch a harness silently changing
-its record shape.
+(every bench file the repo's harnesses write; any other file adopts the
+rule as soon as one record carries the stamp).  CI can run it to catch a
+harness silently changing its record shape.
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ MEASURED_FIELDS = frozenset({
 
 #: Files whose records must carry an integer ``schema`` stamp (``--check``
 #: enforces it); other files adopt the rule as soon as one record has it.
-SCHEMA_REQUIRED = frozenset({"BENCH_obs.json", "BENCH_write_efficient.json"})
+SCHEMA_REQUIRED = frozenset({
+    "BENCH_obs.json", "BENCH_parallel.json", "BENCH_runner.json",
+    "BENCH_sorters.json", "BENCH_write_efficient.json",
+})
 
 #: Primary timing metric, first match wins (seconds-like, lower is better).
 METRIC_FIELDS = ("seconds", "total_s", "sharded_s", "sharded_wall_s", "active_s")
