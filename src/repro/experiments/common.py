@@ -250,9 +250,7 @@ def current_heartbeat() -> "Heartbeat | None":
     return _CURRENT_HEARTBEAT
 
 
-def map_cells(
-    fn, cells: list[tuple], jobs: int = 1, journal=None, batcher=None
-) -> list:
+def map_cells(fn, cells: list[tuple], jobs: int = 1, journal=None) -> list:
     """Run ``fn(*cell)`` for every cell, optionally across processes.
 
     The experiment modules express their independent measurement cells as
@@ -268,13 +266,6 @@ def map_cells(
     journaled the moment it lands — so a crashed or timed-out experiment
     re-fans only its missing cells on the next attempt.  Restored values
     round-trip through JSON (tuples come back as lists; floats are exact).
-
-    ``batcher`` (optional) is a function taking a list of cells and
-    returning their results in the same order, by coalescing the cells
-    through the :mod:`repro.batch` engine.  It is used only when batching
-    is enabled (``REPRO_BATCH``), sequential (``jobs <= 1``) and there is
-    more than one outstanding cell; the batch engine's bit-identity
-    contract keeps the table identical to the looped run.
     """
     results: list = [None] * len(cells)
     heartbeat = current_heartbeat()
@@ -298,19 +289,6 @@ def map_cells(
 
     if not todo:
         return results
-    if batcher is not None and jobs <= 1 and len(todo) > 1:
-        from repro.kernels import batching_enabled
-
-        if batching_enabled():
-            if heartbeat is not None:
-                heartbeat.set_detail(f"batching {len(todo)} cells")
-            batch_values = batcher([cells[i] for i in todo])
-            for i, value in zip(todo, batch_values):
-                results[i] = value
-                if journal is not None:
-                    journal.record(i, cells[i], value)
-                _cell_done()
-            return results
     if jobs <= 1 or len(todo) <= 1:
         for i in todo:
             results[i] = fn(*cells[i])

@@ -46,35 +46,6 @@ def _cell(algorithm: str, n: int, key_seed: int, fit: int,
     return write_reduction(baseline_total, result.total_units)
 
 
-def _cell_batch(cells: list[tuple]) -> list[float]:
-    """Batched ``_cell``: all seeds of an algorithm advance per kernel pass.
-
-    The model fit is deterministic in its parameters, so one shared factory
-    per ``fit`` value stands in for the per-cell factories; each job still
-    carries its own corruption seed, and the batch engine's bit-identity
-    contract makes the returned reductions equal to the looped ones.
-    """
-    from repro.batch import BatchJob, run_batch
-
-    factories: dict[int, PCMMemoryFactory] = {}
-    jobs = []
-    for algorithm, n, key_seed, fit, _baseline_total, cell_seed in cells:
-        if fit not in factories:
-            factories[fit] = PCMMemoryFactory(
-                MLCParams(t=SWEET_SPOT_T), fit_samples=fit
-            )
-        jobs.append(
-            BatchJob(
-                keys=uniform_keys(n, seed=key_seed), sorter=algorithm,
-                memory=factories[fit], seed=cell_seed,
-            )
-        )
-    return [
-        write_reduction(cell[4], result.total_units)
-        for cell, result in zip(cells, run_batch(jobs))
-    ]
-
-
 def run(
     scale: str | None = None,
     seed: int = 0,
@@ -112,9 +83,7 @@ def run(
         for algorithm in ALGORITHMS
         for repeat in range(repeats)
     ]
-    results = map_cells(
-        _cell, cells, jobs=jobs, journal=cell_journal, batcher=_cell_batch
-    )
+    results = map_cells(_cell, cells, jobs=jobs, journal=cell_journal)
     for i, algorithm in enumerate(ALGORITHMS):
         reductions = results[i * repeats : (i + 1) * repeats]
         mean = sum(reductions) / len(reductions)

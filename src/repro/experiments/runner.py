@@ -42,12 +42,6 @@ array file, ``BENCH_runner.json`` by default.
 (workers included), switching every sorter and refine call to the
 vectorized kernels; accounted counts are unchanged (DESIGN.md section 8).
 
-``--batch`` exports ``REPRO_BATCH=1``: experiments that declare a cell
-batcher (currently ``ext_variance``) coalesce their independent cells
-through the :mod:`repro.batch` segmented-sort engine — one vectorized
-kernel pass advances every cell — with per-cell results bit-identical to
-looped execution (DESIGN.md section 13, docs/batching.md).
-
 ``--sanitize`` exports ``REPRO_SANITIZE=1`` for the whole run: the
 pipelines wrap their arrays in the :mod:`repro.verify` runtime sanitizer,
 which re-checks bounds, accounting conservation and corruption-modeling
@@ -99,7 +93,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.errors import CheckpointCorruptError, ConfigError
-from repro.kernels import BATCH_ENV, KERNEL_MODES, KERNELS_ENV, resolve_kernels
+from repro.kernels import KERNEL_MODES, KERNELS_ENV, resolve_kernels
 from repro.obs import (
     METRICS_DIR_ENV,
     TRACE_DIR_ENV,
@@ -631,7 +625,6 @@ def _serial_baseline(path: Path, record: dict) -> "dict | None":
             and candidate.get("kernels") == record.get("kernels")
             and candidate.get("jobs", 1) == 1
             and (candidate.get("shards") or 1) == 1
-            and not candidate.get("batch")
             and candidate.get("total_s")
         ):
             return candidate
@@ -693,8 +686,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="shard every sort N ways inside the cell (exports"
-        f" {SHARDS_ENV}; intra-sort parallelism over shared memory —"
-        " the right granularity when a single experiment dominates;"
+        f" {SHARDS_ENV}; intra-sort parallelism over shared memory;"
         " see docs/scaling.md)",
     )
     parser.add_argument(
@@ -737,15 +729,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " enables the vectorized fast path (same accounted counts),"
         " 'scalar' forces the reference loops; default: the"
         f" {KERNELS_ENV} environment variable, else scalar",
-    )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="coalesce an experiment's independent cells through the"
-        " repro.batch segmented-sort engine where the experiment supports"
-        f" it (exports {BATCH_ENV}=1; per-cell results are bit-identical"
-        " to looped execution; ignored under --sanitize/--shards, which"
-        " fall back to the looped pipeline — traced runs stay batched and"
-        " synthesize per-segment spans)",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -816,11 +799,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         # Same export pattern again: make_sorter() wraps every plain sorter
         # in a ShardedSorter, so experiments shard without any plumbing.
         os.environ[SHARDS_ENV] = str(args.shards)
-    if args.batch:
-        # Same export pattern: map_cells() checks it before handing an
-        # experiment's cells to its batcher (repro.batch gates itself off
-        # again under the sanitizer/tracer/shards).
-        os.environ[BATCH_ENV] = "1"
 
     if args.list:
         width = max(len(name) for name in EXPERIMENTS)
@@ -931,24 +909,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             print(
                 f"[checkpoint] journaling to {checkpoint.directory};"
                 f" resume with: --resume {checkpoint.run_id}",
-                file=sys.stderr,
-            )
-
-        if (
-            args.jobs > 1
-            and len(names) == 1
-            and names[0] in CELL_PARALLEL
-            and args.shards is None
-        ):
-            # Measured in BENCH_runner.json: experiment-level fan-out of a
-            # single cell-parallel experiment buys ~nothing (fig09 even
-            # regresses) — the per-cell work is one big sort, which --jobs
-            # cannot split.
-            print(
-                f"[hint] --jobs {args.jobs} fans cells of {names[0]}, which"
-                " measured ~no speedup; intra-sort sharding is the right"
-                " granularity here — try --shards"
-                f" {args.jobs} (see docs/scaling.md)",
                 file=sys.stderr,
             )
 
@@ -1094,7 +1054,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "workers_effective": workers_effective,
             "shards": args.shards,
             "kernels": resolve_kernels(args.kernels),
-            "batch": bool(args.batch),
             "experiments": {name: round(t, 3) for name, t in timings.items()},
             "total_s": round(total, 3),
         }

@@ -36,24 +36,6 @@ KERNELS_ENV = "REPRO_KERNELS"
 #: Accepted kernel modes.
 KERNEL_MODES = ("scalar", "numpy")
 
-#: Environment variable enabling the batched execution substrate
-#: (``repro.batch``): same-config cell fan-outs coalesce into segmented
-#: kernel calls.  Set by the experiment runner's ``--batch`` flag.
-BATCH_ENV = "REPRO_BATCH"
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def batching_enabled(batch: "bool | None" = None) -> bool:
-    """Whether same-config cell fan-outs should coalesce into batched calls.
-
-    Explicit argument wins; otherwise the ``REPRO_BATCH`` environment
-    variable decides (unset/``0``/``false``/``no``/``off`` mean disabled).
-    """
-    if batch is not None:
-        return batch
-    return os.environ.get(BATCH_ENV, "").strip().lower() not in _FALSY
-
 
 def resolve_kernels(kernels: "str | None" = None) -> str:
     """Pick the kernel mode: explicit argument > ``REPRO_KERNELS`` > scalar."""

@@ -44,7 +44,7 @@ FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 FLIGHT_SCHEMA_VERSION = 1
 
 #: Events retained in the ring.  Sized so a dump stays a quick read while
-#: still covering the last few batch groups or pool tasks before a crash.
+#: still covering the last few pool tasks before a crash.
 RING_CAPACITY = 512
 
 

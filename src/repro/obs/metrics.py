@@ -1,11 +1,11 @@
 """The metrics registry: counters, gauges and percentile histograms.
 
 The tracer (:mod:`repro.obs.tracer`) answers *"what happened, in order"* —
-an event per span, written as it happens.  The runner's worker pool and
-the batch engine need the other shape of telemetry: *"how is this
-distributed"* — task-latency histograms with real p50/p95/p99,
-queue-depth gauges, labelled fallback counters — cheap enough to leave
-on, exported as periodic snapshots rather than per-event streams.
+an event per span, written as it happens.  The runner and the worker
+pool need the other shape of telemetry: *"how is this distributed"* —
+task-latency histograms with real p50/p95/p99, queue-depth gauges,
+labelled counters — cheap enough to leave on, exported as periodic
+snapshots rather than per-event streams.
 
 Design mirrors the tracer deliberately:
 

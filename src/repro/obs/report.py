@@ -26,12 +26,10 @@ rolls worker spans up under the dispatching span.
 
 ``--check`` validates every event against the schema
 (:mod:`repro.obs.schema`) and verifies the exactness invariants: each
-span's ``stats`` delta equals ``cum - cum_start`` field by field, the
-stage spans of every ``approx_refine`` run tile their parent, and the
-``batch.segment`` spans of every ``batch.run`` tile *their* parent —
-adjacent ``cum``/``cum_start`` payloads are equal verbatim, so per-phase
-(or per-segment) TEPMW sums match the aggregate exactly, not
-approximately.
+span's ``stats`` delta equals ``cum - cum_start`` field by field, and the
+stage spans of every ``approx_refine`` run tile their parent — adjacent
+``cum``/``cum_start`` payloads are equal verbatim, so per-phase TEPMW sums
+match the aggregate exactly, not approximately.
 
 ``--metrics PATH`` switches the input to metric snapshot JSONL files
 (written by the runner's ``--metrics`` flag): the report shows the
@@ -276,46 +274,6 @@ def check_events(events: list[dict]) -> list[str]:
         if stages[-1]["cum"] != run["cum"]:
             problems.append(f"{label}: last stage does not end at parent")
 
-    # batch.segment spans must likewise tile their batch.run parent.  Both
-    # are synthesized from replayed per-job stats (repro.batch.engine), so
-    # the chain is required to be verbatim-exact as well.
-    for run in span_ends:
-        if run["name"] != "batch.run" or run.get("stats") is None:
-            continue
-        segments = sorted(
-            (
-                e for e in span_ends
-                if e["pid"] == run["pid"] and e.get("parent") == run["id"]
-                and e["name"] == "batch.segment"
-                and e.get("stats") is not None
-            ),
-            key=lambda e: e["id"],
-        )
-        attrs = run.get("attrs") or {}
-        label = (
-            f"batch.run (pid {run['pid']}, id {run['id']},"
-            f" {attrs.get('algo', '?')})"
-        )
-        if not segments:
-            problems.append(f"{label}: no batch.segment children")
-            continue
-        jobs = attrs.get("jobs")
-        if jobs is not None and len(segments) != jobs:
-            problems.append(
-                f"{label}: {len(segments)} segments != {jobs} jobs"
-            )
-        if segments[0]["cum_start"] != run["cum_start"]:
-            problems.append(
-                f"{label}: first segment does not start at parent"
-            )
-        for before, after in zip(segments, segments[1:]):
-            if after["cum_start"] != before["cum"]:
-                problems.append(
-                    f"{label}: gap between segment id {before['id']} and"
-                    f" id {after['id']}"
-                )
-        if segments[-1]["cum"] != run["cum"]:
-            problems.append(f"{label}: last segment does not end at parent")
     return problems
 
 

@@ -189,16 +189,6 @@ class Tracer:
         self._span_ids += 1
         return self._span_ids
 
-    def allocate_span_id(self) -> int:
-        """Reserve a span id for a synthesized (non-stack) span.
-
-        Used by emitters that reconstruct spans from replayed per-job
-        stats (the batch engine) rather than entering real ``with``
-        blocks; ids share the per-tracer sequence so they never collide
-        with live spans.
-        """
-        return self._next_span_id()
-
     @property
     def current_span(self) -> Optional[int]:
         """Id of the innermost open span, or ``None`` at top level."""
@@ -297,9 +287,6 @@ class NullTracer:
 
     def gauge(self, name, value, attrs=None) -> None:
         pass
-
-    def allocate_span_id(self) -> None:
-        return None
 
     def emit(self, event) -> None:
         pass

@@ -187,9 +187,8 @@ class BaseSorter:
         (quicksort's swaps, MSD's bucket recursion) or the sorter is not
         stable.  A stable sorter whose traffic on each array (keys, and
         ids when present) is a closed form in ``n`` publishes it, and this
-        is the one place that closed form lives: :meth:`max_key_writes`,
-        the fused path of :meth:`sort` and the batch engine's packed sorts
-        all read it.
+        is the one place that closed form lives: :meth:`max_key_writes`
+        and the fused path of :meth:`sort` both read it.
         """
         return None
 

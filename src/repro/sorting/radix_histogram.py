@@ -121,14 +121,16 @@ class HistogramLSDRadixSort(BaseSorter):
             if ids is not None and src_ids is not None:
                 ids.write_block(0, src_ids.read_block_np(0, n))
 
+    def precise_schedule(self, n: int) -> "tuple[int, int]":
+        """Per array, each pass reads and writes every element once, and an
+        odd pass count adds the copy home: ``(P + P % 2) * n`` of each."""
+        passes = len(self._plan)
+        touches = (passes + passes % 2) * n if n >= 2 else 0
+        return touches, touches
+
     def expected_key_writes(self, n: int) -> float:
         """alpha_hLSD(n): one write per element per pass (+ odd-pass copy)."""
-        if n < 2:
-            return 0.0
-        passes = len(self._plan)
-        if passes % 2 == 1:
-            passes += 1
-        return float(passes) * n
+        return float(self.precise_schedule(n)[1])
 
 
 class HistogramMSDRadixSort(BaseSorter):

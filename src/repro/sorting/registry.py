@@ -117,9 +117,9 @@ def make_base_sorter(name: str, **kwargs) -> BaseSorter:
 def env_shards() -> int:
     """The shard count :data:`SHARDS_ENV` requests (1 when it is unset).
 
-    The one parser of the variable: :func:`make_sorter` and the batch
-    engine's fallback both call it, so a bad value (not an integer, or
-    below 1) raises :class:`~repro.errors.ConfigError` on every path.
+    The one parser of the variable, called by :func:`make_sorter`: a bad
+    value (not an integer, or below 1) raises
+    :class:`~repro.errors.ConfigError`.
     """
     raw = os.environ.get(SHARDS_ENV)
     if raw is None:

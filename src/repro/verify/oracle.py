@@ -31,14 +31,6 @@ and compares everything observable:
     bit-identical keys, IDs, Rem~, and stats on both precise and
     approximate memory.  Sharded execution must be a pure performance
     decision, never an observable one.
-``batched_loop``
-    A ragged batch of jobs (including empty and singleton segments) run
-    through the :mod:`repro.batch` segmented engine vs job-by-job looped
-    execution — bit-identical per-job keys, IDs, Rem~, ``MemoryStats``
-    and per-stage stats on precise *and* approximate memory, plus the
-    tiling law: the per-segment stats must merge to exactly the sum of
-    the looped per-job stats.  Batching, like sharding, must be a pure
-    performance decision.
 ``write_budget``
     Measured key-write counts vs the sorter's closed-form worst-case
     bound (:meth:`~repro.sorting.base.BaseSorter.max_key_writes`).  For
@@ -488,214 +480,6 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
     return out
 
 
-def check_batched_loop(case: OracleCase) -> list[Divergence]:
-    """Batched segmented execution ≡ looped execution, bit for bit.
-
-    Builds a ragged batch around the case (full-size, singleton, empty and
-    tiny segments), runs it through :func:`repro.batch.run_batch` on both
-    precise and approximate memory, and compares every job's observables
-    against its looped run — including the per-stage stats and the tiling
-    of the per-segment stats into the batch aggregate.
-    """
-    from repro.batch import BatchJob, run_batch, tiled_aggregate
-
-    out: list[Divergence] = []
-    name = "batched_loop"
-    memory = memory_for(case.t)
-
-    def keys_for(n: int, seed: int) -> list[int]:
-        if n == 0:
-            return []
-        if case.workload in EXTRA_WORKLOADS:
-            return EXTRA_WORKLOADS[case.workload](n, seed)
-        return make_keys(case.workload, n, seed=seed)
-
-    lengths = (case.n, 1, 0, max(2, case.n // 2), 2, 3)
-    keys_list = [keys_for(n, case.seed + j) for j, n in enumerate(lengths)]
-
-    for lane in ("precise", "approx"):
-        jobs = [
-            BatchJob(
-                keys=keys, sorter=case.algorithm,
-                memory=None if lane == "precise" else memory,
-                seed=case.seed + 17 * j, kernels="numpy",
-            )
-            for j, keys in enumerate(keys_list)
-        ]
-        if lane == "precise":
-            looped = [
-                run_precise_baseline(job.keys, case.algorithm, kernels="numpy")
-                for job in jobs
-            ]
-        else:
-            looped = [
-                run_approx_refine(
-                    job.keys, case.algorithm, memory, seed=job.seed,
-                    kernels="numpy",
-                )
-                for job in jobs
-            ]
-        batched = run_batch(jobs)
-        for j, (want, got) in enumerate(zip(looped, batched)):
-            where = f"{lane}[{j}]"
-            _first_mismatch(out, name, f"{where}.final_keys",
-                            want.final_keys, got.final_keys)
-            _first_mismatch(out, name, f"{where}.final_ids",
-                            want.final_ids, got.final_ids)
-            _compare_stats(out, name, f"{where}.stats", want.stats, got.stats)
-            if lane == "approx":
-                if want.rem_tilde != got.rem_tilde:
-                    out.append(Divergence(
-                        name, f"{where}.rem_tilde", None,
-                        want.rem_tilde, got.rem_tilde,
-                    ))
-                for stage in want.stage_stats:
-                    if stage not in got.stage_stats:
-                        out.append(Divergence(
-                            name, f"{where}.stage_stats.{stage}", None,
-                            "present", "missing",
-                        ))
-                        break
-                    _compare_stats(
-                        out, name, f"{where}.stage_stats.{stage}",
-                        want.stage_stats[stage], got.stage_stats[stage],
-                    )
-                    if out:
-                        break
-            if out:
-                return out
-        aggregate = tiled_aggregate([result.stats for result in batched])
-        reference = MemoryStats()
-        for result in looped:
-            reference.merge(result.stats)
-        _compare_stats(out, name, f"{lane}.tiled_aggregate",
-                       reference, aggregate)
-        if out:
-            return out
-    return out
-
-
-def check_batch_span_tiling(case: OracleCase) -> list[Divergence]:
-    """Traced batched execution stays batched and its spans tile exactly.
-
-    Runs a ragged batch (the ``batched_loop`` construction) under a live
-    file tracer and requires: bit-identical results to the looped
-    references, exactly one synthesized ``batch.run`` span, one
-    ``batch.segment`` per job whose ``stats`` match that job's
-    ``MemoryStats`` (integers exactly, write-units to ulp tolerance), and
-    the verbatim ``cum_start``/``cum`` tiling chain that
-    :func:`repro.obs.report.check_events` enforces.  Under the sanitizer
-    or ``REPRO_SHARDS`` the engine legitimately loops and emits no batch
-    spans, so the class degenerates to a no-op there.
-    """
-    from repro.batch import BatchJob, run_batch
-    from repro.batch.engine import _needs_looped_run
-    from repro.obs.io import read_traces
-    from repro.obs.report import check_events
-
-    if _needs_looped_run():
-        return []
-
-    out: list[Divergence] = []
-    name = "batch_span_tiling"
-    memory = memory_for(case.t)
-
-    def keys_for(n: int, seed: int) -> list[int]:
-        if n == 0:
-            return []
-        if case.workload in EXTRA_WORKLOADS:
-            return EXTRA_WORKLOADS[case.workload](n, seed)
-        return make_keys(case.workload, n, seed=seed)
-
-    lengths = (case.n, 1, 0, max(2, case.n // 2), 2, 3)
-    jobs = [
-        BatchJob(
-            keys=keys_for(n, case.seed + j), sorter=case.algorithm,
-            memory=memory, seed=case.seed + 17 * j, kernels="numpy",
-        )
-        for j, n in enumerate(lengths)
-    ]
-
-    previous = set_tracer(NULL_TRACER)
-    try:
-        looped = [
-            run_approx_refine(
-                job.keys, case.algorithm, memory, seed=job.seed,
-                kernels="numpy",
-            )
-            for job in jobs
-        ]
-        with tempfile.TemporaryDirectory(prefix="verify-batchspan-") as tmp:
-            path = os.path.join(tmp, "trace.jsonl")
-            tracer = Tracer(path=path)
-            set_tracer(tracer)
-            try:
-                batched = run_batch(jobs)
-            finally:
-                tracer.close()
-                set_tracer(NULL_TRACER)
-            events = read_traces([path])
-    finally:
-        set_tracer(previous)
-
-    for j, (want, got) in enumerate(zip(looped, batched)):
-        where = f"[{j}]"
-        _first_mismatch(out, name, f"{where}.final_keys",
-                        want.final_keys, got.final_keys)
-        _first_mismatch(out, name, f"{where}.final_ids",
-                        want.final_ids, got.final_ids)
-        _compare_stats(out, name, f"{where}.stats", want.stats, got.stats)
-        if out:
-            return out
-
-    problems = check_events(events)
-    if problems:
-        out.append(Divergence(
-            name, "check_events", None, "no problems", problems[0]
-        ))
-        return out
-    span_ends = [e for e in events if e.get("ev") == "span_end"]
-    runs = [e for e in span_ends if e["name"] == "batch.run"]
-    if len(runs) != 1:
-        out.append(Divergence(
-            name, "batch.run spans (engine stood down?)", None, 1, len(runs)
-        ))
-        return out
-    segments = sorted(
-        (e for e in span_ends if e["name"] == "batch.segment"),
-        key=lambda e: e["id"],
-    )
-    if len(segments) != len(jobs):
-        out.append(Divergence(
-            name, "batch.segment spans", None, len(jobs), len(segments)
-        ))
-        return out
-    for j, (segment, result) in enumerate(zip(segments, batched)):
-        want_stats = result.stats.as_dict()
-        got_stats = segment["stats"]
-        if segment["attrs"]["n"] != result.n:
-            out.append(Divergence(
-                name, f"segment[{j}].attrs.n", j,
-                result.n, segment["attrs"]["n"],
-            ))
-            return out
-        for counter, want_value in want_stats.items():
-            got_value = got_stats[counter]
-            if counter == "approx_write_units":
-                agree = math.isclose(
-                    want_value, got_value, rel_tol=1e-9, abs_tol=1e-6
-                )
-            else:
-                agree = want_value == got_value
-            if not agree:
-                out.append(Divergence(
-                    name, f"segment[{j}].stats.{counter}", j,
-                    want_value, got_value,
-                ))
-                return out
-    return out
-
-
 def check_write_budget(case: OracleCase) -> list[Divergence]:
     """Measured key writes never exceed the closed-form worst-case bound.
 
@@ -756,8 +540,6 @@ EQUIVALENCE_CLASSES: dict[str, Callable[[OracleCase], list[Divergence]]] = {
     "traced_untraced": check_traced_untraced,
     "resumed_uninterrupted": check_resumed_uninterrupted,
     "sharded_serial": check_sharded_serial,
-    "batched_loop": check_batched_loop,
-    "batch_span_tiling": check_batch_span_tiling,
     "write_budget": check_write_budget,
 }
 
@@ -767,8 +549,6 @@ BIT_CLASSES = (
     "traced_untraced",
     "resumed_uninterrupted",
     "sharded_serial",
-    "batched_loop",
-    "batch_span_tiling",
     "write_budget",
 )
 

@@ -191,67 +191,6 @@ class TestCheckEvents:
         assert any("duplicate span_end" in p for p in problems)
 
 
-def _batch_events(mutate=None) -> list[dict]:
-    """A canned batch.run with two tiling batch.segment children."""
-    zero = _stats()
-    s1 = _stats(pr=4, pw=8, awu=1.5)
-    s2 = _stats(pr=10, pw=20, awu=3.5)
-    events = [
-        _env(0, ev="meta", schema=1, epoch=0.0),
-        _env(1, ev="span_start", id=1, parent=None, name="batch.run",
-             attrs={"algo": "lsd3", "lane": "approx", "jobs": 2}),
-        _env(2, ev="span_start", id=2, parent=1, name="batch.segment",
-             attrs={"algo": "lsd3", "n": 4, "lane": "approx"}),
-        _env(3, ev="span_end", id=2, parent=1, name="batch.segment",
-             wall_s=0.1, attrs={"algo": "lsd3", "n": 4, "lane": "approx"},
-             stats=s1, cum_start=zero, cum=s1),
-        _env(4, ev="span_start", id=3, parent=1, name="batch.segment",
-             attrs={"algo": "lsd3", "n": 6, "lane": "approx"}),
-        _env(5, ev="span_end", id=3, parent=1, name="batch.segment",
-             wall_s=0.2, attrs={"algo": "lsd3", "n": 6, "lane": "approx"},
-             stats=_stats(pr=6, pw=12, awu=2.0), cum_start=s1, cum=s2),
-        _env(6, ev="span_end", id=1, parent=None, name="batch.run",
-             wall_s=0.3, attrs={"algo": "lsd3", "lane": "approx", "jobs": 2},
-             stats=s2, cum_start=zero, cum=s2),
-    ]
-    if mutate is not None:
-        mutate(events)
-    return events
-
-
-class TestBatchTilingCheck:
-    def test_tiling_chain_passes(self):
-        assert check_events(_batch_events()) == []
-
-    def test_segment_gap_detected(self):
-        def mutate(events):
-            second = events[5]
-            second["cum_start"] = dict(second["cum_start"])
-            second["cum_start"]["precise_writes"] += 1
-
-        problems = check_events(_batch_events(mutate))
-        assert any("gap between segment" in p or "cum - cum_start" in p
-                   for p in problems)
-
-    def test_missing_segment_detected(self):
-        def mutate(events):
-            del events[4:6]
-
-        problems = check_events(_batch_events(mutate))
-        assert any("segments != " in p for p in problems)
-        assert any("last segment does not end at parent" in p
-                   for p in problems)
-
-    def test_no_segments_detected(self):
-        def mutate(events):
-            events[:] = [
-                e for e in events if e.get("name") != "batch.segment"
-            ]
-
-        problems = check_events(_batch_events(mutate))
-        assert any("no batch.segment children" in p for p in problems)
-
-
 class TestCrossProcessParenting:
     def test_worker_spans_adopted_and_counted(self):
         parent = _approx_refine_events()

@@ -26,7 +26,7 @@ from repro.workloads.generators import uniform_keys
 #: count depends on.
 SHAPES = (2, 3, 17, 100, 1023, 1024, 1025)
 
-SCHEDULED = ("mergesort", "lsd3", "lsd6")
+SCHEDULED = ("mergesort", "lsd3", "lsd6", "hlsd3", "hlsd6")
 
 
 def _operands(keys: list[int], with_ids: bool, wrap=lambda array: array):
@@ -162,9 +162,12 @@ class TestSchedule:
             name for name in available_sorters()
             if make_base_sorter(name).precise_schedule(100) is not None
         }
-        assert published == {"mergesort", "lsd3", "lsd4", "lsd5", "lsd6"}
+        assert published == {
+            "mergesort", "lsd3", "lsd4", "lsd5", "lsd6",
+            "hlsd3", "hlsd4", "hlsd5", "hlsd6",
+        }
 
-    @pytest.mark.parametrize("name", ["mergesort", "lsd4"])
+    @pytest.mark.parametrize("name", ["mergesort", "lsd4", "hlsd3", "hlsd6"])
     @pytest.mark.parametrize("n", SHAPES)
     def test_cost_methods_read_the_schedule(self, name, n):
         sorter = make_base_sorter(name)

@@ -13,8 +13,9 @@ and latest timing plus the improvement ratio between them, so kernel and
 engine work shows up as a trajectory rather than a point.
 
 Speedup columns recorded by the harnesses themselves (``speedup_vs_loop``
-for the batch sweeps, ``speedup_vs_serial``/``speedup`` for the parallel
-benches) are carried through from the latest record of each series.
+in the retired batch sweeps' records, ``speedup_vs_serial``/``speedup`` for
+the parallel benches) are carried through from the latest record of each
+series.
 
 Usage::
 
