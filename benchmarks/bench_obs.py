@@ -6,7 +6,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_obs.py --n 8192 --repeats 7 \
         --out BENCH_obs.json
 
-Times the LSD block path on approximate memory four ways:
+Times the LSD block path on approximate memory three ways:
 
 * ``null``      — the shipped default: NullTracer, every guard site pays
   one ``tracer.enabled`` attribute check.
@@ -15,34 +15,26 @@ Times the LSD block path on approximate memory four ways:
 * ``sanitized`` — the array wrapped in the :mod:`repro.verify` shadow
   sanitizer, bounding the cost of running with ``--sanitize`` /
   ``REPRO_SANITIZE=1`` (documented in docs/verifying.md).
-* ``metrics``  — a real :class:`repro.obs.MetricsRegistry` installed
-  (snapshot file in a temp dir), bounding the cost of running with
-  ``--metrics``.
 * the disabled guards themselves, timed in tight loops, from which the
   *estimated* disabled overheads are ``guard_cost x sites / null_time``.
-  The tracer's guard is ``tracer.enabled`` on every span site; the metrics
-  guard is ``metrics.enabled`` (two checks per sort in
-  ``BaseSorter.sort``); the sanitizer's gate is the ``sanitizing()``
-  environment check, which runs only at array-allocation sites (a handful
-  per pipeline run) — when it is off, arrays are simply never wrapped, so
-  access paths carry zero added work by construction.  The *active*
-  metrics overhead is likewise estimated from the measured per-call
-  ``observe()`` cost (guards + one observe per sort), so the gate is
-  stable under CI timer noise; the measured wall-clock lane is recorded
-  alongside for information.
+  The tracer's guard is ``tracer.enabled`` on every span site; the
+  sanitizer's gate is the ``sanitizing()`` environment check, which runs
+  only at array-allocation sites (a handful per pipeline run) — when it
+  is off, arrays are simply never wrapped, so access paths carry zero
+  added work by construction.
 
-Appends one record (``schema`` 3) to a JSON array file (default
+Appends one record (``schema`` 4) to a JSON array file (default
 ``BENCH_obs.json`` at the repo root, same append-style as
-``BENCH_runner.json``) and exits non-zero if any estimated disabled
-overhead — or the estimated active metrics overhead — is not < 2%: the
-PR-acceptance guard that instrumentation stays free when off and metrics
-stay cheap when on.
+``BENCH_runner.json``) and exits non-zero if either estimated disabled
+overhead is not < 2%: the acceptance guard that instrumentation stays free
+when off.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -54,16 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.memory.config import MLCParams
 from repro.memory.factories import PCMMemoryFactory
 from repro.memory.stats import MemoryStats
-from repro.obs import (
-    NULL_METRICS,
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    close_metrics,
-    close_tracer,
-    set_metrics,
-    set_tracer,
-)
+from repro.obs import NULL_TRACER, Tracer, close_tracer, set_tracer
 from repro.sorting.registry import make_sorter
 from repro.verify import sanitize, sanitizing
 from repro.workloads.generators import uniform_keys
@@ -71,12 +54,8 @@ from repro.workloads.generators import uniform_keys
 FIT = 20_000
 
 #: Record schema: 1 = tracer lanes only, 2 = + sanitizer lanes, 3 = +
-#: metrics lanes (this file).
-BENCH_OBS_SCHEMA = 3
-
-#: ``metrics.enabled`` checks per sort call: the timer arm and the observe
-#: guard in ``BaseSorter.sort``.
-METRICS_GUARD_SITES = 2
+#: metrics lanes, 4 = metrics lanes removed with the registry (this file).
+BENCH_OBS_SCHEMA = 4
 
 #: Sanitizer gate evaluations per approx-refine run: one per array
 #: allocation site (Key0, ID, Key~, finalKey, finalID, two REM-sort
@@ -146,31 +125,6 @@ def _sanitize_gate_cost_s(loops: int = 100_000) -> float:
     return elapsed / loops
 
 
-def _metrics_guard_cost_s(loops: int = 1_000_000) -> float:
-    """Per-iteration cost of the ``if metrics.enabled:`` disabled guard."""
-    metrics = NULL_METRICS
-    hits = 0
-    start = time.perf_counter()
-    for _ in range(loops):
-        if metrics.enabled:
-            hits += 1
-    elapsed = time.perf_counter() - start
-    assert hits == 0
-    return elapsed / loops
-
-
-def _metrics_observe_cost_s(loops: int = 100_000) -> float:
-    """Per-call cost of ``observe()`` on an enabled registry."""
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = MetricsRegistry(path=Path(tmp) / "bench-metrics.jsonl")
-        start = time.perf_counter()
-        for _ in range(loops):
-            registry.observe("bench.observe_s", 0.001, algo="bench")
-        elapsed = time.perf_counter() - start
-        registry.close()
-    return elapsed / loops
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_obs",
@@ -205,15 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         memory, keys, args.algo, args.repeats, sanitized=True
     )
 
-    with tempfile.TemporaryDirectory() as tmp:
-        set_metrics(MetricsRegistry(path=Path(tmp) / "bench-metrics.jsonl"))
-        try:
-            metrics_active_s = _time_sorts(
-                memory, keys, args.algo, args.repeats
-            )
-        finally:
-            close_metrics()
-
     # Guard sites evaluated per traced sort: one in BaseSorter.sort plus
     # one per LSD pass (the per-pass span guard).
     sorter = make_sorter(args.algo)
@@ -224,18 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     sanitize_gate_s = _sanitize_gate_cost_s()
     est_sanitize_disabled = SANITIZE_GATE_SITES * sanitize_gate_s / null_s
     sanitizer_multiplier = sanitized_s / null_s
-    metrics_guard_s = _metrics_guard_cost_s()
-    est_metrics_disabled = METRICS_GUARD_SITES * metrics_guard_s / null_s
-    metrics_observe_s = _metrics_observe_cost_s()
-    est_metrics_active = (
-        METRICS_GUARD_SITES * metrics_guard_s + metrics_observe_s
-    ) / null_s
-    metrics_active_overhead = metrics_active_s / null_s - 1.0
     passed = (
         est_disabled_overhead < DISABLED_OVERHEAD_LIMIT
         and est_sanitize_disabled < DISABLED_OVERHEAD_LIMIT
-        and est_metrics_disabled < DISABLED_OVERHEAD_LIMIT
-        and est_metrics_active < DISABLED_OVERHEAD_LIMIT
     )
 
     record = {
@@ -245,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "T": args.t,
         "algo": args.algo,
         "repeats": args.repeats,
+        "cpus": os.cpu_count(),
         "null_s": round(null_s, 6),
         "active_s": round(active_s, 6),
         "active_overhead_frac": round(active_overhead, 4),
@@ -258,13 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         "est_sanitize_disabled_overhead_frac": round(
             est_sanitize_disabled, 8
         ),
-        "metrics_active_s": round(metrics_active_s, 6),
-        "metrics_active_overhead_frac": round(metrics_active_overhead, 4),
-        "metrics_guard_ns": round(metrics_guard_s * 1e9, 3),
-        "metrics_guard_sites": METRICS_GUARD_SITES,
-        "est_metrics_disabled_overhead_frac": round(est_metrics_disabled, 8),
-        "metrics_observe_ns": round(metrics_observe_s * 1e9, 3),
-        "est_metrics_active_overhead_frac": round(est_metrics_active, 8),
         "limit": DISABLED_OVERHEAD_LIMIT,
         "pass": passed,
     }
@@ -290,18 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         f"sanitize gate: {sanitize_gate_s * 1e9:.1f}ns x"
         f" {SANITIZE_GATE_SITES} sites -> estimated disabled overhead"
         f" {est_sanitize_disabled * 100:.4f}% (limit"
-        f" {DISABLED_OVERHEAD_LIMIT * 100:.0f}%)"
-    )
-    print(
-        f"metrics (registry):    {metrics_active_s:.4f}s"
-        f"  ({metrics_active_overhead * 100:+.1f}% measured)"
-    )
-    print(
-        f"metrics guard: {metrics_guard_s * 1e9:.1f}ns x"
-        f" {METRICS_GUARD_SITES} sites + observe"
-        f" {metrics_observe_s * 1e9:.1f}ns -> estimated overheads"
-        f" disabled {est_metrics_disabled * 100:.4f}% / active"
-        f" {est_metrics_active * 100:.4f}% (limit"
         f" {DISABLED_OVERHEAD_LIMIT * 100:.0f}%)"
     )
     print(f"record appended to {path}")

@@ -24,6 +24,7 @@ own Figure 10 (and Equation 4) shows are stable across sizes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -56,6 +57,26 @@ def resolve_scale(scale: str | None = None) -> str:
         raise ConfigError(
             f"scale must be one of {SCALES}, got {value!r} (set --scale or"
             " the REPRO_SCALE environment variable)"
+        )
+    return value
+
+
+def env_seconds(name: str, default: float) -> float:
+    """Seconds from environment variable ``name``; ``default`` if unset/empty.
+
+    A value that is not a finite number, or is negative, raises
+    :class:`~repro.errors.ConfigError` naming the variable.
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise ConfigError(
+            f"{name} must be a finite number of seconds >= 0, got {raw!r}"
         )
     return value
 
@@ -185,7 +206,7 @@ class Heartbeat:
         self, label: str, total: int, interval: "float | None" = None
     ) -> None:
         if interval is None:
-            interval = float(os.environ.get(HEARTBEAT_ENV, "") or 30.0)
+            interval = env_seconds(HEARTBEAT_ENV, 30.0)
         self.label = label
         self.total = total
         self.interval = interval

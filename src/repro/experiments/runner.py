@@ -53,21 +53,15 @@ slower (docs/verifying.md).
 every process of the run appends span/counter/gauge events to its own
 per-pid JSONL file, and the runner merges them into ``PATH`` (default
 ``trace.jsonl``) when the run finishes.  Analyze with ``python -m
-repro.obs.report PATH``.  A per-run id (``REPRO_TRACE_RUN``) is exported
-alongside the trace directory so pooled shard workers can stamp
-cross-process parent links into their part files.  ``--profile``
-additionally runs each experiment under :mod:`cProfile`, dumping
-``<name>.prof`` next to the trace.  Resumes and retries are traced too: a
-``run.resume`` span plus ``run.restored``, ``run.retry`` and
-``run.experiment_failed`` counters.
-
-``--metrics [PATH]`` turns on the metrics registry (docs/observability.md):
-every process records counters/gauges/latency histograms and exports
-periodic snapshots to its own per-pid JSONL file; the runner concatenates
-them into ``PATH`` (default ``metrics.jsonl``) and writes a
-Prometheus-style text exposition of the cross-process aggregate next to it
-(``PATH`` with a ``.prom`` suffix).  Analyze with ``python -m
-repro.obs.report --metrics PATH``.
+repro.obs.report PATH``: its spans section carries exact p50/p95/p99
+latencies per span name (``experiment.<name>``, ``sort.<algo>``, ...),
+and pooled shard runs add ``pool.*`` task counters and gauges.  A
+per-run id (``REPRO_TRACE_RUN``) is exported alongside the trace
+directory so pooled shard workers can stamp cross-process parent links
+into their part files.  ``--profile`` additionally runs each experiment
+under :mod:`cProfile`, dumping ``<name>.prof`` next to the trace.
+Resumes and retries are traced too: a ``run.resume`` span plus
+``run.restored``, ``run.retry`` and ``run.experiment_failed`` counters.
 
 ``--quiet`` suppresses the result tables (timing lines still print);
 ``--heartbeat S`` prints a progress line to stderr every ``S`` seconds
@@ -94,22 +88,9 @@ from typing import Callable, Optional
 
 from repro.errors import CheckpointCorruptError, ConfigError
 from repro.kernels import KERNEL_MODES, KERNELS_ENV, resolve_kernels
-from repro.obs import (
-    METRICS_DIR_ENV,
-    TRACE_DIR_ENV,
-    TRACE_RUN_ENV,
-    close_metrics,
-    close_tracer,
-    get_metrics,
-    get_tracer,
-)
+from repro.obs import TRACE_DIR_ENV, TRACE_RUN_ENV, close_tracer, get_tracer
 from repro.obs.flight import dump_flight, get_flight
 from repro.obs.io import merge_traces
-from repro.obs.metrics import (
-    aggregate_snapshots,
-    read_snapshots,
-    snapshot_to_prometheus,
-)
 from repro.sorting.registry import SHARDS_ENV
 from repro.verify import SANITIZE_ENV
 
@@ -118,6 +99,7 @@ from .common import (
     ExperimentTable,
     Heartbeat,
     SCALES,
+    env_seconds,
     maybe_inject_fault,
     resolve_scale,
     set_current_heartbeat,
@@ -229,9 +211,6 @@ def _run_single(
     ):
         table = EXPERIMENTS[name](scale=scale, seed=seed, **kwargs)
     elapsed = time.perf_counter() - start
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.observe("runner.experiment_s", elapsed, experiment=name)
     get_flight().record("experiment_done", name, elapsed_s=elapsed)
     if profiler is not None:
         profiler.disable()
@@ -745,14 +724,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " the run finishes",
     )
     parser.add_argument(
-        "--metrics", nargs="?", const="metrics.jsonl", default=None,
-        metavar="PATH",
-        help="record counters/gauges/latency histograms (exact p50/p95/"
-        "p99); per-process snapshot files are merged into PATH (default:"
-        " metrics.jsonl) and a Prometheus-style exposition is written"
-        " next to it when the run finishes",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="run each experiment under cProfile, dumping <name>.prof"
         " next to the trace (or into the working directory)",
@@ -837,17 +808,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         os.environ[TRACE_DIR_ENV] = str(parts_dir)
         os.environ[TRACE_RUN_ENV] = uuid.uuid4().hex[:12]
         close_tracer()  # lazy re-init picks up the new directory
-
-    # Metrics mirror the trace plumbing: per-pid snapshot files in a parts
-    # directory, concatenated (plus an aggregate exposition) afterwards.
-    metrics_path = Path(args.metrics) if args.metrics is not None else None
-    saved_metrics_env = os.environ.get(METRICS_DIR_ENV)
-    metrics_parts_dir = None
-    if metrics_path is not None:
-        metrics_parts_dir = Path(str(metrics_path) + ".parts")
-        metrics_parts_dir.mkdir(parents=True, exist_ok=True)
-        os.environ[METRICS_DIR_ENV] = str(metrics_parts_dir)
-        close_metrics()  # lazy re-init picks up the new directory
     profile_dir = None
     if args.profile:
         profile_dir = str(trace_path.parent) if trace_path is not None else "."
@@ -938,9 +898,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                     max_workers=min(args.jobs, len(pending)),
                     timeout=args.timeout,
                     retries=args.retries,
-                    backoff=float(
-                        os.environ.get(RETRY_BACKOFF_ENV, "") or 1.0
-                    ),
+                    backoff=env_seconds(RETRY_BACKOFF_ENV, 1.0),
                     profile_dir=profile_dir,
                     checkpoint=checkpoint,
                     emitter=emitter,
@@ -1002,35 +960,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             except OSError:
                 pass  # foreign files in the parts dir: leave it
             print(f"merged {count} trace events into {trace_path}")
-        if metrics_path is not None:
-            close_metrics()  # final snapshot for this process
-            if saved_metrics_env is None:
-                os.environ.pop(METRICS_DIR_ENV, None)
-            else:
-                os.environ[METRICS_DIR_ENV] = saved_metrics_env
-            metric_parts = sorted(
-                metrics_parts_dir.glob("metrics-*.jsonl")
-            )
-            snapshots = read_snapshots(metric_parts)
-            with open(metrics_path, "w", encoding="utf-8") as out:
-                for snapshot in snapshots:
-                    out.write(
-                        json.dumps(snapshot, separators=(",", ":")) + "\n"
-                    )
-            exposition = metrics_path.with_suffix(".prom")
-            exposition.write_text(
-                snapshot_to_prometheus(aggregate_snapshots(snapshots))
-            )
-            for part in metric_parts:
-                part.unlink()
-            try:
-                metrics_parts_dir.rmdir()
-            except OSError:
-                pass  # foreign files in the parts dir: leave it
-            print(
-                f"merged {len(snapshots)} metric snapshots into"
-                f" {metrics_path} (exposition: {exposition})"
-            )
     total = time.perf_counter() - wall_start
 
     if args.bench_json is not None:

@@ -1,6 +1,6 @@
 """Structured tracing and per-phase telemetry (DESIGN.md section 9).
 
-The observability layer has three pieces:
+The observability layer has four pieces:
 
 * :mod:`repro.obs.tracer` — a :class:`Tracer` with nestable spans that emit
   structured JSONL events (span start/end, wall-clock, and a
@@ -14,14 +14,8 @@ The observability layer has three pieces:
 * :mod:`repro.obs.report` — ``python -m repro.obs.report`` aggregates one or
   more trace files into per-phase tables: writes/reads/TEPMW and wall-clock
   by span, scalar-vs-numpy kernel comparison, and a Figure-11-style
-  sort/refine/copy breakdown — or, with ``--metrics``, metric snapshot
-  files into counter/gauge/histogram rollups with percentiles.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters, gauges
-  and fixed-bucket histograms with exact p50/p95/p99, periodic JSONL
-  snapshot export and a Prometheus-style text exposition.  The process
-  default is :data:`NULL_METRICS` (disabled, ~free), activated per process
-  by ``REPRO_METRICS_DIR`` — which is what the runner's ``--metrics`` flag
-  exports.
+  sort/refine/copy breakdown, with exact p50/p95/p99 of every span name's
+  wall-clock and of every gauge.
 * :mod:`repro.obs.flight` — an always-on, always-cheap in-memory ring of
   recent obs events, dumped to ``flight-<pid>.jsonl`` on crash, SIGKILL or
   fault-injection trip when ``REPRO_FLIGHT_DIR`` is armed.
@@ -37,16 +31,6 @@ from .flight import (
     FlightRecorder,
     dump_flight,
     get_flight,
-)
-from .metrics import (
-    METRICS_DIR_ENV,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-    close_metrics,
-    get_metrics,
-    set_metrics,
-    snapshot_to_prometheus,
 )
 from .tracer import (
     NULL_TRACER,
@@ -64,24 +48,16 @@ from .tracer import (
 __all__ = [
     "FLIGHT_DIR_ENV",
     "FlightRecorder",
-    "METRICS_DIR_ENV",
-    "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetrics",
     "NullTracer",
     "Span",
     "StageRecorder",
     "TRACE_DIR_ENV",
     "TRACE_RUN_ENV",
     "Tracer",
-    "close_metrics",
     "close_tracer",
     "dump_flight",
     "get_flight",
-    "get_metrics",
     "get_tracer",
-    "set_metrics",
     "set_tracer",
-    "snapshot_to_prometheus",
 ]

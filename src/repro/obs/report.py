@@ -5,17 +5,20 @@ Usage::
     python -m repro.obs.report trace.jsonl [more.jsonl ...]
     python -m repro.obs.report trace.jsonl --format markdown
     python -m repro.obs.report trace.jsonl --check          # validate too
-    python -m repro.obs.report --metrics metrics.jsonl [--check]
 
 Sections (any of which may be empty for a given trace):
 
-* **spans** — writes/reads/TEPMW and wall-clock rolled up by span name.
+* **spans** — writes/reads/TEPMW and wall-clock rolled up by span name,
+  with exact nearest-rank p50/p95/p99 of each name's span ``wall_s``
+  (e.g. per-sort latency from ``sort.*``, per-experiment latency from
+  ``experiment.*``).
 * **breakdown** — the Figure-11-style sort/refine/copy TEPMW split of every
   ``approx_refine`` run, grouped by algorithm (copy is the approx-prep
   ``Key0 -> Key~`` transfer, sort the approx stage, refine the three
   Listing-1/2 steps).
 * **kernels** — scalar-vs-numpy wall-clock comparison of ``sort.*`` spans.
-* **counters / gauges** — e.g. the sorters' per-depth rollups and the
+* **counters / gauges** — e.g. the sorters' per-depth rollups, the
+  worker pool's task counts, task latencies and queue depth, and the
   pcmsim per-bank queue-depth gauges, with nearest-rank percentiles over
   the gauge samples.
 
@@ -30,11 +33,6 @@ span's ``stats`` delta equals ``cum - cum_start`` field by field, and the
 stage spans of every ``approx_refine`` run tile their parent — adjacent
 ``cum``/``cum_start`` payloads are equal verbatim, so per-phase TEPMW sums
 match the aggregate exactly, not approximately.
-
-``--metrics PATH`` switches the input to metric snapshot JSONL files
-(written by the runner's ``--metrics`` flag): the report shows the
-cross-process counter/gauge/histogram rollup with exact p50/p95/p99 where
-samples were retained.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ from typing import Optional
 from repro.core.report import STAGES
 
 from .io import read_traces
-from .metrics import aggregate_snapshots, percentile, read_snapshots, \
-    validate_snapshot
 from .schema import validate_events
 from .tracer import STATS_FIELDS
 
@@ -65,10 +61,29 @@ BREAKDOWN_CATEGORIES = {
 
 FORMATS = ("text", "json", "markdown")
 
+#: Percentiles carried by span rows (over ``wall_s``) and gauge rows.
+PERCENTILES = ((0.5, "p50"), (0.95, "p95"), (0.99, "p99"))
+
 
 def tepmw(stats: dict) -> float:
     """TEPMW of a stats payload: precise writes + cost-weighted approx."""
     return stats["precise_writes"] + stats["approx_write_units"]
+
+
+def percentile(samples: "list[float]", q: float) -> Optional[float]:
+    """Nearest-rank percentile of *sorted* ``samples`` (exact, no lerp)."""
+    if not samples:
+        return None
+    rank = max(1, -(-int(q * 1_000_000) * len(samples) // 1_000_000))
+    # Equivalent to ceil(q * n) without float rank arithmetic.
+    rank = min(rank, len(samples))
+    return samples[rank - 1]
+
+
+def _add_percentiles(row: dict, values: "list[float]") -> None:
+    values = sorted(values)
+    for q, label in PERCENTILES:
+        row[label] = percentile(values, q)
 
 
 def _fmt(value) -> str:
@@ -107,15 +122,18 @@ def build_report(events: list[dict]) -> dict:
         row = spans.setdefault(
             event["name"],
             {"name": event["name"], "count": 0, "wall_s": 0.0,
-             "reads": 0, "writes": 0, "tepmw": 0.0},
+             "reads": 0, "writes": 0, "tepmw": 0.0, "walls": []},
         )
         row["count"] += 1
         row["wall_s"] += event["wall_s"]
+        row["walls"].append(event["wall_s"])
         stats = event.get("stats")
         if stats is not None:
             row["reads"] += stats["precise_reads"] + stats["approx_reads"]
             row["writes"] += stats["precise_writes"] + stats["approx_writes"]
             row["tepmw"] += tepmw(stats)
+    for row in spans.values():
+        _add_percentiles(row, row.pop("walls"))
 
     # -- Fig-11-style breakdown of approx_refine runs ------------------ #
     breakdown: dict[str, dict] = {}
@@ -196,9 +214,7 @@ def build_report(events: list[dict]) -> dict:
             row["max"] = max(row["max"], event["value"])
             row["values"].append(event["value"])
     for row in gauges.values():
-        values = sorted(row.pop("values"))
-        for q, label in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-            row[label] = percentile(values, q)
+        _add_percentiles(row, row.pop("values"))
 
     return {
         "events": len(events),
@@ -283,7 +299,8 @@ def check_events(events: list[dict]) -> list[str]:
 
 _SECTIONS = (
     ("spans", "Spans (rolled up by name)",
-     ["name", "count", "wall_s", "reads", "writes", "tepmw"]),
+     ["name", "count", "wall_s", "p50", "p95", "p99", "reads", "writes",
+      "tepmw"]),
     ("breakdown", "Sort/refine/copy TEPMW breakdown (Fig-11 style)",
      ["algorithm", "runs", "copy", "sort", "refine", "total",
       "refine_frac", "wall_s"]),
@@ -292,14 +309,6 @@ _SECTIONS = (
     ("counters", "Counters", ["name", "events", "total"]),
     ("gauges", "Gauges",
      ["name", "events", "min", "max", "p50", "p95", "p99"]),
-)
-
-_METRICS_SECTIONS = (
-    ("counters", "Counters", ["name", "labels", "value"]),
-    ("gauges", "Gauges",
-     ["name", "labels", "value", "min", "max", "updates"]),
-    ("histograms", "Histograms",
-     ["name", "labels", "count", "sum", "p50", "p95", "p99", "exact"]),
 )
 
 
@@ -342,78 +351,20 @@ def render(report: dict, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _labels_str(labels: dict) -> str:
-    if not labels:
-        return "-"
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-
-
-def render_metrics(aggregate: dict, fmt: str = "text") -> str:
-    """Render a cross-process metrics aggregate (``--metrics`` mode)."""
-    if fmt == "json":
-        return json.dumps(aggregate, indent=2)
-    markdown = fmt == "markdown"
-    lines: list[str] = []
-    header = (
-        f"metrics report: {aggregate['processes']} process(es),"
-        f" schema {aggregate['schema']}"
-    )
-    lines.append(f"# {header}" if markdown else header)
-    for key, title, columns in _METRICS_SECTIONS:
-        rows = [
-            {**entry, "labels": _labels_str(entry["labels"])}
-            for entry in aggregate[key]
-        ]
-        if not rows:
-            continue
-        lines.append("")
-        lines.extend(_table_lines(title, columns, rows, markdown))
-    return "\n".join(lines)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs.report",
         description="Aggregate trace JSONL files into per-phase tables.",
     )
-    parser.add_argument("traces", nargs="*", metavar="TRACE",
+    parser.add_argument("traces", nargs="+", metavar="TRACE",
                         help="trace JSONL file(s) to aggregate")
-    parser.add_argument(
-        "--metrics", nargs="+", metavar="PATH", default=None,
-        help="read metric snapshot JSONL file(s) (written by the runner's"
-        " --metrics flag) instead of traces and show the cross-process"
-        " counter/gauge/histogram rollup",
-    )
     parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument(
         "--check", action="store_true",
         help="validate every event against the schema and verify the"
-        " span-exactness invariants before rendering (with --metrics:"
-        " validate every snapshot instead)",
+        " span-exactness invariants before rendering",
     )
     args = parser.parse_args(argv)
-
-    if args.metrics:
-        if args.traces:
-            parser.error("pass either TRACE files or --metrics, not both")
-        snapshots = read_snapshots(args.metrics)
-        if args.check:
-            problems = [
-                f"snapshot {index}: {problem}"
-                for index, snapshot in enumerate(snapshots)
-                for problem in validate_snapshot(snapshot)
-            ]
-            if problems:
-                for problem in problems:
-                    print(f"check failed: {problem}", file=sys.stderr)
-                return 1
-            print(
-                f"check ok: {len(snapshots)} snapshots", file=sys.stderr
-            )
-        print(render_metrics(aggregate_snapshots(snapshots), args.format))
-        return 0
-    if not args.traces:
-        parser.error("no TRACE files given (or use --metrics)")
 
     events = read_traces(args.traces)
     if args.check:

@@ -34,7 +34,7 @@ import traceback
 from typing import Any, Sequence
 
 from repro.obs.flight import dump_flight, get_flight
-from repro.obs.metrics import get_metrics
+from repro.obs.tracer import get_tracer
 
 #: One dispatchable unit: (module name, function name, pickled payload).
 Call = "tuple[str, str, Any]"
@@ -136,6 +136,11 @@ class WorkerPool:
         result the parent is not yet reading, and nobody moves.  Failures
         are collected (not raised mid-drain) so the queues are empty and the
         pool reusable when the first failure finally raises.
+
+        When tracing is on, each drained result emits ``pool.tasks`` (and
+        ``pool.task_failures``) counters and a ``pool.task_s`` gauge (the
+        worker-measured task seconds), attributed to the worker index, plus
+        a ``pool.queue_depth`` gauge (results still outstanding).
         """
         import threading
 
@@ -146,20 +151,20 @@ class WorkerPool:
         feeder = threading.Thread(target=feed, name="repro-pool-feed",
                                   daemon=True)
         feeder.start()
-        metrics = get_metrics()
+        tracer = get_tracer()
         results: list = [None] * len(calls)
         failure: "tuple | None" = None
         outstanding = len(calls)
         for _ in range(len(calls)):
             task_id, ok, value, worker_index, elapsed_s = self._results.get()
             outstanding -= 1
-            if metrics.enabled:
-                metrics.observe("pool.task_s", elapsed_s,
-                                worker=str(worker_index))
-                metrics.gauge("pool.queue_depth", outstanding)
-                metrics.inc("pool.tasks")
+            if tracer.enabled:
+                attrs = {"worker": worker_index}
+                tracer.counter("pool.tasks", attrs=attrs)
                 if not ok:
-                    metrics.inc("pool.task_failures")
+                    tracer.counter("pool.task_failures", attrs=attrs)
+                tracer.gauge("pool.task_s", elapsed_s, attrs=attrs)
+                tracer.gauge("pool.queue_depth", outstanding)
             if not ok and failure is None:
                 failure = (task_id, value)
             results[task_id] = value

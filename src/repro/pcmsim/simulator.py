@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 
 from .cache import CacheHierarchy, SetAssociativeCache
 from .config import SimulatorConfig, TABLE1_CONFIG
@@ -82,7 +82,6 @@ class PCMSimulator:
         memory_reads = 0
         memory_writes = 0
         tracer = get_tracer()
-        metrics = get_metrics()
         events_seen = 0
 
         for event in trace:
@@ -102,39 +101,25 @@ class PCMSimulator:
                 write_stall_ns += stall
                 now += stall
                 memory_writes += 1
-            if tracer.enabled or metrics.enabled:
+            if tracer.enabled:
                 events_seen += 1
                 if not events_seen % _QUEUE_SAMPLE_EVERY:
-                    queued = sum(
-                        b.queued_writes for b in self.controller.banks
+                    tracer.gauge(
+                        "pcmsim.queued_writes",
+                        sum(b.queued_writes for b in self.controller.banks),
                     )
-                    if tracer.enabled:
-                        tracer.gauge("pcmsim.queued_writes", queued)
-                    if metrics.enabled:
-                        metrics.gauge("pcmsim.queued_writes", queued)
 
         now = self.controller.flush(now)
-        if tracer.enabled or metrics.enabled:
+        if tracer.enabled:
             for bank in self.controller.banks:
                 attrs = {"bank": bank.index}
-                if tracer.enabled:
-                    tracer.gauge(
-                        "pcmsim.bank.max_write_queue",
-                        bank.stats.max_write_queue, attrs=attrs,
-                    )
-                    tracer.gauge(
-                        "pcmsim.bank.busy_ns", bank.stats.busy_ns,
-                        attrs=attrs,
-                    )
-                if metrics.enabled:
-                    metrics.gauge(
-                        "pcmsim.bank.max_write_queue",
-                        bank.stats.max_write_queue, bank=str(bank.index),
-                    )
-                    metrics.gauge(
-                        "pcmsim.bank.busy_ns", bank.stats.busy_ns,
-                        bank=str(bank.index),
-                    )
+                tracer.gauge(
+                    "pcmsim.bank.max_write_queue",
+                    bank.stats.max_write_queue, attrs=attrs,
+                )
+                tracer.gauge(
+                    "pcmsim.bank.busy_ns", bank.stats.busy_ns, attrs=attrs,
+                )
         return TimingReport(
             total_ns=now,
             read_ns=read_ns,

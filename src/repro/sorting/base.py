@@ -14,14 +14,13 @@ the same code runs on precise PCM, approximate PCM, and the spintronic model
 from __future__ import annotations
 
 import math
-import time
 from typing import Optional, Protocol
 
 import numpy as np
 
 from repro.kernels import resolve_kernels
 from repro.memory.approx_array import InstrumentedArray, PreciseArray
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 
 
 class Sorter(Protocol):
@@ -94,8 +93,6 @@ class BaseSorter:
         if len(keys) < 2:
             return
         tracer = get_tracer()
-        metrics = get_metrics()
-        t0 = time.perf_counter() if metrics.enabled else 0.0
         schedule = self._fused_schedule(keys, ids)
         if tracer.enabled:
             with tracer.span(
@@ -108,11 +105,6 @@ class BaseSorter:
                 self._run(keys, ids, schedule)
         else:
             self._run(keys, ids, schedule)
-        if metrics.enabled:
-            metrics.observe(
-                "sort.wall_s", time.perf_counter() - t0,
-                algo=self.name, region=keys.region,
-            )
 
     def _fused_schedule(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]

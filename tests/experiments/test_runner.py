@@ -56,6 +56,12 @@ class TestRunnerCLI:
         with pytest.raises(SystemExit):
             main(["--exp", "fig02", "--jobs", "0"])
 
+    def test_metrics_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--exp", "fig02", "--metrics", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_quiet_suppresses_tables_keeps_timings(self, capsys):
         assert main(["--exp", "fig02", "--scale", "smoke", "--quiet"]) == 0
         out = capsys.readouterr().out
@@ -300,3 +306,27 @@ class TestBenchScalingFields:
              "--bench-json", str(path)]
         ) == 0
         assert "speedup_vs_serial" not in json.loads(path.read_text())[0]
+
+
+class TestMalformedEnvironment:
+    """Malformed float variables fail as config errors (exit 2), not
+    with a traceback."""
+
+    @pytest.mark.parametrize("raw", ["abc", "-0.5"])
+    def test_bad_heartbeat_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", raw)
+        assert main(["--exp", "fig02", "--scale", "smoke"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_HEARTBEAT_S")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-0.5"])
+    def test_bad_retry_backoff_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.delenv("REPRO_HEARTBEAT_S", raising=False)
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", raw)
+        assert main(
+            ["--exp", "fig02", "--scale", "smoke", "--retries", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_RETRY_BACKOFF_S")
+        assert "Traceback" not in err

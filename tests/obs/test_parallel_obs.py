@@ -1,10 +1,10 @@
-"""Observability under parallelism: pooled traces parent, metrics merge.
+"""Observability under parallelism: pooled traces parent, pool events.
 
 The ``shard.task`` spans written by pooled workers must carry enough
 context (``trace_parent_pid``/``trace_parent_span``/``run`` attrs) for a
 merged multi-pid trace to roll worker spans up under the dispatching
-span; pooled runs with metrics enabled must leave per-pid snapshot files
-whose aggregate sees every worker's latencies.
+span; the dispatching process's own part file must carry the pool's
+task counters and latency/queue-depth gauges.
 """
 
 from __future__ import annotations
@@ -15,17 +15,8 @@ import pytest
 
 from repro.memory.approx_array import PreciseArray
 from repro.memory.stats import MemoryStats
-from repro.obs import (
-    METRICS_DIR_ENV,
-    TRACE_DIR_ENV,
-    TRACE_RUN_ENV,
-    close_metrics,
-    close_tracer,
-    get_metrics,
-    get_tracer,
-)
+from repro.obs import TRACE_DIR_ENV, TRACE_RUN_ENV, close_tracer, get_tracer
 from repro.obs.io import read_traces
-from repro.obs.metrics import aggregate_snapshots, read_snapshots
 from repro.obs.report import build_report, check_events
 from repro.parallel.pool import fork_available, shutdown_pools
 from repro.parallel.sharded import ShardedSorter
@@ -106,45 +97,54 @@ class TestPooledTraceParenting:
         assert all(m.get("run") == "feedc0ffee12" for m in metas)
 
 
-class TestPooledMetrics:
-    def test_pool_latency_lands_in_merged_snapshots(
+def _traced_pooled_sort(monkeypatch, directory, **kwargs) -> list[dict]:
+    """Run :func:`_pooled_sort` traced; return the parent's own events."""
+    monkeypatch.setenv(TRACE_DIR_ENV, str(directory))
+    close_tracer()
+    assert get_tracer().enabled
+    _pooled_sort(**kwargs)
+    close_tracer()
+    shutdown_pools()
+    return read_traces([directory / f"trace-{os.getpid()}.jsonl"])
+
+
+class TestPooledTaskEvents:
+    def test_pool_events_land_in_parent_part_file(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(METRICS_DIR_ENV, str(tmp_path))
-        close_metrics()
-        metrics = get_metrics()
-        assert metrics.enabled
-        _pooled_sort()
-        close_metrics()
-        shutdown_pools()  # graceful exit runs the workers' finalizers
+        events = _traced_pooled_sort(monkeypatch, tmp_path)
+        assert check_events(events) == []
+        report = build_report(events)
+        counters = {row["name"]: row for row in report["counters"]}
+        gauges = {row["name"]: row for row in report["gauges"]}
+        assert counters["pool.tasks"]["total"] == 3  # one pool task per shard
+        assert "pool.task_failures" not in counters
+        assert gauges["pool.task_s"]["events"] == 3
+        assert gauges["pool.task_s"]["min"] > 0
+        depth = gauges["pool.queue_depth"]
+        assert (depth["events"], depth["min"], depth["max"]) == (3, 0, 2)
+        workers = {
+            e["attrs"]["worker"] for e in events
+            if e["ev"] == "gauge" and e["name"] == "pool.task_s"
+        }
+        assert workers and workers <= {0, 1}
 
-        parts = sorted(tmp_path.glob("metrics-*.jsonl"))
-        assert parts, "no metrics snapshot files written"
-        merged = aggregate_snapshots(read_snapshots(parts))
-        counters = {c["name"] for c in merged["counters"]}
-        histograms = {h["name"] for h in merged["histograms"]}
-        assert "pool.tasks" in counters
-        assert "pool.task_s" in histograms
-        assert any(g["name"] == "pool.queue_depth" for g in merged["gauges"])
-        parent_part = tmp_path / f"metrics-{os.getpid()}.jsonl"
-        assert parent_part.exists()
-
-    def test_snapshots_from_reruns_aggregate_deterministically(
+    def test_pool_events_deterministic_under_rerun(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(METRICS_DIR_ENV, str(tmp_path))
-        close_metrics()
-        _pooled_sort(n=200, seed=1)
-        close_metrics()
-        shutdown_pools()
-        merged = aggregate_snapshots(
-            read_snapshots(sorted(tmp_path.glob("metrics-*.jsonl")))
-        )
-        again = aggregate_snapshots(
-            read_snapshots(sorted(tmp_path.glob("metrics-*.jsonl")))
-        )
-        assert merged == again
-        total = next(
-            c["value"] for c in merged["counters"] if c["name"] == "pool.tasks"
-        )
-        assert total == 3  # one pool task per shard
+        def pool_events(directory):
+            # Task seconds and worker attribution depend on scheduling;
+            # the event sequence, counts and queue depths must not.
+            return [
+                (e["ev"], e["name"],
+                 None if e["name"] == "pool.task_s" else e["value"])
+                for e in _traced_pooled_sort(
+                    monkeypatch, directory, n=200, seed=1
+                )
+                if e["ev"] in ("counter", "gauge")
+                and e["name"].startswith("pool.")
+            ]
+
+        first = pool_events(tmp_path / "first")
+        assert len(first) == 9
+        assert pool_events(tmp_path / "second") == first

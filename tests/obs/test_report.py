@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
 from repro.core.report import STAGES
 from repro.memory.stats import MemoryStats
 from repro.obs import StageRecorder, Tracer
-from repro.obs.report import build_report, check_events, main, render
+from repro.obs.report import (
+    build_report,
+    check_events,
+    main,
+    percentile,
+    render,
+)
 
 
 def _stats(pr=0, pw=0, ar=0, aw=0, awu=0.0, cw=0) -> dict:
@@ -49,6 +56,20 @@ def _canned_events() -> list[dict]:
     ]
 
 
+class TestPercentile:
+    def test_nearest_rank_matches_definition(self):
+        rng = random.Random(7)
+        for n in (1, 2, 3, 10, 97):
+            samples = sorted(rng.random() for _ in range(n))
+            for q in (0.5, 0.95, 0.99):
+                # ceil(q * n), clamped to [1, n] — the textbook nearest rank.
+                rank = min(max(1, -(-int(q * 1_000_000) * n // 1_000_000)), n)
+                assert percentile(samples, q) == samples[rank - 1]
+
+    def test_empty_is_none(self):
+        assert percentile([], 0.5) is None
+
+
 class TestBuildReport:
     def test_canned_trace_golden(self):
         assert build_report(_canned_events()) == {
@@ -57,7 +78,8 @@ class TestBuildReport:
             "cross_process_children": 0,
             "spans": [
                 {"name": "sort.lsd3", "count": 2, "wall_s": 0.75,
-                 "reads": 20, "writes": 40, "tepmw": 40.0},
+                 "reads": 20, "writes": 40, "tepmw": 40.0,
+                 "p50": 0.25, "p95": 0.5, "p99": 0.5},
             ],
             "breakdown": [],
             "kernels": [
@@ -72,6 +94,25 @@ class TestBuildReport:
                  "min": 1, "max": 3, "p50": 1, "p95": 3, "p99": 3},
             ],
         }
+
+    def test_span_rows_carry_exact_wall_percentiles(self):
+        rng = random.Random(3)
+        walls = [round(rng.uniform(0.001, 2.0), 6) for _ in range(37)]
+        events = [_env(0, ev="meta", schema=1, epoch=0.0)]
+        for index, wall in enumerate(walls, start=1):
+            events.append(_env(
+                index, ev="span_end", id=index, parent=None,
+                name="experiment.fig09", wall_s=wall, attrs={},
+                stats=None, cum_start=None, cum=None,
+            ))
+        (row,) = build_report(events)["spans"]
+        ordered = sorted(walls)
+        # Nearest rank over 37 samples: ceil(0.5*37)=19, ceil(0.95*37)=36,
+        # ceil(0.99*37)=37 — actual samples, never interpolated.
+        assert row["count"] == 37
+        assert row["p50"] == ordered[18]
+        assert row["p95"] == ordered[35]
+        assert row["p99"] == ordered[36]
 
     def test_breakdown_groups_stages_by_category(self):
         events = _approx_refine_events()
@@ -245,6 +286,23 @@ class TestCLI:
         path = self._write(tmp_path, _approx_refine_events(mutate))
         assert main([str(path), "--check"]) == 1
         assert "check failed:" in capsys.readouterr().err
+
+    def test_spans_table_shows_percentile_columns(self, tmp_path, capsys):
+        path = self._write(tmp_path, _canned_events())
+        assert main([str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        header = out[out.index("== Spans (rolled up by name) ==") + 1]
+        assert header.split() == [
+            "name", "count", "wall_s", "p50", "p95", "p99", "reads",
+            "writes", "tepmw",
+        ]
+
+    def test_requires_trace_files_and_rejects_metrics_flag(self, tmp_path):
+        path = self._write(tmp_path, _canned_events())
+        for argv in ([], ["--metrics", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_merges_multiple_trace_files(self, tmp_path, capsys):
         a = self._write(tmp_path, _canned_events(), "a.jsonl")

@@ -51,12 +51,8 @@ MEASURED_FIELDS = frozenset({
     "rem_tilde_serial", "rem_tilde_sharded", "write_reduction_serial",
     "write_reduction_sharded", "pass", "digest_serial", "digest_sharded",
     "digests_match", "pooled_matches_inprocess", "experiments", "failed",
-    "resumed", "workers_effective", "cpus", "metrics_active_s",
-    "metrics_active_overhead_frac", "metrics_guard_ns",
-    "metrics_guard_sites", "est_metrics_disabled_overhead_frac",
-    "metrics_observe_ns", "est_metrics_active_overhead_frac",
-    "key_writes", "write_bound", "writes_mergesort", "write_ratio",
-    "bound_ratio",
+    "resumed", "workers_effective", "cpus", "key_writes", "write_bound",
+    "writes_mergesort", "write_ratio", "bound_ratio",
 })
 
 #: Files whose records must carry an integer ``schema`` stamp (``--check``
