@@ -72,7 +72,8 @@ class SanitizerError(ReproError):
     ----------
     invariant:
         Short name of the violated invariant (``"bounds"``, ``"accounting"``,
-        ``"integrity"``, ``"word_range"``, ``"divergence"``).
+        ``"integrity"``, ``"word_range"``, ``"divergence"``, ``"interface"``
+        for a method the sanitizer does not check).
     array:
         Name/region label of the offending array.
     op:

@@ -5,16 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from repro.memory import error_model
 from repro.memory.approx_array import ApproxArray
 from repro.memory.config import CELLS_PER_WORD, MLCParams
 from repro.memory.error_model import (
     DENSE_WALK_MAX_WORDS,
+    LIST_LANE_MAX_WORDS,
     MODEL_CACHE,
+    STREAM_CHUNK,
     CellCharacteristics,
+    UniformStream,
     WordErrorModel,
     characterize_cells,
     get_model,
+    pairwise_sum,
     precise_reference_model,
 )
 
@@ -227,29 +230,29 @@ class TestNoErrorFloor:
 
 
 class TestDenseWalk:
-    """Dense blocks of at most ``DENSE_WALK_MAX_WORDS`` words on a PCG64
-    generator are walked from one draw; stored words and the generator's
-    next draw equal the per-column loop's."""
+    """On an array's :class:`UniformStream`, dense blocks of at most
+    ``DENSE_WALK_MAX_WORDS`` words are walked in Python over a peeked
+    window and larger ones take the vectorised walk; stored words and the
+    stream's next uniform equal the per-column loop's on a bare generator."""
 
     @staticmethod
     def dense_both_ways(model, values, make_rng, monkeypatch):
-        """``_corrupt_block_dense`` as dispatched, then forced onto the
-        column loop, each from a fresh generator; with walker calls counted."""
-        walks = []
-        walk = type(model)._corrupt_block_walk
+        """``_corrupt_block_dense`` on a stream over ``make_rng()``, then
+        on a bare ``make_rng()`` (the column loop); with the path taken."""
+        taken = []
+        for name in ("_walk", "_sweep"):
+            method = getattr(type(model), name)
 
-        def counted(self, vals, rng):
-            walks.append(vals.size)
-            return walk(self, vals, rng)
+            def counted(self, vals, stream, name=name, method=method):
+                taken.append(name)
+                return method(self, vals, stream)
 
-        monkeypatch.setattr(type(model), "_corrupt_block_walk", counted)
-        rng = make_rng()
-        dispatched = model._corrupt_block_dense(values, rng)
+            monkeypatch.setattr(type(model), name, counted)
+        stream = UniformStream(make_rng())
+        dispatched = model._corrupt_block_dense(values, stream)
         loop_rng = make_rng()
-        with monkeypatch.context() as patch:
-            patch.setattr(error_model, "DENSE_WALK_MAX_WORDS", 0)
-            loop = model._corrupt_block_dense(values, loop_rng)
-        return dispatched, rng, loop, loop_rng, bool(walks)
+        loop = model._corrupt_block_dense(values, loop_rng)
+        return dispatched, stream, loop, loop_rng, taken
 
     #: A fitted cell errs only one level up, so which misread level a
     #: target uniform picks never varies there; these rows spread it.
@@ -281,52 +284,76 @@ class TestDenseWalk:
         for m in range(1, DENSE_WALK_MAX_WORDS + 9):
             for seed in range(4):
                 values = keys[seed * m : (seed + 1) * m]
-                walked, rng, loop, loop_rng, took_walk = self.dense_both_ways(
+                walked, stream, loop, loop_rng, taken = self.dense_both_ways(
                     model, values, lambda: np.random.default_rng((seed, m)),
                     monkeypatch,
                 )
-                assert took_walk is (m <= DENSE_WALK_MAX_WORDS)
+                expect = "_walk" if m <= DENSE_WALK_MAX_WORDS else "_sweep"
+                assert taken == [expect]
                 assert walked.dtype == np.uint32
                 assert np.array_equal(walked, loop), (m, seed)
-                assert rng.random() == loop_rng.random(), (m, seed)
+                assert stream.random() == loop_rng.random(), (m, seed)
                 corrupted += int(np.count_nonzero(walked != values))
         assert corrupted > 100
 
+    @pytest.mark.parametrize("encoding", ["binary", "gray"])
+    @pytest.mark.parametrize("t", [0.075, 0.1, "spread"])
+    def test_sweep_matches_column_loop(self, t, encoding, monkeypatch):
+        """The vectorised walk, 65 to 5,000 words, including all-ones
+        blocks (no cell errs under the binary encoding)."""
+        if t == "spread":
+            model = WordErrorModel(
+                MLCParams(t=0.1), encoding=encoding, characteristics=self.SPREAD
+            )
+        else:
+            model = get_model(
+                MLCParams(t=t), samples_per_level=FIT, encoding=encoding
+            )
+        rng = np.random.default_rng(22)
+        for m in (65, 97, 256, 1000, STREAM_CHUNK - 1, STREAM_CHUNK, 5000):
+            for fill in (None, 0xFFFFFFFF):
+                values = rng.integers(0, 2**32, m, dtype=np.uint64).astype(
+                    np.uint32
+                )
+                if fill is not None:
+                    values[:] = fill
+                swept, stream, loop, loop_rng, taken = self.dense_both_ways(
+                    model, values, lambda: np.random.default_rng(m),
+                    monkeypatch,
+                )
+                assert taken == ["_sweep"]
+                assert swept.dtype == np.uint32
+                assert np.array_equal(swept, loop), (m, fill)
+                assert stream.random() == loop_rng.random(), (m, fill)
+
     def test_other_generators_keep_the_column_loop(self, monkeypatch):
+        """A bare generator, PCG64 or not, runs the column loop; a stream
+        over any bit generator walks to the same words."""
         model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
         values = np.random.default_rng(3).integers(
             0, 2**32, size=10, dtype=np.uint64
         ).astype(np.uint32)
-        walked, rng, loop, loop_rng, took_walk = self.dense_both_ways(
-            model, values,
-            lambda: np.random.Generator(np.random.MT19937(4)), monkeypatch,
+        make = lambda: np.random.Generator(np.random.MT19937(4))  # noqa: E731
+        walked, stream, loop, loop_rng, taken = self.dense_both_ways(
+            model, values, make, monkeypatch
         )
-        assert not took_walk
+        assert taken == ["_walk"]  # the stream's call; the bare one looped
         assert np.array_equal(walked, loop)
         assert np.count_nonzero(walked != values) > 0
-        assert rng.random() == loop_rng.random()
+        assert stream.random() == loop_rng.random()
 
     def test_block_generator_draws_only_float64_uniforms(self):
-        """``advance`` drops a buffered 32-bit half, so the walk is exact
-        only on a generator that never holds one: every draw an array's
-        block writes make is a float64 ``random``, on every path."""
+        """Every draw an array's block writes make is a float64 ``random``
+        through its stream, and the stream's logical position is a bare
+        generator's after the same ``corrupt_block`` calls, on every path."""
 
         class Recording:
             def __init__(self, inner):
                 self.inner, self.calls = inner, []
 
-            @property
-            def bit_generator(self):
-                return self.inner.bit_generator
-
-            def __getattr__(self, name):
-                method = getattr(self.inner, name)
-
-                def call(*args, **kwargs):
-                    self.calls.append((name, len(args), tuple(kwargs)))
-                    return method(*args, **kwargs)
-
-                return call
+            def random(self, *args, **kwargs):
+                self.calls.append(("random", len(args), tuple(kwargs)))
+                return self.inner.random(*args, **kwargs)
 
         keys = np.random.default_rng(5).integers(
             0, 2**32, size=4096, dtype=np.uint64
@@ -338,14 +365,135 @@ class TestDenseWalk:
                 np.zeros(keys.size, np.uint32), model=model,
                 precise_iterations=3.0, seed=6,
             )
-            recording = Recording(arr._np_rng)
-            arr._np_rng = recording
+            recording = Recording(arr._stream._rng)
+            arr._stream._rng = recording
+            twin = np.random.default_rng((6, 0x5EED))
             for m in (1, 10, DENSE_WALK_MAX_WORDS, DENSE_WALK_MAX_WORDS + 1, 4096):
                 arr.write_block(0, keys[:m])
+                assert np.array_equal(
+                    arr.to_numpy()[:m], model.corrupt_block(keys[:m], twin)
+                )
                 arr.scatter_np(np.arange(m)[::-1], keys[-m:])
+                assert np.array_equal(
+                    arr.to_numpy()[:m][::-1],
+                    model.corrupt_block(keys[-m:], twin),
+                )
+                assert arr._stream.random() == twin.random()
             assert recording.inner.bit_generator.state["has_uint32"] == 0
             calls += recording.calls
-        assert calls and set(calls) <= {("random", 0, ()), ("random", 1, ())}
+        assert calls and set(calls) <= {
+            ("random", 1, ()), ("random", 1, ("out",)),
+        }
+
+
+class TestUniformStream:
+    """The buffered stream yields the generator's float64 sequence."""
+
+    @staticmethod
+    def pair(seed=7):
+        return (
+            UniformStream(np.random.default_rng(seed)),
+            np.random.default_rng(seed),
+        )
+
+    def test_requests_spanning_a_refill(self):
+        stream, bare = self.pair()
+        for count in (1, STREAM_CHUNK - 10, 100, 7, STREAM_CHUNK - 1):
+            assert np.array_equal(stream.take(count), bare.random(count))
+        assert stream.random() == bare.random()
+        assert stream.position == 2 * STREAM_CHUNK + 98
+
+    def test_large_requests_bypass_the_buffer(self):
+        stream, bare = self.pair()
+        stream.take(5)
+        bare.random(5)
+        big = stream.take(3 * STREAM_CHUNK)
+        assert np.array_equal(big, bare.random(3 * STREAM_CHUNK))
+        assert stream._buf.size == 0
+        assert stream.random() == bare.random()
+        assert stream.position == 3 * STREAM_CHUNK + 6
+
+    def test_shapes_and_scalars_match_generator(self):
+        stream, bare = self.pair()
+        assert np.array_equal(stream.random((3, 16)), bare.random((3, 16)))
+        value = stream.random()
+        assert type(value) is float
+        assert value == bare.random()
+        assert np.array_equal(stream.random(4), bare.random(4))
+
+    def test_peek_consumes_only_what_is_skipped(self):
+        stream, bare = self.pair()
+        stream.take(STREAM_CHUNK - 3)
+        bare.random(STREAM_CHUNK - 3)
+        buf, start = stream.peek(2048)
+        window = buf[start : start + 2048].copy()
+        assert np.array_equal(window[:10], bare.random(10))
+        stream.skip(10)
+        assert np.array_equal(stream.take(5), bare.random(5))
+        assert np.array_equal(window[10:15], buf[start + 10 : start + 15])
+
+
+class TestListLane:
+    """``corrupt_list`` is ``block_cost_and_no_error`` plus
+    ``corrupt_block`` on lists: same cost, stored words, corrupted count
+    and stream position."""
+
+    @pytest.mark.parametrize("terms", [7, 8, 9])
+    def test_pairwise_order_matches_numpy(self, terms):
+        """Fails loudly if numpy changes its summation order."""
+        rng = np.random.default_rng(terms)
+        scales = np.array([1.0, 1e8, 1e-8])
+        for _ in range(200):
+            x = rng.random(terms) * rng.choice(scales, terms)
+            assert pairwise_sum(x.tolist()) == float(x.sum())
+        sums_differ = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0][:terms]
+        assert pairwise_sum(sums_differ) == float(np.array(sums_differ).sum())
+
+    def test_pairwise_sum_every_length_to_128(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 129):
+            x = rng.random(n) * rng.choice([1.0, 1e9, 1e-9], n)
+            assert pairwise_sum(x.tolist()) == float(x.sum()), n
+
+    @pytest.mark.parametrize("t", [0.025, 0.055, 0.07, 0.075, 0.1, 0.124])
+    def test_matches_block_path(self, t):
+        model = get_model(MLCParams(t=t), samples_per_level=FIT)
+        rng = np.random.default_rng(int(t * 1000))
+        erred = 0
+        for trial in range(120):
+            m = int(rng.integers(1, LIST_LANE_MAX_WORDS + 1))
+            values = rng.integers(0, 2**32, m, dtype=np.uint64).astype(np.uint32)
+            if trial % 10 == 0:
+                values[:] = 0
+            block, lane = (
+                UniformStream(np.random.default_rng((trial, m))) for _ in "ab"
+            )
+            block.take(trial)
+            lane.take(trial)
+            cost, p_ok = model.block_cost_and_no_error(values)
+            stored = model.corrupt_block(values, block, p_ok=p_ok)
+            lane_cost, lane_stored, corrupted = model.corrupt_list(
+                values.tolist(), lane
+            )
+            assert lane_cost == cost
+            assert lane_stored == stored.tolist()
+            assert corrupted == int(np.count_nonzero(stored != values))
+            assert lane.position == block.position
+            erred += corrupted
+        if t >= 0.07:
+            assert erred > 0
+
+    def test_scalar_floor_bounds_every_word(self, sweet_model):
+        floor = sweet_model._scalar_no_error_floor
+        values = np.random.default_rng(4).integers(
+            0, 2**32, size=20_000, dtype=np.uint64
+        ).astype(np.uint32)
+        assert min(
+            sweet_model.word_no_error_probability(v) for v in values.tolist()
+        ) >= floor
+        low = int(np.argmin(sweet_model._byte_p_ok))
+        word = low | low << 8 | low << 16 | low << 24
+        assert sweet_model.word_no_error_probability(word) == floor
 
 
 class TestModelCache:
