@@ -3,9 +3,11 @@
 Public surface:
 
 * :class:`~repro.parallel.sharded.ShardedSorter` — key-range sharding
-  wrapper around any registry sorter (partition → per-shard sorts in a
-  persistent fork pool over ``multiprocessing.shared_memory`` → stats
-  reduction → write-combined merge).
+  wrapper around any registry sorter (unaccounted load into shard order →
+  per-shard sorts in a persistent fork pool over
+  ``multiprocessing.shared_memory`` → stats reduction → unaccounted
+  unload).  Sharding is placement, not work: the operands' stats are the
+  shard sorts' stats.
 * :mod:`~repro.parallel.pool` — the persistent fork worker pool.
 
 A shard sort is a plain ``base.sort`` over the shard window, so precise
@@ -20,10 +22,9 @@ wraps every plain registry sorter the same way.
 """
 
 from .pool import WorkerPool, fork_available, get_pool, shutdown_pools
-from .sharded import SHARD_WORKERS_ENV, ShardedSorter
+from .sharded import ShardedSorter
 
 __all__ = [
-    "SHARD_WORKERS_ENV",
     "ShardedSorter",
     "WorkerPool",
     "fork_available",

@@ -45,6 +45,15 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cgroup cpusets shrink it), else the host's
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_task(module_name: str, func_name: str):
     module = importlib.import_module(module_name)
     return getattr(module, func_name)

@@ -1,18 +1,16 @@
 """Sharded sorting over shared memory (DESIGN.md section 12).
 
 :class:`ShardedSorter` wraps any registry sorter and splits one sort into
-``shards`` key-range-disjoint sub-sorts:
+``shards`` key-range-disjoint sub-sorts.  Sharding is placement, not work:
+the wrapper makes no accounted access of its own, so the operands' stats
+are exactly the shard sorts' stats.
 
-1. **Partition** (parent, accounted): read the whole array once, assign
-   every key a shard by key range (radix prefix or sampled splitters),
-   and write the stably-permuted data into a *scratch allocation* — one
-   contiguous uint32 buffer holding the keys segment and, when present,
-   the ids segment.  The scratch arrays are the same memory kind as the
-   operands and share their ``MemoryStats`` (exactly like the sorters' own
-   ``clone_empty`` scratch), so the partition pass is costed and corrupted
-   like any other accounted pass.
-2. **Shard sorts**: each shard is an array *adopting* a window of the
-   scratch buffer (``copy=False`` — no pickling, no copies), with a fresh
+1. **Load** (parent, unaccounted): peek both operands, assign every key a
+   shard by its radix prefix (equal slices of the 32-bit key space), and
+   put the stably shard-ordered keys and ids straight into one contiguous
+   uint32 buffer — the keys segment, then the ids segment when present.
+2. **Shard sorts**: each shard is an array *adopting* a window of that
+   buffer (``copy=False`` — no pickling, no copies), with a fresh
    ``MemoryStats`` and a parent-derived RNG seed.  With ``workers >= 2``
    the buffer is a ``multiprocessing.shared_memory`` segment and shards run
    on the persistent fork pool (:mod:`repro.parallel.pool`); otherwise the
@@ -27,11 +25,9 @@
    wrapped in a ``shard.<i>`` tracer span whose delta *is* that shard's
    stats — the aggregate tiles exactly the way ``repro.obs`` span deltas
    tile over a serial run.
-4. **Merge** (parent, accounted): shard ranges are disjoint and ordered,
-   so the merge is a concatenating copy-back routed through a
-   :class:`~repro.memory.write_combining.WriteCombiningArray` front on the
-   destination (block writes are already-combined streams; the buffer
-   absorbs any straggler scalar writes and reports ``combined_writes``).
+4. **Unload** (parent, unaccounted): shard ranges are disjoint and
+   ordered, so the sorted buffer is the sorted result, and
+   ``poke_block_np`` stores it back into the operands.
 
 The wrapper delegates to the base sorter unchanged whenever a sharded
 plan could not be bit-faithful: per-access trace hooks attached, operand
@@ -42,9 +38,8 @@ fronts — anything but the three concrete memory classes), or arrays below
 
 from __future__ import annotations
 
-import os
 from multiprocessing import shared_memory
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,20 +48,13 @@ from repro.kernels import resolve_kernels
 from repro.memory.approx_array import ApproxArray, InstrumentedArray, PreciseArray
 from repro.memory.spintronic import SpintronicArray
 from repro.memory.stats import MemoryStats
-from repro.memory.write_combining import WriteCombiningArray
 from repro.obs import get_tracer
 from repro.sorting.base import BaseSorter
 
-from .pool import fork_available, get_pool
+from .pool import fork_available, get_pool, usable_cpus
 
 #: Module path shipped to workers for late task binding.
 _MODULE = "repro.parallel.sharded"
-
-#: Worker-count override honoured when ``ShardedSorter(workers=None)``.
-SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
-
-#: Splitter sample size per shard for ``partition="sample"``.
-_OVERSAMPLE = 32
 
 #: Memory kinds a shard plan can rebuild in a worker.  Strict type checks
 #: (not isinstance) — a subclass or wrapper may carry extra semantics the
@@ -116,7 +104,7 @@ def _sort_shard_segment(
 
     This is the *single* implementation both execution paths run — the pool
     worker over a shared-memory view, the in-process path over a slice of
-    the local scratch buffer.  Bit-identity between the paths reduces to
+    the local shard buffer.  Bit-identity between the paths reduces to
     this function being deterministic in (contents, spec, seed, sorter).
     """
     keys_stats = MemoryStats()
@@ -198,18 +186,13 @@ class ShardedSorter(BaseSorter):
     base:
         The sorter run on each shard.  Nesting sharded sorters is rejected.
     shards:
-        Number of key-range shards (>= 1; 1 delegates to ``base``).
+        Number of key-range shards (>= 1; 1 delegates to ``base``).  Shard
+        ``j`` owns the keys in ``[j * 2^32 / shards, (j+1) * 2^32 / shards)``.
     workers:
-        Pool worker processes.  ``None`` reads :data:`SHARD_WORKERS_ENV`,
-        defaulting to ``min(shards, os.cpu_count())``; values below 2 (or
-        platforms without fork) run shards in-process — bit-identical to
-        the pooled run by construction.
-    partition:
-        ``"radix"`` splits the 32-bit key space into equal fixed ranges;
-        ``"sample"`` derives splitters from a deterministic even-stride
-        sample of the input (robust to skewed distributions).
-    wc_capacity:
-        Entry capacity of the write-combining front used by the merge.
+        Pool worker processes.  ``None`` defaults to
+        ``min(shards, usable_cpus())``; values below 2 (or platforms without
+        fork) run shards in-process — bit-identical to the pooled run by
+        construction.
     min_n:
         Below this length sharding overhead cannot pay; delegate to base.
     kernels:
@@ -222,8 +205,6 @@ class ShardedSorter(BaseSorter):
         base: BaseSorter,
         shards: int = 2,
         workers: Optional[int] = None,
-        partition: str = "radix",
-        wc_capacity: int = 64,
         min_n: int = 64,
         kernels: Optional[str] = None,
     ) -> None:
@@ -232,10 +213,6 @@ class ShardedSorter(BaseSorter):
             raise ConfigError("sharded sorters do not nest")
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
-        if partition not in ("radix", "sample"):
-            raise ConfigError(
-                f"partition must be 'radix' or 'sample', got {partition!r}"
-            )
         if workers is not None and workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
         if kernels is not None:
@@ -245,8 +222,6 @@ class ShardedSorter(BaseSorter):
         self.base = base
         self.shards = shards
         self.workers = workers
-        self.partition = partition
-        self.wc_capacity = wc_capacity
         self.min_n = min_n
         self.name = f"sharded:{base.name}:{shards}"
         #: Introspection of the most recent sharded run (tests, bench, docs);
@@ -258,23 +233,11 @@ class ShardedSorter(BaseSorter):
     # ------------------------------------------------------------------ #
 
     def _effective_workers(self) -> int:
-        if self.workers is not None:
-            workers = self.workers
-        else:
-            raw = os.environ.get(SHARD_WORKERS_ENV)
-            if raw is not None:
-                try:
-                    workers = int(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"{SHARD_WORKERS_ENV} must be an integer, got {raw!r}"
-                    ) from None
-                if workers < 0:
-                    raise ConfigError(
-                        f"{SHARD_WORKERS_ENV} must be >= 0, got {workers}"
-                    )
-            else:
-                workers = min(self.shards, os.cpu_count() or 1)
+        workers = (
+            self.workers
+            if self.workers is not None
+            else min(self.shards, usable_cpus())
+        )
         if workers >= 2 and not fork_available():
             workers = 0
         return workers
@@ -329,11 +292,10 @@ class ShardedSorter(BaseSorter):
             self._sort_sharded(keys, ids)
 
     def expected_key_writes(self, n: int) -> float:
-        """Partition + merge rewrite every key once each, plus shard sorts.
+        """The shard sorts' key writes, summed over shards.
 
         Shard sizes are taken as the even split — the uniform-keys
-        expectation of the radix partition, and what the sampled splitters
-        target by construction.
+        expectation of the radix partition.
         """
         if n < 2:
             return 0.0
@@ -341,40 +303,14 @@ class ShardedSorter(BaseSorter):
             return self.base.expected_key_writes(n)
         low = n // self.shards
         remainder = n - low * self.shards
-        per_shard = [
-            low + (1 if index < remainder else 0)
+        return sum(
+            self.base.expected_key_writes(low + (1 if index < remainder else 0))
             for index in range(self.shards)
-        ]
-        return 2.0 * n + sum(
-            self.base.expected_key_writes(size) for size in per_shard
         )
 
     # ------------------------------------------------------------------ #
     # The sharded plan
     # ------------------------------------------------------------------ #
-
-    def _splitters(self, values: np.ndarray) -> np.ndarray:
-        """Upper-exclusive shard boundaries (``shards - 1`` of them)."""
-        if self.partition == "radix":
-            # Equal slices of the 32-bit key space: shard j owns
-            # [j * 2^32 / S, (j+1) * 2^32 / S).
-            return (
-                np.arange(1, self.shards, dtype=np.uint64) << np.uint64(32)
-            ) // np.uint64(self.shards)
-        # Deterministic even-stride sample (no RNG stream consumed): order
-        # statistics of the sample approximate the input quantiles, so
-        # skewed distributions still split into near-even shards.
-        stride = max(1, values.size // (self.shards * _OVERSAMPLE))
-        sample = np.sort(values[::stride].astype(np.uint64))
-        picks = (
-            np.arange(1, self.shards, dtype=np.int64) * sample.size
-        ) // self.shards
-        return sample[picks]
-
-    def _shard_of(self, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(
-            self._splitters(values), values.astype(np.uint64), side="right"
-        )
 
     def _sort_sharded(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
@@ -382,22 +318,25 @@ class ShardedSorter(BaseSorter):
         n = len(keys)
         tracer = get_tracer()
 
-        # ---- partition (accounted read + permuted write) -------------- #
-        values = keys.read_block_np(0, n)
-        id_values = ids.read_block_np(0, n) if ids is not None else None
-        shard_of = self._shard_of(values)
+        # ---- load: unaccounted peek, stable shard order --------------- #
+        values = keys.peek_block_np(0, n)
+        splitters = (
+            np.arange(1, self.shards, dtype=np.uint64) << np.uint64(32)
+        ) // np.uint64(self.shards)
+        shard_of = np.searchsorted(
+            splitters, values.astype(np.uint64), side="right"
+        )
         order = np.argsort(shard_of, kind="stable")
         counts = np.bincount(shard_of, minlength=self.shards).astype(np.int64)
         offsets = np.zeros(self.shards, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
 
         # Parent-side RNG derivation, in fixed order, *before* any
-        # execution-mode branch: the scratch array's corruption stream and
-        # every shard's stream come from the operand's clone-seed stream
-        # exactly as clone_empty would draw them, so pooled and in-process
-        # runs (and repeated runs under one seed) see identical streams.
+        # execution-mode branch: every shard's corruption stream comes from
+        # the operand's clone-seed stream exactly as clone_empty would draw
+        # it, so pooled and in-process runs (and repeated runs under one
+        # seed) see identical streams.
         rng = getattr(keys, "_rng", None)
-        scratch_seed = rng.getrandbits(32) if rng is not None else 0
         shard_seeds = [
             rng.getrandbits(32) if rng is not None else 0
             for _ in range(self.shards)
@@ -410,29 +349,18 @@ class ShardedSorter(BaseSorter):
         if pooled:
             shm = shared_memory.SharedMemory(create=True, size=4 * total)
             buffer = np.frombuffer(shm.buf, dtype=np.uint32, count=total)
-            buffer[:] = 0
         else:
-            buffer = np.zeros(total, dtype=np.uint32)
+            buffer = np.empty(total, dtype=np.uint32)
 
         try:
-            spec = _memory_spec(keys)
-            scratch_keys = _build_shard_array(
-                spec, buffer[:n], keys.stats, scratch_seed,
-                f"{keys.name}.shards",
-            )
-            scratch_keys.write_block(0, values[order])
-            scratch_ids: Optional[PreciseArray] = None
-            if ids is not None and id_values is not None:
-                scratch_ids = PreciseArray(
-                    buffer[n:], stats=ids.stats, name=f"{ids.name}.shards",
-                    copy=False,
-                )
-                scratch_ids.write_block(0, id_values[order])
+            buffer[:n] = values[order]
+            if ids is not None:
+                buffer[n:] = ids.peek_block_np(0, n)[order]
 
             # ---- shard sorts (pool or in-process; identical either way) #
             shard_stats = self._run_shards(
-                shm, buffer, spec, counts, offsets, shard_seeds,
-                ids is not None, workers, keys.name,
+                shm, buffer, _memory_spec(keys), counts, offsets,
+                shard_seeds, ids is not None, workers, keys.name,
             )
 
             # ---- stats reduction (fixed order; span delta == shard) --- #
@@ -452,33 +380,10 @@ class ShardedSorter(BaseSorter):
                 "shard.max_count", int(counts.max()), attrs={"algo": self.name}
             )
 
-            # ---- merge-back through the write-combining front --------- #
-            combined = 0
-            flushed = 0
-            with tracer.span(f"merge.{self.name}", stats=keys.stats):
-                front = WriteCombiningArray(keys, capacity=self.wc_capacity)
-                ids_front = (
-                    WriteCombiningArray(ids, capacity=self.wc_capacity)
-                    if ids is not None
-                    else None
-                )
-                for index in range(self.shards):
-                    count = int(counts[index])
-                    if count == 0:
-                        continue
-                    offset = int(offsets[index])
-                    front.write_block(
-                        offset, scratch_keys.read_block_np(offset, count)
-                    )
-                    if ids_front is not None and scratch_ids is not None:
-                        ids_front.write_block(
-                            offset, scratch_ids.read_block_np(offset, count)
-                        )
-                flushed = front.flush()
-                combined = front.combined_writes
-                if ids_front is not None:
-                    flushed += ids_front.flush()
-                    combined += ids_front.combined_writes
+            # ---- unload: the sorted buffer is the result -------------- #
+            keys.poke_block_np(0, buffer[:n])
+            if ids is not None:
+                ids.poke_block_np(0, buffer[n:])
 
             self.last_plan = {
                 "n": n,
@@ -486,20 +391,13 @@ class ShardedSorter(BaseSorter):
                 "counts": counts.tolist(),
                 "workers": workers,
                 "pooled": pooled,
-                "partition": self.partition,
                 "shard_stats": [pair[0].as_dict() for pair in shard_stats],
-                "combined_writes": combined,
-                "flushed_writes": flushed,
             }
         finally:
             if shm is not None:
-                # Drop every view into the segment before closing: numpy
-                # arrays keep the mapping pinned and close() would raise.
+                # Drop the view into the segment before closing: a numpy
+                # array keeps the mapping pinned and close() would raise.
                 del buffer
-                try:
-                    del scratch_keys, scratch_ids
-                except NameError:
-                    pass
                 shm.close()
                 shm.unlink()
 

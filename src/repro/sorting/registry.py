@@ -167,7 +167,7 @@ def make_sorter(name: str, **kwargs) -> BaseSorter:
             )
         wrapper_kwargs = {
             key: kwargs.pop(key)
-            for key in ("shards", "workers", "partition", "wc_capacity", "min_n")
+            for key in ("shards", "workers", "min_n")
             if key in kwargs
         }
         if shards is not None:
@@ -204,8 +204,6 @@ def _implicit_kwargs(instance: BaseSorter) -> dict:
             base=instance.base,
             shards=instance.shards,
             workers=instance.workers,
-            partition=instance.partition,
-            wc_capacity=instance.wc_capacity,
             min_n=instance.min_n,
         )
     if getattr(instance, "kernels", None) is not None:

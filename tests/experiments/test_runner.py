@@ -234,9 +234,9 @@ class TestShardsCLI:
             main(["--exp", "fig02", "--shards", "0"])
 
     def test_sharded_smoke_run_deterministic(self, capsys, monkeypatch):
-        # On approximate memory sharding changes the write pattern (and so
-        # the error realizations), so sharded output need not equal serial
-        # output — but repeating the same sharded run must be bit-identical.
+        # On approximate memory each shard sort draws its own corruption
+        # stream, so sharded output need not equal serial output — but
+        # repeating the same sharded run must be bit-identical.
         from repro.sorting.registry import SHARDS_ENV
 
         monkeypatch.setenv(SHARDS_ENV, "1")

@@ -1,19 +1,30 @@
 """ShardedSorter contract tests.
 
-The central claim of DESIGN.md section 12: pooled (forked workers over
+The central claims of DESIGN.md section 12: pooled (forked workers over
 shared memory) and in-process executions of the same sharded plan are
-bit-identical in output, IDs, *and* aggregate :class:`MemoryStats` — and on
-precise memory the sharded result equals the serial base sorter's.
+bit-identical in output, IDs, *and* aggregate :class:`MemoryStats`; on
+precise memory the sharded result equals the serial base sorter's; and
+sharding is placement, not work — the operands' stats are exactly the
+shard sorts' stats, so on approximate memory a sharded radix sort measures
+what a serial one does.
 """
+
+import io
+import json
+import os
 
 import pytest
 
+from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.errors import ConfigError
 from repro.memory.approx_array import PreciseArray
-from repro.memory.stats import MemoryStats
+from repro.memory.config import MLCParams
+from repro.memory.factories import PCMMemoryFactory
+from repro.memory.stats import MemoryStats, write_reduction
 from repro.memory.write_combining import WriteCombiningArray
-from repro.parallel.pool import fork_available
-from repro.parallel.sharded import SHARD_WORKERS_ENV, ShardedSorter
+from repro.obs import Tracer, set_tracer
+from repro.parallel.pool import fork_available, usable_cpus
+from repro.parallel.sharded import ShardedSorter
 from repro.sorting.registry import make_base_sorter, with_kernels
 from repro.workloads.generators import uniform_keys
 
@@ -77,6 +88,21 @@ class TestPrecise:
         vector = run_precise(sharded("lsd3", kernels="numpy"), list(keys))
         assert scalar == vector
 
+    @pytest.mark.parametrize("kernels", ["scalar", "numpy"])
+    @pytest.mark.parametrize("algorithm", ["lsd3", "lsd6"])
+    def test_lsd_stats_equal_serial(self, algorithm, kernels):
+        # LSD's traffic is linear in n, and the load and unload are free,
+        # so the shards' summed stats are the serial sort's, key and id.
+        keys = uniform_keys(300, seed=6)
+        serial = run_precise(
+            make_base_sorter(algorithm, kernels=kernels), list(keys)
+        )
+        for shards in (2, 4):
+            result = run_precise(
+                sharded(algorithm, shards=shards, kernels=kernels), list(keys)
+            )
+            assert result == serial
+
 
 class TestApprox:
     @needs_fork
@@ -109,6 +135,110 @@ class TestApprox:
         assert first == second
 
 
+def approx_operands(factory, keys, seed=3):
+    """Approximate keys and precise ids, each on its own fresh stats."""
+    array = factory.make_array(keys, stats=MemoryStats(), seed=seed)
+    ids = PreciseArray(list(range(len(keys))), stats=MemoryStats())
+    return array, ids
+
+
+def summed(dicts):
+    total = MemoryStats()
+    for entry in dicts:
+        total.merge(MemoryStats(**entry))
+    return total
+
+
+class TestAttribution:
+    """Load and unload are unaccounted: the shard sorts are all the work."""
+
+    @pytest.mark.parametrize("algorithm", ["lsd6", "mergesort", "quicksort"])
+    def test_operand_stats_are_the_shard_stats(self, pcm_sweet, algorithm):
+        keys = uniform_keys(400, seed=12)
+        array, ids = approx_operands(pcm_sweet, keys)
+        stream_at = array._stream.position
+        scalar_state = array._scalar_rng.bit_generator.state
+        sorter = sharded(algorithm, shards=4, kernels="numpy")
+        sorter.sort(array, ids)
+        assert array.stats == summed(sorter.last_plan["shard_stats"])
+        # Neither operand stream moved: every corruption draw was a shard's.
+        assert array._stream.position == stream_at
+        assert array._scalar_rng.bit_generator.state == scalar_state
+        assert array._u_pos == 0 and array._u_buffer == []
+        assert sorted(ids.peek_block_np(0, len(ids)).tolist()) == list(
+            range(len(keys))
+        )
+
+    def test_traced_span_is_the_shard_spans(self, pcm_sweet):
+        keys = uniform_keys(400, seed=13)
+        array, ids = approx_operands(pcm_sweet, keys)
+        sink = io.StringIO()
+        previous = set_tracer(Tracer(sink=sink))
+        try:
+            sharded("lsd6", shards=3, kernels="numpy").sort(array, ids)
+        finally:
+            set_tracer(previous)
+        ends = [
+            event for event in map(json.loads, sink.getvalue().splitlines())
+            if event["ev"] == "span_end"
+        ]
+        (outer,) = [e for e in ends if e["name"].startswith("sort.sharded:")]
+        parts = sorted(
+            (e for e in ends if e["name"].startswith("shard.")),
+            key=lambda e: e["id"],
+        )
+        assert [e["name"] for e in parts] == ["shard.0", "shard.1", "shard.2"]
+        assert all(e["parent"] == outer["id"] for e in parts)
+        # The shard spans tile the sort span verbatim, so its delta is the
+        # sum of theirs and nothing else.
+        assert parts[0]["cum_start"] == outer["cum_start"]
+        for before, after in zip(parts, parts[1:]):
+            assert after["cum_start"] == before["cum"]
+        assert parts[-1]["cum"] == outer["cum"]
+        for field, value in outer["stats"].items():
+            if field != "approx_write_units":
+                assert value == sum(e["stats"][field] for e in parts)
+
+
+#: ext_variance's sweet-spot cell at default scale.
+_GATE_N = 8_000
+_GATE_FIT = 20_000
+_GATE_SEEDS = [1000 * (repeat + 1) for repeat in range(7)]
+
+
+def gate_cells(keys, memory, build):
+    """(write reduction, Rem~) per corruption seed, as ext_variance
+    measures them with ``build()`` as its sorter, under numpy kernels."""
+    baseline = run_precise_baseline(keys, build(), kernels="numpy").total_units
+    cells = []
+    for seed in _GATE_SEEDS:
+        result = run_approx_refine(
+            keys, build(), memory, seed=seed, kernels="numpy"
+        )
+        cells.append(
+            (write_reduction(baseline, result.total_units), result.rem_tilde)
+        )
+    return cells
+
+
+class TestApproxAgreement:
+    @pytest.mark.parametrize("algorithm", ["lsd3", "lsd6"])
+    def test_sharded_means_inside_serial_range(self, algorithm):
+        keys = uniform_keys(_GATE_N, seed=0)
+        memory = PCMMemoryFactory(MLCParams(t=0.055), fit_samples=_GATE_FIT)
+        serial = gate_cells(keys, memory, lambda: make_base_sorter(algorithm))
+        for shards in (2, 4):
+            cells = gate_cells(keys, memory, lambda: sharded(
+                algorithm, shards=shards, min_n=64
+            ))
+            for column in (0, 1):
+                values = [cell[column] for cell in serial]
+                mean = sum(cell[column] for cell in cells) / len(cells)
+                assert min(values) <= mean <= max(values), (
+                    algorithm, shards, column, mean, values
+                )
+
+
 class TestEdgeCases:
     def test_all_equal_keys_single_live_shard(self):
         keys = [123456] * 200
@@ -124,19 +254,6 @@ class TestEdgeCases:
         keys = [5, 3, 9, 1, 7]
         result = run_precise(sharded("mergesort", shards=8), list(keys))
         assert result[0] == sorted(keys)
-
-    def test_sample_partition_balances_skew(self):
-        # Keys packed into a narrow range defeat the radix partition but
-        # not the sampled splitters.
-        keys = [1000 + value for value in uniform_keys(512, seed=3)]
-        keys = [value % 2048 for value in keys]
-        radix = sharded("mergesort", shards=4, partition="radix")
-        sample = sharded("mergesort", shards=4, partition="sample")
-        out_radix = run_precise(radix, list(keys), with_ids=False)
-        out_sample = run_precise(sample, list(keys), with_ids=False)
-        assert out_radix[0] == out_sample[0] == sorted(keys)
-        assert max(radix.last_plan["counts"]) == 512  # all in shard 0
-        assert max(sample.last_plan["counts"]) < 512
 
     def test_below_min_n_delegates_to_base(self):
         sorter = ShardedSorter(make_base_sorter("mergesort"), shards=3,
@@ -161,26 +278,30 @@ class TestEdgeCases:
 class TestPlanIntrospection:
     def test_last_plan_shape(self):
         sorter = sharded("lsd3", shards=3)
-        run_precise(sorter, uniform_keys(300, seed=8), with_ids=False)
+        result = run_precise(sorter, uniform_keys(300, seed=8), with_ids=False)
         plan = sorter.last_plan
         assert plan["n"] == 300
         assert plan["shards"] == 3
         assert sum(plan["counts"]) == 300
         assert plan["pooled"] is False
+        assert plan["workers"] == 0
         assert len(plan["shard_stats"]) == 3
-        # Per-shard precise traffic sums below the aggregate (which also
-        # includes the partition and merge passes).
+        # The aggregate is the shard sorts' traffic and nothing else.
         shard_writes = sum(s["precise_writes"] for s in plan["shard_stats"])
-        assert shard_writes > 0
-        assert plan["flushed_writes"] >= 0
+        assert shard_writes == result[2]["precise_writes"] > 0
 
-    def test_expected_key_writes_adds_partition_and_merge(self):
+    def test_expected_key_writes_sums_shards(self):
         base = make_base_sorter("mergesort")
         sorter = ShardedSorter(make_base_sorter("mergesort"), shards=4,
                                workers=0, min_n=2)
         n = 1000
         per_shard = sum(base.expected_key_writes(250) for _ in range(4))
-        assert sorter.expected_key_writes(n) == 2.0 * n + per_shard
+        assert sorter.expected_key_writes(n) == per_shard
+        # An uneven split hands the remainder to the first shards.
+        assert sorter.expected_key_writes(1002) == (
+            2 * base.expected_key_writes(251)
+            + 2 * base.expected_key_writes(250)
+        )
         # Below min_n the estimate is the base's.
         small = ShardedSorter(make_base_sorter("mergesort"), shards=4,
                               workers=0, min_n=64)
@@ -193,36 +314,36 @@ class TestConfiguration:
         with pytest.raises(ConfigError, match="nest"):
             ShardedSorter(inner)
 
-    def test_bad_partition_rejected(self):
-        with pytest.raises(ConfigError, match="partition"):
-            ShardedSorter(make_base_sorter("mergesort"), partition="hash")
-
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigError, match="shards"):
             ShardedSorter(make_base_sorter("mergesort"), shards=0)
         with pytest.raises(ConfigError, match="workers"):
             ShardedSorter(make_base_sorter("mergesort"), workers=-1)
 
-    def test_workers_env_honoured(self, monkeypatch):
-        monkeypatch.setenv(SHARD_WORKERS_ENV, "0")
-        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=3,
-                               min_n=2)
-        run_precise(sorter, uniform_keys(200, seed=0), with_ids=False)
-        assert sorter.last_plan["pooled"] is False
-
-    def test_workers_env_validated(self, monkeypatch):
-        monkeypatch.setenv(SHARD_WORKERS_ENV, "many")
-        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=3,
-                               min_n=2)
-        with pytest.raises(ConfigError, match=SHARD_WORKERS_ENV):
-            run_precise(sorter, uniform_keys(200, seed=0), with_ids=False)
-
     def test_with_kernels_round_trip(self):
-        sorter = sharded("lsd4", shards=5, partition="sample",
-                         wc_capacity=32)
+        sorter = sharded("lsd4", shards=5, workers=3, min_n=17)
         copy = with_kernels(sorter, "numpy")
         assert isinstance(copy, ShardedSorter)
         assert copy.shards == 5
-        assert copy.partition == "sample"
-        assert copy.wc_capacity == 32
+        assert copy.workers == 3
+        assert copy.min_n == 17
         assert copy.base.bits == 4
+        assert copy.base.kernels == "numpy"
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert usable_cpus() == 1
+        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=4)
+        assert sorter._effective_workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        if fork_available():
+            assert sorter._effective_workers() == 3
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1

@@ -71,12 +71,11 @@ class TestShardedSpecs:
 
     def test_sharded_spec_forwards_wrapper_kwargs(self):
         sorter = make_sorter(
-            "sharded:quicksort", shards=5, partition="sample", min_n=8,
-            workers=0, seed=99,
+            "sharded:quicksort", shards=5, min_n=8, workers=0, seed=99,
         )
         assert sorter.shards == 5
-        assert sorter.partition == "sample"
         assert sorter.min_n == 8
+        assert sorter.workers == 0
         assert sorter.base.seed == 99
 
     def test_bad_sharded_specs_rejected(self):

@@ -53,6 +53,12 @@ MEASURED_FIELDS = frozenset({
     "digests_match", "pooled_matches_inprocess", "experiments", "failed",
     "resumed", "workers_effective", "cpus", "key_writes", "write_bound",
     "writes_mergesort", "write_ratio", "bound_ratio",
+    "write_reduction_serial_mean", "write_reduction_serial_min",
+    "write_reduction_serial_max", "write_reduction_sharded_mean",
+    "write_reduction_sharded_min", "write_reduction_sharded_max",
+    "rem_tilde_serial_mean", "rem_tilde_serial_min", "rem_tilde_serial_max",
+    "rem_tilde_sharded_mean", "rem_tilde_sharded_min",
+    "rem_tilde_sharded_max", "within_serial_range",
 })
 
 #: Files whose records must carry an integer ``schema`` stamp (``--check``
