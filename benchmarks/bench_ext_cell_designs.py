@@ -1,4 +1,4 @@
-"""Extension benches: cell-design studies (Gray coding, bit priority)."""
+"""Extension bench: the cell-encoding study (binary vs Gray coding)."""
 
 import pytest
 
@@ -33,19 +33,3 @@ def test_ext_gray_encoding(run_experiment):
             if binary_rem > 0.01:
                 assert 0.5 < gray_rem / binary_rem < 2.0
 
-
-def test_ext_bit_priority(run_experiment):
-    table = run_experiment("ext_priority")
-
-    by = {(row[0], row[1]): row for row in table.rows}
-    ts = sorted({row[0] for row in table.rows})
-
-    # At the aggressive end the priority profile collapses Rem...
-    worst_t = ts[-1]
-    assert by[(worst_t, "priority")][3] < by[(worst_t, "uniform")][3]
-    # ...and turns the uniform configuration's loss into a gain.
-    assert by[(worst_t, "priority")][4] > by[(worst_t, "uniform")][4]
-
-    # Rem of the priority profile stays low at every T.
-    for t in ts:
-        assert by[(t, "priority")][3] < 0.1

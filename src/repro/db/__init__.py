@@ -15,33 +15,11 @@ from .operators import (
     order_by,
     sort_merge_join,
 )
-from .query import (
-    ExecutionResult,
-    Filter,
-    GroupBy,
-    Join,
-    Limit,
-    Project,
-    Scan,
-    Sort,
-    execute,
-    explain,
-)
 from .table import Relation
 
 __all__ = [
-    "ExecutionResult",
-    "Filter",
-    "GroupBy",
-    "Join",
-    "Limit",
     "OperatorResult",
-    "Project",
     "Relation",
-    "Scan",
-    "Sort",
-    "execute",
-    "explain",
     "group_by_aggregate",
     "order_by",
     "sort_merge_join",

@@ -113,7 +113,6 @@ from . import (
     ext_external,
     ext_gray,
     ext_pipeline_sim,
-    ext_priority,
     ext_sequential,
     ext_total_time,
     ext_variance,
@@ -155,7 +154,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "ext_external": ext_external.run,
     "ext_gray": ext_gray.run,
     "ext_pipeline_sim": ext_pipeline_sim.run,
-    "ext_priority": ext_priority.run,
     "ext_sequential": ext_sequential.run,
     "ext_total_time": ext_total_time.run,
     "ext_variance": ext_variance.run,

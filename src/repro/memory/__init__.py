@@ -26,11 +26,6 @@ from .error_model import (
     get_model,
     precise_reference_model,
 )
-from .priority import (
-    PriorityPCMMemoryFactory,
-    PriorityWordErrorModel,
-    equal_cost_priority_profile,
-)
 from .spintronic import SpintronicArray, SpintronicErrorModel
 from .write_combining import WriteCombiningArray, sort_with_write_combining
 from .stats import MemoryStats, write_reduction
@@ -46,8 +41,6 @@ __all__ = [
     "PRECISE_T",
     "PRECISE_WRITE_LATENCY_NS",
     "PreciseArray",
-    "PriorityPCMMemoryFactory",
-    "PriorityWordErrorModel",
     "READ_LATENCY_NS",
     "SPINTRONIC_CONFIGS",
     "SpintronicArray",
@@ -58,7 +51,6 @@ __all__ = [
     "WordErrorModel",
     "WriteCombiningArray",
     "characterize",
-    "equal_cost_priority_profile",
     "characterize_cells",
     "characterize_point",
     "get_model",

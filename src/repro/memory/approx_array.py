@@ -571,11 +571,11 @@ class ApproxArray(InstrumentedArray):
 
         A list of at most
         :data:`~repro.memory.error_model.LIST_LANE_MAX_WORDS` valid words
-        under a :class:`WordErrorModel` takes the model's list lane
-        (:meth:`WordErrorModel.corrupt_list`): the same draws, stored words
-        and cost sum as the numpy path, without its per-call overhead.
+        takes the model's list lane (:meth:`WordErrorModel.corrupt_list`):
+        the same draws, stored words and cost sum as the numpy path,
+        without its per-call overhead.
         """
-        if not (_is_word_list(values) and type(self.model) is WordErrorModel):
+        if not _is_word_list(values):
             values = _as_words(values)
         self._write_words(self._block_slots(start, len(values)), values)
 

@@ -7,6 +7,8 @@ are insensitive to n).  Quantitative paper-vs-measured comparison happens in
 the benchmark suite at ``default`` scale.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -24,6 +26,8 @@ from repro.experiments import (
     table3_rem,
 )
 from repro.experiments.runner import EXPERIMENTS
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestFig02:
@@ -231,17 +235,35 @@ class TestPCMSimConsistency:
             assert sim_ratio == pytest.approx(analytic_ratio, abs=0.08)
 
 
+def inventory_rows() -> list[list[str]]:
+    """Cells of the "Experiment inventory" table in docs/reproducing.md."""
+    text = (REPO_ROOT / "docs" / "reproducing.md").read_text()
+    section = text.split("## Experiment inventory", 1)[1].split("\n## ", 1)[0]
+    return [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == {
             "fig02", "fig04", "fig05_07", "table3", "fig09", "fig10",
             "fig11", "fig12", "fig13", "fig14", "fig15", "pcmsim",
             "ablation_refine", "ext_db", "ext_density", "ext_distributions",
-            "ext_external", "ext_gray", "ext_pipeline_sim", "ext_priority",
-            "ext_sequential",
+            "ext_external", "ext_gray", "ext_pipeline_sim", "ext_sequential",
             "ext_total_time", "ext_variance", "ext_write_combining",
             "ext_write_efficient",
         }
+
+    def test_docs_inventory_matches_registry(self):
+        rows = inventory_rows()
+        ids = [row[0] for row in rows]
+        assert len(ids) == len(set(ids))
+        assert set(ids) == set(EXPERIMENTS)
+        for row in rows:
+            assert (REPO_ROOT / "benchmarks" / row[3]).is_file(), row
 
 
 class TestExtensions:

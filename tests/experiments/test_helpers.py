@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.ext_gray import mean_displacement
-from repro.experiments.ext_priority import harmful_cell_threshold
 from repro.experiments.ext_total_time import total_access_ns
 from repro.experiments.fig02_cell import FIG2_T_VALUES
 from repro.experiments.fig04_sortedness import precise_write_units
@@ -49,21 +48,6 @@ class TestMeanDisplacement:
         low = mean_displacement([0], [1])
         high = mean_displacement([0], [1 << 30])
         assert high > low
-
-
-class TestHarmfulCellThreshold:
-    def test_denser_data_needs_more_protection(self):
-        assert harmful_cell_threshold(1_000_000) > harmful_cell_threshold(1_000)
-
-    def test_bounds(self):
-        for n in (1, 2, 100, 10**9):
-            threshold = harmful_cell_threshold(n)
-            assert 1 <= threshold <= 15
-
-    def test_known_values(self):
-        # n = 1500: gap ~ 2^21.5, harmful cells are 11.. -> protect 6.
-        assert harmful_cell_threshold(1_500) == 6
-        assert harmful_cell_threshold(10_000) == 7
 
 
 class TestTotalAccessTime:

@@ -433,10 +433,13 @@ class TestUniformStream:
         assert np.array_equal(window[10:15], buf[start + 10 : start + 15])
 
 
+LANE_T = (0.025, 0.055, 0.07, 0.075, 0.1, 0.124)
+
+
 class TestListLane:
     """``corrupt_list`` is ``block_cost_and_no_error`` plus
     ``corrupt_block`` on lists: same cost, stored words, corrupted count
-    and stream position."""
+    and stream position, in both encodings."""
 
     @pytest.mark.parametrize("terms", [7, 8, 9])
     def test_pairwise_order_matches_numpy(self, terms):
@@ -455,9 +458,13 @@ class TestListLane:
             x = rng.random(n) * rng.choice([1.0, 1e9, 1e-9], n)
             assert pairwise_sum(x.tolist()) == float(x.sum()), n
 
-    @pytest.mark.parametrize("t", [0.025, 0.055, 0.07, 0.075, 0.1, 0.124])
-    def test_matches_block_path(self, t):
-        model = get_model(MLCParams(t=t), samples_per_level=FIT)
+    @pytest.mark.parametrize(
+        "t, encoding",
+        [pytest.param(t, "binary", id=str(t)) for t in LANE_T]
+        + [pytest.param(t, "gray", id=f"{t}-gray") for t in LANE_T],
+    )
+    def test_matches_block_path(self, t, encoding):
+        model = get_model(MLCParams(t=t), samples_per_level=FIT, encoding=encoding)
         rng = np.random.default_rng(int(t * 1000))
         erred = 0
         for trial in range(120):

@@ -6,10 +6,8 @@ from repro.memory.approx_array import ApproxArray, WORD_LIMIT
 from repro.memory.config import MLCParams, SpintronicParams
 from repro.memory.error_model import get_model
 from repro.memory.factories import SpintronicMemoryFactory
-from repro.memory.priority import PriorityPCMMemoryFactory
 from repro.memory.stats import MemoryStats
 from repro.memory.write_combining import WriteCombiningArray
-from repro.metrics.sortedness import rem_ratio
 from repro.sorting.registry import make_sorter
 from repro.workloads.generators import uniform_keys
 
@@ -26,13 +24,6 @@ def gray_array(n, seed=0):
     )
 
 
-def priority_array(n, seed=0):
-    factory = PriorityPCMMemoryFactory(
-        [0.09] * 10 + [0.025] * 6, fit_samples=FIT
-    )
-    return factory.make_array([0] * n, seed=seed)
-
-
 def spintronic_array(n, seed=0):
     factory = SpintronicMemoryFactory(
         SpintronicParams(energy_saving=0.5, bit_error_rate=5e-4)
@@ -41,9 +32,7 @@ def spintronic_array(n, seed=0):
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
-@pytest.mark.parametrize(
-    "array_factory", [gray_array, priority_array, spintronic_array]
-)
+@pytest.mark.parametrize("array_factory", [gray_array, spintronic_array])
 def test_sorter_terminates_and_stays_in_range(name, array_factory):
     keys = uniform_keys(400, seed=1)
     array = array_factory(len(keys), seed=2)
@@ -52,16 +41,6 @@ def test_sorter_terminates_and_stays_in_range(name, array_factory):
     out = array.to_list()
     assert len(out) == len(keys)
     assert all(0 <= v < WORD_LIMIT for v in out)
-
-
-@pytest.mark.parametrize("name", ("quicksort", "lsd6"))
-def test_priority_protection_keeps_output_nearly_sorted(name):
-    """High-order protection: even at relaxed low cells, Rem stays small."""
-    keys = uniform_keys(1_000, seed=3)
-    array = priority_array(len(keys), seed=4)
-    array.write_block(0, keys)
-    make_sorter(name).sort(array)
-    assert rem_ratio(array.to_list()) < 0.1
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
@@ -74,17 +53,6 @@ def test_sorting_through_write_combining_on_approx_memory(name):
     make_sorter(name).sort(buffered)
     buffered.flush()
     assert len(backing.to_list()) == len(keys)
-
-
-def test_approx_refine_on_priority_memory_is_exact():
-    from repro.core.approx_refine import run_approx_refine
-
-    keys = uniform_keys(600, seed=7)
-    factory = PriorityPCMMemoryFactory(
-        [0.1] * 10 + [0.025] * 6, fit_samples=FIT
-    )
-    result = run_approx_refine(keys, "lsd6", factory, seed=8)
-    assert result.final_keys == sorted(keys)
 
 
 def test_approx_refine_on_gray_memory_is_exact():
