@@ -117,7 +117,6 @@ from . import (
     ext_total_time,
     ext_variance,
     ext_write_combining,
-    ext_write_efficient,
     fig02_cell,
     fig04_sortedness,
     fig05_07_shapes,
@@ -158,13 +157,12 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "ext_total_time": ext_total_time.run,
     "ext_variance": ext_variance.run,
     "ext_write_combining": ext_write_combining.run,
-    "ext_write_efficient": ext_write_efficient.run,
 }
 
 #: Experiments whose ``run()`` accepts ``jobs=`` and fans its own
 #: independent measurement cells across processes (and, when
 #: checkpointing, journals each completed cell for resume).
-CELL_PARALLEL = frozenset({"fig09", "ext_variance", "ext_write_efficient"})
+CELL_PARALLEL = frozenset({"fig09", "ext_variance"})
 
 #: Exit status when some experiments failed but the completed subset was
 #: still emitted (argparse/config errors use 2, success 0).

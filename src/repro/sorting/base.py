@@ -189,24 +189,11 @@ class BaseSorter:
         (quicksort's swaps, MSD's bucket recursion) or the sorter is not
         stable.  A stable sorter whose traffic on each array (keys, and
         ids when present) is a closed form in ``n`` publishes it, and this
-        is the one place that closed form lives: :meth:`max_key_writes`
-        and the fused path of :meth:`sort` both read it.
+        is the one place that closed form lives: the fused path of
+        :meth:`sort` charges it, and the ``write_budget`` oracle class in
+        :mod:`repro.verify.oracle` holds measured write counts to it.
         """
         return None
-
-    def max_key_writes(self, n: int) -> Optional[float]:
-        """Closed-form worst-case key writes to sort ``n`` elements.
-
-        ``None`` means the algorithm's write count is value-dependent with
-        no useful deterministic bound.  By default it is the write count of
-        :meth:`precise_schedule`; sorters with a value-independent write
-        schedule but no published traffic schedule override it.  The
-        ``write_budget`` oracle class in :mod:`repro.verify.oracle` asserts
-        measured ``MemoryStats`` write counts never exceed it, on precise
-        and approximate memory, in both kernel modes.
-        """
-        schedule = self.precise_schedule(n)
-        return None if schedule is None else float(schedule[1])
 
     @staticmethod
     def _swap(

@@ -129,8 +129,86 @@ def _bucket_bounds(lo: int, sizes) -> "list[tuple[int, int]]":
     return bounds
 
 
+def _scratch(
+    keys: InstrumentedArray, ids: Optional[InstrumentedArray], suffix: str
+) -> "tuple[InstrumentedArray, Optional[InstrumentedArray]]":
+    """Empty arrays in the same memory as ``keys`` and ``ids``."""
+    return (
+        keys.clone_empty(name=f"{keys.name}.{suffix}"),
+        ids.clone_empty(name=f"{ids.name}.{suffix}") if ids is not None else None,
+    )
+
+
+def _distribute(
+    src_keys: InstrumentedArray,
+    src_ids: Optional[InstrumentedArray],
+    dst_keys: InstrumentedArray,
+    dst_ids: Optional[InstrumentedArray],
+    lo: int,
+    count: int,
+    shift: int,
+    mask: int,
+    vector: bool,
+    sizes: bool = False,
+) -> "list[int] | None":
+    """One digit pass: ``src[lo:lo+count]`` to ``dst[lo:lo+count]`` in
+    stable digit order, keys then ids.
+
+    The scalar pass orders by :func:`_counting_order` and writes lists; the
+    vectorized one (``vector``) by a stable argsort of the narrowed digits,
+    the same order, and writes arrays.  Both make the same reads and block
+    writes, so outputs and accounted traffic are bit-identical.  ``dst``
+    may be ``src``: the segment is read before it is written.  With
+    ``sizes``, returns the bucket sizes in digit order (the scalar pass
+    counts them anyway).
+    """
+    if vector:
+        values = src_keys.read_block_np(lo, count)
+        id_values = (
+            src_ids.read_block_np(lo, count) if src_ids is not None else None
+        )
+        digits = _digits_np(values, shift, mask)
+        order = np.argsort(digits, kind="stable")
+        dst_keys.write_block(lo, values[order])
+        if dst_ids is not None:
+            dst_ids.write_block(lo, id_values[order])
+        if sizes:
+            return np.bincount(digits, minlength=mask + 1).tolist()
+        return None
+    values = src_keys.read_block(lo, count)
+    id_values = src_ids.read_block(lo, count) if src_ids is not None else None
+    order, counts = _counting_order(values, shift, mask)
+    dst_keys.write_block(lo, [values[pos] for pos in order])
+    if dst_ids is not None:
+        dst_ids.write_block(lo, [id_values[pos] for pos in order])
+    return counts
+
+
+def _copy(
+    src_keys: InstrumentedArray,
+    src_ids: Optional[InstrumentedArray],
+    dst_keys: InstrumentedArray,
+    dst_ids: Optional[InstrumentedArray],
+    lo: int,
+    count: int,
+    vector: bool,
+) -> None:
+    """Copy ``src[lo:lo+count]`` to the same positions of ``dst``, keys
+    then ids, as arrays when ``vector`` and as lists otherwise."""
+    for src, dst in ((src_keys, dst_keys), (src_ids, dst_ids)):
+        if src is not None:
+            read = src.read_block_np if vector else src.read_block
+            dst.write_block(lo, read(lo, count))
+
+
 class LSDRadixSort(BaseSorter):
     """Least-significant-digit radix sort with queue buckets.
+
+    Each pass distributes the whole array into the bucket region and
+    copies the queues back.  The Appendix-B histogram variant
+    (:class:`~repro.sorting.radix_histogram.HistogramLSDRadixSort`) clears
+    :attr:`queues`: its passes ping-pong between the array and one buffer,
+    with a copy home after an odd pass count.
 
     Parameters
     ----------
@@ -138,102 +216,38 @@ class LSDRadixSort(BaseSorter):
         Digit width; the paper evaluates 3, 4, 5 and 6.
     """
 
+    #: Registry name prefix: ``lsd3`` ... ``lsd6``.
+    family = "lsd"
+    #: Queue buckets: every pass writes each element twice (out, back).
+    queues = True
+
     def __init__(self, bits: int = 6, kernels: Optional[str] = None) -> None:
         super().__init__(kernels)
         self.bits = bits
         self._plan = lsd_digit_plan(bits)
-        self.name = f"lsd{bits}"
+        self.name = f"{self.family}{bits}"
 
     def _sort(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
     ) -> None:
         n = len(keys)
-        bucket_keys = keys.clone_empty(name=f"{keys.name}.buckets")
-        bucket_ids = (
-            ids.clone_empty(name=f"{ids.name}.buckets") if ids is not None else None
-        )
-        one_pass = (
-            self._pass_numpy
-            if self._use_numpy_kernels(keys, ids)
-            else self._pass_scalar
-        )
+        vector = self._use_numpy_kernels(keys, ids)
+        src = (keys, ids)
+        dst = _scratch(keys, ids, "buckets" if self.queues else "radix-buffer")
         tracer = get_tracer()
         for index, (shift, mask) in enumerate(self._plan):
-            if tracer.enabled:
-                with tracer.span(
-                    f"radix.pass{index}", stats=keys.stats,
-                    attrs={"algo": self.name, "shift": shift},
-                ):
-                    one_pass(keys, ids, bucket_keys, bucket_ids, shift, mask)
-            else:
-                one_pass(keys, ids, bucket_keys, bucket_ids, shift, mask)
-
-    def _pass_scalar(
-        self,
-        keys: InstrumentedArray,
-        ids: Optional[InstrumentedArray],
-        bucket_keys: InstrumentedArray,
-        bucket_ids: Optional[InstrumentedArray],
-        shift: int,
-        mask: int,
-    ) -> None:
-        """One queue-distribution pass over the whole array."""
-        n = len(keys)
-        n_buckets = (1 << self.bits)
-        values = keys.read_block(0, n)
-        id_values = ids.read_block(0, n) if ids is not None else None
-
-        # Stable distribution into queues (bucket contents preserve the
-        # incoming order — the property LSD's correctness relies on).
-        key_queues: list[list[int]] = [[] for _ in range(n_buckets)]
-        id_queues: list[list[int]] = [[] for _ in range(n_buckets)]
-        for pos, value in enumerate(values):
-            digit = (value >> shift) & mask
-            key_queues[digit].append(value)
-            if id_values is not None:
-                id_queues[digit].append(id_values[pos])
-
-        # Write 1: append every element to its bucket queue.
-        concatenated_keys = [v for queue in key_queues for v in queue]
-        bucket_keys.write_block(0, concatenated_keys)
-        if bucket_ids is not None and id_values is not None:
-            concatenated_ids = [v for queue in id_queues for v in queue]
-            bucket_ids.write_block(0, concatenated_ids)
-
-        # Write 2: copy the concatenated queues back into the array.
-        keys.write_block(0, bucket_keys.read_block(0, n))
-        if ids is not None and bucket_ids is not None:
-            ids.write_block(0, bucket_ids.read_block(0, n))
-
-    def _pass_numpy(
-        self,
-        keys: InstrumentedArray,
-        ids: Optional[InstrumentedArray],
-        bucket_keys: InstrumentedArray,
-        bucket_ids: Optional[InstrumentedArray],
-        shift: int,
-        mask: int,
-    ) -> None:
-        """Vectorized pass: stable argsort over the extracted digits.
-
-        A stable sort by digit value yields exactly the queue-concatenation
-        order of the scalar path, so outputs are bit-identical; the block
-        reads/writes account the same ``2n`` reads and ``2n`` writes per
-        pass as the scalar path.
-        """
-        n = len(keys)
-        values = keys.read_block_np(0, n)
-        id_values = ids.read_block_np(0, n) if ids is not None else None
-
-        order = np.argsort(_digits_np(values, shift, mask), kind="stable")
-
-        bucket_keys.write_block(0, values[order])
-        if bucket_ids is not None and id_values is not None:
-            bucket_ids.write_block(0, id_values[order])
-
-        keys.write_block(0, bucket_keys.read_block_np(0, n))
-        if ids is not None and bucket_ids is not None:
-            ids.write_block(0, bucket_ids.read_block_np(0, n))
+            with tracer.span(
+                f"radix.pass{index}", stats=keys.stats,
+                attrs={"algo": self.name, "shift": shift},
+            ):
+                _distribute(*src, *dst, 0, n, shift, mask, vector)
+                if self.queues:
+                    _copy(*dst, *src, 0, n, vector)
+                else:
+                    src, dst = dst, src
+        if src[0] is not keys:
+            # Odd histogram pass count: the result sits in the buffer.
+            _copy(*src, keys, ids, 0, n, vector)
 
     def precise_schedule(self, n: int) -> "tuple[int, int]":
         """Per array, each pass moves every element out to the bucket region
@@ -242,7 +256,7 @@ class LSDRadixSort(BaseSorter):
         return touches, touches
 
     def expected_key_writes(self, n: int) -> float:
-        """alpha_LSD(n): two writes per element per pass."""
+        """alpha(n): the key writes of :meth:`precise_schedule`."""
         return float(self.precise_schedule(n)[1])
 
 
@@ -252,27 +266,28 @@ class MSDRadixSort(BaseSorter):
     Recursion proceeds bucket by bucket; a segment stops recursing when it
     has at most one element or the digit plan is exhausted.  Like quicksort,
     the divide structure confines an imprecise element's damage to its own
-    bucket (paper Section 3.5).
+    bucket (paper Section 3.5).  A queue pass distributes a segment into
+    the bucket region and copies it back; the Appendix-B histogram variant
+    (:class:`~repro.sorting.radix_histogram.HistogramMSDRadixSort`) clears
+    :attr:`queues` and permutes the segment in place.
     """
+
+    #: Registry name prefix: ``msd3`` ... ``msd6``.
+    family = "msd"
+    #: Queue buckets: every pass writes each element twice (out, back).
+    queues = True
 
     def __init__(self, bits: int = 6, kernels: Optional[str] = None) -> None:
         super().__init__(kernels)
         self.bits = bits
         self._plan = msd_digit_plan(bits)
-        self.name = f"msd{bits}"
+        self.name = f"{self.family}{bits}"
 
     def _sort(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
     ) -> None:
-        bucket_keys = keys.clone_empty(name=f"{keys.name}.buckets")
-        bucket_ids = (
-            ids.clone_empty(name=f"{ids.name}.buckets") if ids is not None else None
-        )
-        partition = (
-            self._partition_segment_np
-            if self._use_numpy_kernels(keys, ids)
-            else self._partition_segment
-        )
+        buckets = _scratch(keys, ids, "buckets") if self.queues else (keys, ids)
+        numpy = self._use_numpy_kernels(keys, ids)
         tracer = get_tracer()
         # Per-depth rollup (segments partitioned, elements moved) emitted as
         # counters after the walk; only accumulated when tracing is on.
@@ -291,14 +306,14 @@ class MSDRadixSort(BaseSorter):
             shift, mask = self._plan[depth]
             # Small segments take the scalar pass in either kernel mode: it
             # is bit-identical to the vectorized one, and cheaper there.
-            split = (
-                self._partition_segment if hi - lo <= SEGMENT_LANE_MAX_KEYS
-                else partition
+            vector = numpy and hi - lo > SEGMENT_LANE_MAX_KEYS
+            sizes = _distribute(
+                keys, ids, *buckets, lo, hi - lo, shift, mask, vector,
+                sizes=True,
             )
-            sub_bounds = split(
-                keys, ids, bucket_keys, bucket_ids, lo, hi, shift, mask
-            )
-            for sub_lo, sub_hi in sub_bounds:
+            if self.queues:
+                _copy(*buckets, keys, ids, lo, hi - lo, vector)
+            for sub_lo, sub_hi in _bucket_bounds(lo, sizes):
                 if sub_hi - sub_lo > 1:
                     stack.append((sub_lo, sub_hi, depth + 1))
         for depth in sorted(by_depth):
@@ -307,87 +322,20 @@ class MSDRadixSort(BaseSorter):
             tracer.counter("msd.depth.segments", segments, attrs=depth_attrs)
             tracer.counter("msd.depth.elements", elements, attrs=depth_attrs)
 
-    @staticmethod
-    def _partition_segment(
-        keys: InstrumentedArray,
-        ids: Optional[InstrumentedArray],
-        bucket_keys: InstrumentedArray,
-        bucket_ids: Optional[InstrumentedArray],
-        lo: int,
-        hi: int,
-        shift: int,
-        mask: int,
-    ) -> list[tuple[int, int]]:
-        """One queue-distribution pass over ``keys[lo:hi]``.
+    def _levels(self, n: int) -> int:
+        """Levels a sort of ``n`` uniform keys touches.
 
-        The queues' concatenation is the stable digit order of
-        :func:`_counting_order`.  Returns the sub-segment boundaries of the
-        non-empty buckets, in digit order.
-        """
-        count = hi - lo
-        values = keys.read_block(lo, count)
-        id_values = ids.read_block(lo, count) if ids is not None else None
-        order, sizes = _counting_order(values, shift, mask)
-
-        # Write 1: bucket-queue appends (into the bucket region).
-        bucket_keys.write_block(lo, [values[pos] for pos in order])
-        if bucket_ids is not None and id_values is not None:
-            bucket_ids.write_block(lo, [id_values[pos] for pos in order])
-
-        # Write 2: copy the concatenated queues back into the segment.
-        keys.write_block(lo, bucket_keys.read_block(lo, count))
-        if ids is not None and bucket_ids is not None:
-            ids.write_block(lo, bucket_ids.read_block(lo, count))
-
-        return _bucket_bounds(lo, sizes)
-
-    @staticmethod
-    def _partition_segment_np(
-        keys: InstrumentedArray,
-        ids: Optional[InstrumentedArray],
-        bucket_keys: InstrumentedArray,
-        bucket_ids: Optional[InstrumentedArray],
-        lo: int,
-        hi: int,
-        shift: int,
-        mask: int,
-    ) -> list[tuple[int, int]]:
-        """Vectorized queue-distribution pass over ``keys[lo:hi]``.
-
-        Stable argsort by digit reproduces the scalar queue concatenation
-        bit for bit; ``np.bincount`` gives the bucket sizes the boundary
-        list is built from.  Accounted traffic matches the scalar pass.
-        """
-        count = hi - lo
-        values = keys.read_block_np(lo, count)
-        id_values = ids.read_block_np(lo, count) if ids is not None else None
-
-        digits = _digits_np(values, shift, mask)
-        order = np.argsort(digits, kind="stable")
-        sizes = np.bincount(digits, minlength=mask + 1)
-
-        bucket_keys.write_block(lo, values[order])
-        if bucket_ids is not None and id_values is not None:
-            bucket_ids.write_block(lo, id_values[order])
-
-        keys.write_block(lo, bucket_keys.read_block_np(lo, count))
-        if ids is not None and bucket_ids is not None:
-            ids.write_block(lo, bucket_ids.read_block_np(lo, count))
-
-        return _bucket_bounds(lo, sizes.tolist())
-
-    def expected_key_writes(self, n: int) -> float:
-        """alpha_MSD(n): two writes per element per *touched* level.
-
-        Under uniform keys a segment of size m fans out 2^bits ways, so
-        recursion reaches roughly ``log_{2^bits}(n)`` levels (plus the level
-        that reduces segments to single elements), capped by the digit-plan
-        length.
+        A segment of size m fans out 2^bits ways, so recursion reaches
+        roughly ``log_{2^bits}(n)`` levels (plus the level that reduces
+        segments to single elements), capped by the digit-plan length.
         """
         if n < 2:
-            return 0.0
-        levels = min(
+            return 0
+        return min(
             len(self._plan),
             max(1, math.ceil(math.log(n) / math.log(2 ** self.bits))),
         )
-        return 2.0 * levels * n
+
+    def expected_key_writes(self, n: int) -> float:
+        """alpha_MSD(n): two writes per element per touched level."""
+        return 2.0 * self._levels(n) * n

@@ -4,9 +4,6 @@ The experiment harness and the approx-refine mechanism refer to algorithms
 by the short names the paper uses in its figures: ``quicksort``,
 ``mergesort``, ``lsd3``–``lsd6``, ``msd3``–``msd6`` (queue buckets), and the
 Appendix-B histogram variants ``hlsd3``–``hlsd6`` / ``hmsd3``–``hmsd6``.
-The write-efficient family from asymmetric read/write cost theory
-(DESIGN.md section 16) registers as ``wesample`` and
-``wemerge4``/``wemerge8``/``wemerge16``.
 """
 
 from __future__ import annotations
@@ -23,24 +20,13 @@ from .natural_merge import NaturalMergesort
 from .quicksort import Quicksort
 from .radix import LSDRadixSort, MSDRadixSort
 from .radix_histogram import HistogramLSDRadixSort, HistogramMSDRadixSort
-from .write_efficient import WriteEfficientKWayMergesort, WriteEfficientSampleSort
-
-#: Registered fan-ins for the write-efficient k-way mergesort
-#: (``wemerge4`` ... ``wemerge16``); other fan-ins are constructed
-#: directly with ``WriteEfficientKWayMergesort(k=...)``.
-WEMERGE_FANINS = (4, 8, 16)
 
 _FACTORIES: dict[str, Callable[[], BaseSorter]] = {
     "quicksort": Quicksort,
     "mergesort": Mergesort,
     "insertion": InsertionSort,
     "natural_merge": NaturalMergesort,
-    "wesample": WriteEfficientSampleSort,
 }
-for _k in WEMERGE_FANINS:
-    _FACTORIES[f"wemerge{_k}"] = (
-        lambda kk: lambda: WriteEfficientKWayMergesort(k=kk)
-    )(_k)
 for _bits in (3, 4, 5, 6):
     _FACTORIES[f"lsd{_bits}"] = (lambda b: lambda: LSDRadixSort(bits=b))(_bits)
     _FACTORIES[f"msd{_bits}"] = (lambda b: lambda: MSDRadixSort(bits=b))(_bits)
@@ -67,8 +53,6 @@ APPROX_KERNEL_EXACT = frozenset(
     for name in (
         "insertion",
         "natural_merge",
-        "wesample",
-        *(f"wemerge{k}" for k in WEMERGE_FANINS),
         *(f"{fam}{bits}" for fam in ("lsd", "msd", "hlsd", "hmsd")
           for bits in (3, 4, 5, 6)),
     )
@@ -194,10 +178,6 @@ def _implicit_kwargs(instance: BaseSorter) -> dict:
         kwargs["bits"] = instance.bits
     if hasattr(instance, "seed"):
         kwargs["seed"] = instance.seed
-    if hasattr(instance, "k"):
-        kwargs["k"] = instance.k
-    if hasattr(instance, "sample_rate"):
-        kwargs["sample_rate"] = instance.sample_rate
     if hasattr(instance, "base"):
         # ShardedSorter: reproduce the wrapper around the same base sorter.
         kwargs.update(

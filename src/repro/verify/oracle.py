@@ -32,16 +32,14 @@ and compares everything observable:
     approximate memory.  Sharded execution must be a pure performance
     decision, never an observable one.
 ``write_budget``
-    Measured key-write counts vs the sorter's closed-form worst-case
-    bound (:meth:`~repro.sorting.base.BaseSorter.max_key_writes`).  For
-    every sorter with a value-independent write schedule (mergesort, LSD
-    radix, and the write-efficient family of DESIGN.md section 16), both
-    kernel modes are run on precise *and* approximate memory and the
-    ``MemoryStats`` write counters must not exceed the bound — the
-    write-efficiency claims are machine-checked, never asserted.
-    Sorters whose write count is value-dependent (quicksort's swaps, MSD
-    recursion) return ``None`` from ``max_key_writes`` and the class
-    degenerates to a no-op.
+    Measured key-write counts vs the writes of the sorter's
+    :meth:`~repro.sorting.base.BaseSorter.precise_schedule`, the formula
+    the fused path charges.  For every sorter that publishes one
+    (mergesort, ``lsd*`` and ``hlsd*``), both kernel modes are run on
+    precise *and* approximate memory and the ``MemoryStats`` write
+    counters must not exceed it.  Sorters whose traffic is
+    value-dependent (quicksort's swaps, MSD recursion) publish ``None``
+    and the class degenerates to a no-op.
 
 Every divergence is reported as a :class:`Divergence` carrying the first
 differing element/counter and a replayable description of the case; the
@@ -481,17 +479,18 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
 
 
 def check_write_budget(case: OracleCase) -> list[Divergence]:
-    """Measured key writes never exceed the closed-form worst-case bound.
+    """Measured key writes never exceed the sorter's published schedule.
 
-    Sorters with a value-independent write schedule publish an exact
-    worst-case key-write count via ``max_key_writes``; this class sorts
-    the case's keys (keys only — the bound prices *key* writes, the
-    paper's TEPMW currency) in both kernel modes on precise and
-    approximate memory and compares the measured ``MemoryStats`` write
-    counters against the bound.  The precise lane additionally requires
-    a correctly sorted output — a sorter must not buy writes back by not
-    sorting.  ``max_key_writes() is None`` (value-dependent schedule)
-    degenerates to a no-op.
+    This class sorts the case's keys (keys only: the schedule is per
+    array, and key writes are the paper's TEPMW currency) in both kernel
+    modes on precise and approximate memory, and compares the measured
+    ``MemoryStats`` write counters with the writes of
+    ``precise_schedule(n)``.  The numpy precise lane takes the fused path,
+    which charges that very schedule, so the scalar lane and the two
+    approximate lanes are the ones that measure ``_sort``.  Both precise
+    lanes also require a correctly sorted output: a sorter must not buy
+    writes back by not sorting.  A ``None`` schedule (value-dependent
+    traffic) makes the class a no-op.
     """
     from repro.memory.approx_array import PreciseArray
     from repro.sorting.registry import make_base_sorter, with_kernels
@@ -499,9 +498,10 @@ def check_write_budget(case: OracleCase) -> list[Divergence]:
     out: list[Divergence] = []
     name = "write_budget"
     sorter = make_base_sorter(case.algorithm)
-    bound = sorter.max_key_writes(case.n)
-    if bound is None:
+    schedule = sorter.precise_schedule(case.n)
+    if schedule is None:
         return out
+    bound = schedule[1]
     keys = case.keys()
     memory = memory_for(case.t)
     for mode in ("scalar", "numpy"):
@@ -516,8 +516,9 @@ def check_write_budget(case: OracleCase) -> list[Divergence]:
         if stats.precise_writes > bound:
             out.append(Divergence(
                 name, f"precise[{mode}].writes", None,
-                f"<= {bound:g}", stats.precise_writes,
-                detail=f"n={case.n}, bound from {case.algorithm}.max_key_writes",
+                f"<= {bound}", stats.precise_writes,
+                detail=(f"n={case.n}, bound from"
+                        f" {case.algorithm}.precise_schedule"),
             ))
             return out
         approx_stats = MemoryStats()
@@ -525,7 +526,7 @@ def check_write_budget(case: OracleCase) -> list[Divergence]:
         if approx_stats.approx_writes > bound:
             out.append(Divergence(
                 name, f"approx[{mode}].writes", None,
-                f"<= {bound:g}", approx_stats.approx_writes,
+                f"<= {bound}", approx_stats.approx_writes,
                 detail=f"n={case.n}, T={case.t}",
             ))
             return out

@@ -254,7 +254,6 @@ class TestRegistry:
             "ablation_refine", "ext_db", "ext_density", "ext_distributions",
             "ext_external", "ext_gray", "ext_pipeline_sim", "ext_sequential",
             "ext_total_time", "ext_variance", "ext_write_combining",
-            "ext_write_efficient",
         }
 
     def test_docs_inventory_matches_registry(self):
@@ -351,38 +350,6 @@ class TestExtensions:
         for algorithm in ext_write_combining.ALGORITHMS:
             values = [by[(algorithm, c)] for c in (16, 64, 256)]
             assert values[0] <= values[-1] + 1e-9
-
-    def test_ext_write_efficient_smoke(self):
-        from repro.experiments import ext_write_efficient
-
-        table = ext_write_efficient.run(scale="smoke", seed=1)
-        writes = {
-            (row[0], row[1]): row[2] for row in table.rows
-        }
-        bounds = {
-            (row[0], row[1]): row[3] for row in table.rows
-        }
-        mergesort_writes = writes[("mergesort", "-")]
-        # The acceptance claim: every wemerge fan-in strictly beats binary
-        # mergesort's write count at equal n, and deeper fan-in never
-        # writes more.
-        assert writes[("wemerge4", "k=4")] < mergesort_writes
-        assert writes[("wemerge8", "k=8")] <= writes[("wemerge4", "k=4")]
-        assert writes[("wemerge16", "k=16")] <= writes[("wemerge8", "k=8")]
-        # Sample sort sits at the n-writes floor regardless of rate.
-        n = writes[("wesample", "rate=0.02")]
-        assert n == writes[("wesample", "rate=0.05")]
-        assert n < writes[("wemerge16", "k=16")]
-        # Measured never exceeds the closed-form bound (machine check).
-        for cell, measured in writes.items():
-            assert measured <= bounds[cell], cell
-
-    def test_ext_write_efficient_parallel_identical(self):
-        from repro.experiments import ext_write_efficient
-
-        serial = ext_write_efficient.run(scale="smoke", seed=1, jobs=1)
-        fanned = ext_write_efficient.run(scale="smoke", seed=1, jobs=2)
-        assert serial.rows == fanned.rows
 
     def test_ext_pipeline_sim_smoke(self):
         from repro.experiments import ext_pipeline_sim

@@ -247,7 +247,7 @@ class TestCheckpointResumeCLI:
         marked = {
             line.split()[0] for line in lines if "cell-parallel" in line
         }
-        assert marked == {"fig09", "ext_variance", "ext_write_efficient"}
+        assert marked == {"fig09", "ext_variance"}
 
 
 @pytest.mark.slow

@@ -9,11 +9,10 @@ unit tests so a regression is caught even with the verify lane skipped:
   in one bucket, quicksort's worst partition balance;
 * all max-word keys — the P&V model's highest level on every write, the
   largest representable digit in every radix pass;
-* duplicate-heavy, already-sorted and reverse-sorted keys — adversarial
-  for the sample-sort splitter path (``wesample``): a tiny key universe
-  makes most sampled splitters collide (empty buckets, one giant
-  bucket), and monotone inputs stress the stability of bucket
-  concatenation and of the k-way tournament's tie-breaking.
+* duplicate-heavy, already-sorted and reverse-sorted keys — a tiny key
+  universe leaves most radix buckets empty and one giant, and monotone
+  inputs stress the stability of bucket concatenation and of the merge's
+  tie-breaking.
 """
 
 import pytest
@@ -29,7 +28,7 @@ WORKLOADS = {
     "singleton": [123_456_789],
     "all_equal": [7] * EDGE_N,
     "max_word": [WORD_LIMIT - 1] * EDGE_N,
-    # Three-value universe: nearly all of wesample's splitters collide.
+    # Three-value universe: nearly every radix bucket is empty.
     "dup_heavy": [(i * 7) % 3 for i in range(EDGE_N)],
     "already_sorted": list(range(EDGE_N)),
     "reverse_sorted": list(range(EDGE_N - 1, -1, -1)),

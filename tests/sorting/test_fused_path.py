@@ -174,7 +174,6 @@ class TestSchedule:
         reads, writes = sorter.precise_schedule(n)
         assert reads == writes
         assert sorter.expected_key_writes(n) == writes
-        assert sorter.max_key_writes(n) == writes
 
 
 @pytest.mark.parametrize("name", available_sorters())

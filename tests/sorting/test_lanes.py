@@ -23,7 +23,7 @@ from repro.memory import approx_array
 from repro.memory.approx_array import ApproxArray, PreciseArray
 from repro.memory.error_model import LIST_LANE_MAX_WORDS
 from repro.obs import Tracer, set_tracer
-from repro.sorting import radix, radix_histogram
+from repro.sorting import radix
 from repro.sorting.quicksort import Quicksort
 from repro.workloads.generators import make_keys
 
@@ -62,7 +62,6 @@ def _run(run, monkeypatch, lanes):
         if not lanes:
             patch.setattr(approx_array, "LIST_LANE_MAX_WORDS", -1)
             patch.setattr(radix, "SEGMENT_LANE_MAX_KEYS", 0)
-            patch.setattr(radix_histogram, "SEGMENT_LANE_MAX_KEYS", 0)
             patch.setattr(Quicksort, "_lanes", lambda self, keys, ids: False)
         return run()
 

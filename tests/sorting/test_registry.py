@@ -5,19 +5,24 @@ import pytest
 from repro.sorting.mergesort import Mergesort
 from repro.sorting.quicksort import Quicksort
 from repro.sorting.radix import LSDRadixSort
-from repro.sorting.registry import available_sorters, make_sorter
+from repro.sorting.registry import (
+    available_sorters,
+    make_base_sorter,
+    make_sorter,
+    with_kernels,
+)
 
 
 class TestRegistry:
     def test_all_expected_names_present(self):
         names = available_sorters()
-        expected = {"quicksort", "mergesort", "insertion", "natural_merge",
-                    "wesample", "wemerge4", "wemerge8", "wemerge16"}
+        expected = {"quicksort", "mergesort", "insertion", "natural_merge"}
         for bits in (3, 4, 5, 6):
             expected.update(
                 {f"lsd{bits}", f"msd{bits}", f"hlsd{bits}", f"hmsd{bits}"}
             )
         assert set(names) == expected
+        assert len(names) == 20
 
     def test_sorted_listing(self):
         names = available_sorters()
@@ -45,6 +50,25 @@ class TestRegistry:
     def test_kwargs_preserve_bits(self):
         sorter = make_sorter("msd4", bits=4)
         assert sorter.bits == 4
+
+    @pytest.mark.parametrize("name", available_sorters())
+    def test_with_kernels_preserves_configuration(self, name):
+        """Non-default constructor kwargs survive a kernel-mode copy."""
+        kwargs = {}
+        if name.rstrip("3456") in ("lsd", "msd", "hlsd", "hmsd"):
+            # A digit width other than the one the name registers.
+            kwargs["bits"] = 3 if name.endswith("6") else 6
+        if name == "quicksort":
+            kwargs["seed"] = 99
+        sorter = make_base_sorter(name, **kwargs)
+        for kernels in ("numpy", "scalar", None):
+            copy = with_kernels(sorter, kernels)
+            assert type(copy) is type(sorter)
+            assert copy is not sorter
+            assert copy.kernels == kernels
+            assert copy.name == sorter.name
+            for attr, value in kwargs.items():
+                assert getattr(copy, attr) == value
 
     def test_unknown_name_rejected_with_listing(self):
         with pytest.raises(ValueError, match="unknown sorter"):

@@ -65,7 +65,7 @@ MEASURED_FIELDS = frozenset({
 #: enforces it); other files adopt the rule as soon as one record has it.
 SCHEMA_REQUIRED = frozenset({
     "BENCH_obs.json", "BENCH_parallel.json", "BENCH_runner.json",
-    "BENCH_sorters.json", "BENCH_write_efficient.json",
+    "BENCH_sorters.json",
 })
 
 #: Primary timing metric, first match wins (seconds-like, lower is better).
