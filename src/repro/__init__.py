@@ -59,7 +59,6 @@ from .memory import (
 from .errors import (
     CheckpointCorruptError,
     ConfigError,
-    ExperimentError,
     ReproError,
 )
 from .memory.factories import PCMMemoryFactory, SpintronicMemoryFactory
@@ -75,7 +74,6 @@ __all__ = [
     "BaselineResult",
     "CheckpointCorruptError",
     "ConfigError",
-    "ExperimentError",
     "MLCParams",
     "MemoryStats",
     "PCMMemoryFactory",

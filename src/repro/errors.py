@@ -13,8 +13,6 @@ The hierarchy:
   malformed fault spec, resume selection that contradicts the recorded run).
   Also a :class:`ValueError`, so long-standing ``except ValueError`` call
   sites keep working.
-* :class:`ExperimentError` — an experiment failed to produce its table
-  (crashed worker, timeout, in-experiment exception), after any retries.
 * :class:`CheckpointCorruptError` — a checkpoint store under
   ``.repro_runs/<run-id>/`` cannot be trusted: a manifest, journal or result
   file failed to parse or carries an unknown schema version.  Always names
@@ -41,28 +39,6 @@ class ConfigError(ReproError, ValueError):
     Inherits :class:`ValueError` for backward compatibility with callers
     that predate the hierarchy.
     """
-
-
-class ExperimentError(ReproError):
-    """An experiment failed to complete, after any configured retries.
-
-    Attributes
-    ----------
-    name:
-        The experiment's registry name (e.g. ``"fig09"``).
-    reason:
-        Human-readable failure cause ("crashed (exit code 86)",
-        "timed out after 30s", "ValueError: ...").
-    attempts:
-        How many attempts were made, including the first.
-    """
-
-    def __init__(self, name: str, reason: str, attempts: int = 1) -> None:
-        self.name = name
-        self.reason = reason
-        self.attempts = attempts
-        noun = "attempt" if attempts == 1 else "attempts"
-        super().__init__(f"{name} failed after {attempts} {noun}: {reason}")
 
 
 class SanitizerError(ReproError):

@@ -107,10 +107,8 @@ from .common import (
 
 from . import (
     ablation_refine,
-    ext_db,
     ext_density,
     ext_distributions,
-    ext_external,
     ext_gray,
     ext_pipeline_sim,
     ext_sequential,
@@ -147,10 +145,8 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "fig15": fig15_histogram_radix.run,
     "pcmsim": pcmsim_consistency.run,
     "ablation_refine": ablation_refine.run,
-    "ext_db": ext_db.run,
     "ext_density": ext_density.run,
     "ext_distributions": ext_distributions.run,
-    "ext_external": ext_external.run,
     "ext_gray": ext_gray.run,
     "ext_pipeline_sim": ext_pipeline_sim.run,
     "ext_sequential": ext_sequential.run,

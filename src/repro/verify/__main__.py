@@ -116,7 +116,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     print(
         f"fuzz: {stats.cases_run} cases ({stats.edge_cases} edge,"
-        f" {stats.random_cases} random) in {stats.elapsed_s:.1f}s;"
+        f" {stats.random_cases} random, {stats.truncated_cases} truncated)"
+        f" in {stats.elapsed_s:.1f}s;"
         f" {checks_performed()} sanitizer checks;"
         f" {len(stats.findings)} finding(s)"
     )

@@ -14,6 +14,11 @@ the failing classes at smaller sizes, keeping the smallest still-failing
 configuration) and persisted as a replayable JSON file under
 ``.repro_fuzz/``; ``python -m repro.verify fuzz --replay <file>`` re-runs
 it verbatim.
+
+No equivalence class starts after the budget has run out, so a session
+overruns it by at most one class run (plus the shrinking of a finding).
+The case the budget cuts short counts as run and is reported as
+truncated; it is never a finding.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class FuzzStats:
     cases_run: int = 0
     edge_cases: int = 0
     random_cases: int = 0
+    #: Cases the budget cut short (at most one, the last).
+    truncated_cases: int = 0
     elapsed_s: float = 0.0
     findings: list[dict] = field(default_factory=list)
     case_files: list[str] = field(default_factory=list)
@@ -100,10 +107,12 @@ def draw_case(rng: Random, max_n: int, algorithms: list[str]) -> OracleCase:
     )
 
 
-def _run_guarded(case: OracleCase, classes) -> CaseResult:
+def _run_guarded(
+    case: OracleCase, classes, deadline: Optional[float] = None
+) -> CaseResult:
     """Run a case, converting crashes into reportable findings."""
     try:
-        return run_case(case, classes=classes)
+        return run_case(case, classes=classes, deadline=deadline)
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
         result = CaseResult(case=case)
         result.divergences.append(_crash_divergence(exc))
@@ -218,6 +227,7 @@ def run_fuzz(
     rng = Random(seed)
     stats = FuzzStats()
     started = time.monotonic()
+    deadline = started + budget_s
 
     def out_of_time() -> bool:
         stats.elapsed_s = time.monotonic() - started
@@ -229,6 +239,14 @@ def run_fuzz(
             stats.edge_cases += 1
         else:
             stats.random_cases += 1
+        if result.truncated:
+            stats.truncated_cases += 1
+            if report is not None:
+                report(
+                    f"CUT  {result.case.describe()} after"
+                    f" [{', '.join(result.classes_run)}]: budget spent"
+                )
+            return
         if result.passed:
             return
         _, shrunk_result = shrink(result.case, class_names, failing=result)
@@ -250,7 +268,7 @@ def run_fuzz(
         for case in edge_corpus(names, seed=seed):
             if out_of_time():
                 return stats
-            handle(_run_guarded(case, class_names), "edge")
+            handle(_run_guarded(case, class_names, deadline), "edge")
             if report is not None and stats.cases_run % 20 == 0:
                 report(
                     f"... {stats.cases_run} cases"
@@ -258,7 +276,7 @@ def run_fuzz(
                 )
         while not out_of_time():
             case = draw_case(rng, max_n, names)
-            handle(_run_guarded(case, class_names), "random")
+            handle(_run_guarded(case, class_names, deadline), "random")
             if report is not None and stats.cases_run % 20 == 0:
                 report(
                     f"... {stats.cases_run} cases"

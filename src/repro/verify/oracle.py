@@ -53,6 +53,7 @@ import hashlib
 import math
 import os
 import tempfile
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -139,6 +140,8 @@ class CaseResult:
     case: OracleCase
     classes_run: list[str] = field(default_factory=list)
     divergences: list[Divergence] = field(default_factory=list)
+    #: The deadline passed before every selected class had started.
+    truncated: bool = False
 
     @property
     def passed(self) -> bool:
@@ -571,15 +574,24 @@ def resolve_classes(spec: "str | list[str] | None") -> list[str]:
 
 
 def run_case(
-    case: OracleCase, classes: "str | list[str] | None" = None
+    case: OracleCase,
+    classes: "str | list[str] | None" = None,
+    deadline: Optional[float] = None,
 ) -> CaseResult:
-    """Run ``case`` through the selected equivalence classes."""
+    """Run ``case`` through the selected equivalence classes.
+
+    No class starts once ``time.monotonic()`` has reached ``deadline``;
+    such a case comes back ``truncated``.
+    """
     if case.algorithm not in available_sorters():
         raise ValueError(f"unknown sorter {case.algorithm!r}")
     if case.workload not in GENERATORS and case.workload not in EXTRA_WORKLOADS:
         raise ValueError(f"unknown workload {case.workload!r}")
     result = CaseResult(case=case)
     for class_name in resolve_classes(classes):
+        if deadline is not None and time.monotonic() >= deadline:
+            result.truncated = True
+            break
         check = EQUIVALENCE_CLASSES[class_name]
         result.classes_run.append(class_name)
         result.divergences.extend(check(case))

@@ -251,9 +251,9 @@ class TestRegistry:
         assert set(EXPERIMENTS) == {
             "fig02", "fig04", "fig05_07", "table3", "fig09", "fig10",
             "fig11", "fig12", "fig13", "fig14", "fig15", "pcmsim",
-            "ablation_refine", "ext_db", "ext_density", "ext_distributions",
-            "ext_external", "ext_gray", "ext_pipeline_sim", "ext_sequential",
-            "ext_total_time", "ext_variance", "ext_write_combining",
+            "ablation_refine", "ext_density", "ext_distributions", "ext_gray",
+            "ext_pipeline_sim", "ext_sequential", "ext_total_time",
+            "ext_variance", "ext_write_combining",
         }
 
     def test_docs_inventory_matches_registry(self):
@@ -304,26 +304,6 @@ class TestExtensions:
         for row in table.rows:
             if row[1] in ("quicksort", "lsd6", "msd6"):
                 assert row[2] < 0.1
-
-    def test_ext_db_smoke(self):
-        from repro.experiments import ext_db
-
-        table = ext_db.run(scale="smoke", seed=1)
-        assert [row[0] for row in table.rows] == [
-            "order_by", "group_by", "join",
-        ]
-        for row in table.rows:
-            # The predictor should choose the hybrid plan at the sweet spot
-            # and every operator should retain a positive reduction.
-            assert row[1] == "approx-refine"
-            assert row[2] > 0
-
-    def test_ext_external_smoke(self):
-        from repro.experiments import ext_external
-
-        table = ext_external.run(scale="smoke", seed=1)
-        assert all(row[3] for row in table.rows)  # identical I/O schedules
-        assert all(row[2] > 0 for row in table.rows)
 
     def test_ext_variance_smoke(self):
         from repro.experiments import ext_variance

@@ -6,7 +6,6 @@ import repro
 from repro.errors import (
     CheckpointCorruptError,
     ConfigError,
-    ExperimentError,
     ReproError,
 )
 
@@ -14,7 +13,6 @@ from repro.errors import (
 class TestHierarchy:
     def test_all_derive_from_repro_error(self):
         assert issubclass(ConfigError, ReproError)
-        assert issubclass(ExperimentError, ReproError)
         assert issubclass(CheckpointCorruptError, ReproError)
 
     def test_config_error_is_a_value_error(self):
@@ -26,25 +24,13 @@ class TestHierarchy:
 
     def test_exported_from_package_root(self):
         for name in (
-            "ReproError", "ConfigError", "ExperimentError",
-            "CheckpointCorruptError",
+            "ReproError", "ConfigError", "CheckpointCorruptError",
         ):
             assert getattr(repro, name) is not None
             assert name in repro.__all__
 
 
 class TestMessages:
-    def test_experiment_error_counts_attempts(self):
-        error = ExperimentError("fig09", "crashed (exit code 86)", attempts=3)
-        assert error.name == "fig09"
-        assert error.attempts == 3
-        assert "fig09 failed after 3 attempts" in str(error)
-        assert "crashed (exit code 86)" in str(error)
-
-    def test_experiment_error_singular_attempt(self):
-        error = ExperimentError("table3", "timed out")
-        assert "after 1 attempt:" in str(error)
-
     def test_checkpoint_corrupt_error_names_path(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         error = CheckpointCorruptError(journal, "line 3 is not valid JSON")

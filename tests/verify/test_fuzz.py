@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 from random import Random
 
 import pytest
@@ -177,6 +178,38 @@ class TestRunFuzz:
             assert not replayed.passed  # still fails on replay
         assert any(line.startswith("FAIL") for line in lines)
 
+    def test_budget_spent_in_first_class_starts_no_second(
+        self, tmp_path, monkeypatch
+    ):
+        budget_s = 0.2
+        started = []
+
+        def slow(case):
+            started.append("slow")
+            time.sleep(budget_s + 0.05)
+            return []
+
+        def second(case):
+            started.append("second")
+            return []
+
+        monkeypatch.setitem(EQUIVALENCE_CLASSES, "slow_injected", slow)
+        monkeypatch.setitem(EQUIVALENCE_CLASSES, "second_injected", second)
+        lines = []
+        stats = run_fuzz(
+            budget_s=budget_s, classes=["slow_injected", "second_injected"],
+            algorithms=["lsd4"], case_dir=tmp_path, report=lines.append,
+        )
+        assert started == ["slow"]
+        assert stats.cases_run == stats.edge_cases == 1
+        assert stats.truncated_cases == 1
+        assert stats.ok  # a truncated case is never a finding...
+        assert list(tmp_path.iterdir()) == []  # ...so nothing is persisted
+        assert any(
+            line.startswith("CUT") and "[slow_injected]" in line
+            for line in lines
+        )
+
 
 class TestParseBudget:
     @pytest.mark.parametrize(
@@ -216,6 +249,7 @@ class TestCli:
         assert code == 0
         assert "fuzz:" in out
         assert "0 finding(s)" in out
+        assert "truncated)" in out
         assert "sanitizer checks" in out
 
     def test_fuzz_replay_exit_codes(self, tmp_path, capsys):

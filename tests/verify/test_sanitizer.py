@@ -12,7 +12,11 @@ Two directions:
 import numpy as np
 import pytest
 
-from repro.core.approx_refine import run_approx_refine, run_precise_baseline
+from repro.core.approx_refine import (
+    run_approx_only,
+    run_approx_refine,
+    run_precise_baseline,
+)
 from repro.errors import SanitizerError
 from repro.memory.approx_array import PreciseArray, WORD_LIMIT
 from repro.memory.stats import MemoryStats
@@ -111,6 +115,23 @@ class TestTransparency:
         assert shadowed.final_keys == plain.final_keys
         assert shadowed.final_ids == plain.final_ids
         assert shadowed.stats.as_dict() == plain.stats.as_dict()
+
+    @pytest.mark.parametrize("kernels", ["scalar", "numpy"])
+    @pytest.mark.parametrize("include_ids", [False, True])
+    def test_sanitized_approx_only_bit_identical(
+        self, pcm_sweet, include_ids, kernels, monkeypatch
+    ):
+        keys = uniform_keys(300, seed=5)
+        options = dict(seed=3, include_ids=include_ids, kernels=kernels)
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        plain = run_approx_only(keys, "quicksort", pcm_sweet, **options)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        before = checks_performed()
+        shadowed = run_approx_only(keys, "quicksort", pcm_sweet, **options)
+        assert checks_performed() > before
+        assert shadowed.output_keys == plain.output_keys
+        assert shadowed.stats.as_dict() == plain.stats.as_dict()
+        assert shadowed.rem_ratio == plain.rem_ratio
 
     @pytest.mark.parametrize("sorter", ["msd3", "hmsd3", "quicksort"])
     @pytest.mark.parametrize("t", [0.055, 0.1])
