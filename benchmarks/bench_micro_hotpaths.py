@@ -66,6 +66,14 @@ def test_rem_metric(benchmark):
     benchmark(lambda: rem(keys))
 
 
+def test_uniform_keys(benchmark):
+    """The paper's workload at n = 2^20: CPython's ``randrange`` stream,
+    filtered in numpy chunks rather than drawn one key at a time."""
+    keys = benchmark(lambda: uniform_keys(1 << 20, seed=4))
+    assert keys.dtype == np.uint32
+    assert keys.shape == (1 << 20,)
+
+
 def test_quicksort_on_instrumented_array(benchmark):
     keys = uniform_keys(4_096, seed=3)
 

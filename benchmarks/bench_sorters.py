@@ -1,4 +1,4 @@
-"""End-to-end approx-refine wall-clock: scalar vs numpy kernels.
+"""End-to-end sorter wall-clock: scalar vs numpy kernels.
 
 Usage::
 
@@ -6,23 +6,27 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sorters.py --n 100000 \
         --algos mergesort,lsd6 --out BENCH_sorters.json
 
-Runs the full approx-refine pipeline (approx-stage sort + Rem measurement
-+ refine) for each algorithm under both kernel modes and appends one
-record per (algo, kernels) measurement to a JSON array file (default
+Times two public calls for each algorithm under both kernel modes: the
+full approx-refine pipeline (approx-stage sort + Rem measurement +
+refine), and the precise baseline ``run_precise_baseline``.  Each call's
+output must be exactly ``sorted(keys)``.  One record per (algo, kernels,
+call) measurement is appended to a JSON array file (default
 ``BENCH_sorters.json`` at the repo root), in the same append-style format
 as ``BENCH_runner.json``::
 
     {"schema": 1, "timestamp": ..., "n": ..., "T": ..., "algo": ...,
-     "kernels": ..., "seconds": ..., "rem_tilde": ...}
+     "kernels": ..., "seconds": ..., "rem_tilde": ..., "cpus": ...}
 
-The printed table reports the scalar/numpy speedup per algorithm — the
-PR-acceptance target is >= 5x for mergesort and lsd6 at n = 1e5.
+A precise-baseline record adds ``"mode": "precise"``, with ``"T": null``
+and ``"rem_tilde": null``.  The printed table reports the scalar/numpy
+speedup per algorithm and call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -30,7 +34,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.approx_refine import run_approx_refine
+import numpy as np
+
+from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.memory.config import MLCParams
 from repro.memory.factories import PCMMemoryFactory
 from repro.workloads.generators import make_keys
@@ -54,7 +60,8 @@ def _append_records(path: Path, records: list[dict]) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_sorters",
-        description="Time approx-refine end to end, scalar vs numpy kernels.",
+        description="Time approx-refine and the precise baseline end to"
+        " end, scalar vs numpy kernels.",
     )
     parser.add_argument("--n", type=int, default=100_000)
     parser.add_argument("--t", type=float, default=0.055, help="MLC T window")
@@ -76,44 +83,60 @@ def main(argv: list[str] | None = None) -> int:
 
     algos = [name.strip() for name in args.algos.split(",") if name.strip()]
     keys = make_keys("uniform", args.n, seed=args.seed)
+    expected = np.sort(keys)
 
+    def approx_refine(algo: str, kernels: str):
+        return run_approx_refine(
+            keys, algo, memory, seed=args.seed, kernels=kernels
+        )
+
+    def precise(algo: str, kernels: str):
+        return run_precise_baseline(keys, algo, kernels=kernels)
+
+    calls = (("approx_refine", approx_refine), ("precise", precise))
     records: list[dict] = []
-    seconds: dict[tuple[str, str], float] = {}
+    seconds: dict[tuple[str, str, str], float] = {}
     for algo in algos:
-        for kernels in ("scalar", "numpy"):
-            best = float("inf")
-            rem_tilde = None
-            for _ in range(max(1, args.repeats)):
-                start = time.perf_counter()
-                result = run_approx_refine(
-                    keys, algo, memory, seed=args.seed, kernels=kernels
-                )
-                elapsed = time.perf_counter() - start
-                best = min(best, elapsed)
-                rem_tilde = result.rem_tilde
-                assert result.final_keys == sorted(keys)
-            seconds[(algo, kernels)] = best
-            records.append({
-                "schema": 1,
-                "timestamp": datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"
-                ),
-                "n": args.n,
-                "T": args.t,
-                "algo": algo,
-                "kernels": kernels,
-                "seconds": round(best, 3),
-                "rem_tilde": rem_tilde,
-            })
-            print(f"{algo:>12s}  {kernels:>6s}  {best:8.3f}s"
-                  f"  (rem~ {rem_tilde})")
+        for mode, call in calls:
+            for kernels in ("scalar", "numpy"):
+                best = float("inf")
+                rem_tilde = None
+                for _ in range(max(1, args.repeats)):
+                    start = time.perf_counter()
+                    result = call(algo, kernels)
+                    elapsed = time.perf_counter() - start
+                    best = min(best, elapsed)
+                    rem_tilde = getattr(result, "rem_tilde", None)
+                    assert np.array_equal(result.final_keys, expected)
+                seconds[(algo, mode, kernels)] = best
+                record = {
+                    "schema": 1,
+                    "timestamp": datetime.now(timezone.utc).isoformat(
+                        timespec="seconds"
+                    ),
+                    "n": args.n,
+                    "T": args.t if mode == "approx_refine" else None,
+                    "algo": algo,
+                    "kernels": kernels,
+                    "seconds": round(best, 3),
+                    "rem_tilde": rem_tilde,
+                    "cpus": os.cpu_count(),
+                }
+                if mode == "precise":
+                    record["mode"] = mode
+                records.append(record)
+                print(f"{algo:>12s}  {mode:>13s}  {kernels:>6s}"
+                      f"  {best:8.3f}s  (rem~ {rem_tilde})")
 
     print()
-    print(f"{'algo':>12s}  {'scalar':>9s}  {'numpy':>9s}  {'speedup':>8s}")
+    print(f"{'algo':>12s}  {'call':>13s}  {'scalar':>9s}  {'numpy':>9s}"
+          f"  {'speedup':>8s}")
     for algo in algos:
-        s = seconds[(algo, "scalar")]
-        v = seconds[(algo, "numpy")]
-        print(f"{algo:>12s}  {s:8.3f}s  {v:8.3f}s  {s / v:7.1f}x")
+        for mode, _ in calls:
+            s = seconds[(algo, mode, "scalar")]
+            v = seconds[(algo, mode, "numpy")]
+            print(f"{algo:>12s}  {mode:>13s}  {s:8.3f}s  {v:8.3f}s"
+                  f"  {s / v:7.1f}x")
 
     path = Path(args.out)
     _append_records(path, records)

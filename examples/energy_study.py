@@ -11,6 +11,8 @@ approximate-memory technology.
 
 import sys
 
+import numpy as np
+
 from repro import (
     SPINTRONIC_CONFIGS,
     SpintronicMemoryFactory,
@@ -37,7 +39,7 @@ def main() -> None:
         cells = []
         for name in ALGORITHMS:
             result = run_approx_refine(keys, name, memory, seed=5)
-            assert result.final_keys == sorted(keys)
+            assert np.array_equal(result.final_keys, np.sort(keys))
             cells.append(result.write_reduction_vs(baselines[name]))
         row = f"{params.energy_saving:>11.0%} {params.bit_error_rate:>8.0e}"
         row += "".join(f" {value:>+10.1%}" for value in cells)

@@ -10,6 +10,8 @@ compare the total write cost against sorting in precise memory only.
 
 import sys
 
+import numpy as np
+
 from repro import (
     MLCParams,
     PCMMemoryFactory,
@@ -30,7 +32,9 @@ def main() -> None:
     print(f"Sorting {n} keys on: {memory.description}\n")
 
     result = run_approx_refine(keys, "lsd3", memory, seed=7)
-    assert result.final_keys == sorted(keys), "approx-refine must be exact"
+    assert np.array_equal(result.final_keys, np.sort(keys)), (
+        "approx-refine must be exact"
+    )
     print("Output is exactly sorted — corruption never leaks into results.\n")
 
     print(format_stage_table(result))

@@ -21,12 +21,15 @@ The contribution (:mod:`repro.core`)
 
 Quick start
 -----------
+Keys and results are ``uint32`` numpy arrays.
+
+>>> import numpy as np
 >>> from repro import MLCParams, PCMMemoryFactory, run_approx_refine
 >>> from repro.workloads import uniform_keys
 >>> keys = uniform_keys(10_000, seed=1)
 >>> memory = PCMMemoryFactory(MLCParams(t=0.055))
 >>> result = run_approx_refine(keys, "lsd3", memory)
->>> result.final_keys == sorted(keys)
+>>> np.array_equal(result.final_keys, np.sort(keys))
 True
 """
 

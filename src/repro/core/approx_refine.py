@@ -53,7 +53,7 @@ def _resolve_sorter(
 
 
 def run_approx_refine(
-    keys: Sequence[int],
+    keys: "np.ndarray | Sequence[int]",
     sorter: "BaseSorter | str",
     memory: ApproxMemoryFactory,
     seed: int = 0,
@@ -65,7 +65,9 @@ def run_approx_refine(
     Parameters
     ----------
     keys:
-        Input key values (32-bit unsigned integers).
+        Input key values (32-bit unsigned integers): a ``uint32`` array, as
+        :func:`repro.workloads.make_keys` returns, or any sequence of
+        words.  The input is copied, never aliased or changed.
     sorter:
         Sorting algorithm instance or registry name; used for both the
         approx stage and the refine stage's REM sort, as in the paper.
@@ -88,8 +90,9 @@ def run_approx_refine(
 
     Returns
     -------
-    An :class:`ApproxRefineResult` whose ``final_keys`` is exactly
-    ``sorted(keys)`` — the mechanism guarantees precise output.
+    An :class:`ApproxRefineResult` whose ``final_keys`` (a ``uint32``
+    array) is exactly ``sorted(keys)`` — the mechanism guarantees precise
+    output.
     """
     algorithm = _resolve_sorter(sorter, kernels)
     n = len(keys)
@@ -170,8 +173,8 @@ def run_approx_refine(
         )
 
     return ApproxRefineResult(
-        final_keys=final_keys.to_list(),
-        final_ids=final_ids.to_list(),
+        final_keys=final_keys.to_numpy(),
+        final_ids=final_ids.to_numpy(),
         stats=stats,
         stage_stats=stages.stage_stats,
         rem_tilde=len(rem_ids),
@@ -183,7 +186,7 @@ def run_approx_refine(
 
 
 def run_precise_baseline(
-    keys: Sequence[int],
+    keys: "np.ndarray | Sequence[int]",
     sorter: "BaseSorter | str",
     trace=None,
     kernels: "str | None" = None,
@@ -214,8 +217,8 @@ def run_precise_baseline(
         ))
         algorithm.sort(key_array, id_array)
     return BaselineResult(
-        final_keys=key_array.to_list(),
-        final_ids=id_array.to_list(),
+        final_keys=key_array.to_numpy(),
+        final_ids=id_array.to_numpy(),
         stats=stats,
         algorithm=algorithm.name,
         n=len(keys),
@@ -229,7 +232,8 @@ class ApproxOnlyResult:
     Attributes
     ----------
     output_keys:
-        The (possibly unsorted, possibly value-corrupted) final sequence.
+        The (possibly unsorted, possibly value-corrupted) final sequence,
+        a ``uint32`` array.
     stats:
         Accounting of the whole run (initial placement + sort).
     rem_ratio:
@@ -241,7 +245,7 @@ class ApproxOnlyResult:
         Run identification.
     """
 
-    output_keys: list[int]
+    output_keys: np.ndarray
     stats: MemoryStats
     rem_ratio: float
     error_rate: float
@@ -251,7 +255,7 @@ class ApproxOnlyResult:
 
 
 def run_approx_only(
-    keys: Sequence[int],
+    keys: "np.ndarray | Sequence[int]",
     sorter: "BaseSorter | str",
     memory: ApproxMemoryFactory,
     seed: int = 0,
@@ -269,19 +273,21 @@ def run_approx_only(
     n = len(keys)
     stats = MemoryStats()
     wrap = sanitize if sanitizing() else (lambda array: array)
-    approx_keys = wrap(memory.make_array([0] * n, stats=stats, seed=seed))
-    approx_keys.write_block(0, list(keys))
+    approx_keys = wrap(memory.make_array(
+        np.zeros(n, dtype=np.uint32), stats=stats, seed=seed
+    ))
+    approx_keys.write_block(0, keys)
     ids = (
         wrap(PreciseArray(range(n), stats=stats, name="ID"))
         if include_ids else None
     )
     algorithm.sort(approx_keys, ids)
-    output = approx_keys.to_list()
+    output = approx_keys.to_numpy()
     return ApproxOnlyResult(
         output_keys=output,
         stats=stats,
         rem_ratio=rem_ratio(output),
-        error_rate=error_rate_multiset(list(keys), output),
+        error_rate=error_rate_multiset(keys, output),
         algorithm=algorithm.name,
         memory_description=memory.description,
         n=n,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.memory.stats import MemoryStats, write_reduction
 
 #: Stage names of the mechanism, in execution order (paper Section 4.1).
@@ -29,7 +31,7 @@ class ApproxRefineResult:
     ----------
     final_keys, final_ids:
         The exactly sorted output: key values and the permutation of input
-        positions that produced them.
+        positions that produced them, as ``uint32`` arrays.
     stats:
         Accumulated accounting over all stages.
     stage_stats:
@@ -47,8 +49,8 @@ class ApproxRefineResult:
         Input size.
     """
 
-    final_keys: list[int]
-    final_ids: list[int]
+    final_keys: np.ndarray
+    final_ids: np.ndarray
     stats: MemoryStats
     stage_stats: dict[str, MemoryStats]
     rem_tilde: int
@@ -86,8 +88,8 @@ class ApproxRefineResult:
 class BaselineResult:
     """Measurement of the traditional precise-memory-only sort."""
 
-    final_keys: list[int]
-    final_ids: list[int]
+    final_keys: np.ndarray
+    final_ids: np.ndarray
     stats: MemoryStats
     algorithm: str
     n: int

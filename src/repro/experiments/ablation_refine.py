@@ -21,6 +21,8 @@ Strategies (all produce exactly sorted output):
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.refine import find_rem_ids, merge_refined, sort_rem_ids
 from repro.core.refine_ablation import adaptive_refine_writes, find_rem_ids_exact
 from repro.memory.approx_array import PreciseArray
@@ -57,7 +59,7 @@ def _refine_with_heuristic(keys, key0, ids) -> tuple[float, int]:
     final_keys = PreciseArray([0] * len(keys), stats=stats)
     final_ids = PreciseArray([0] * len(keys), stats=stats)
     merge_refined(shadow_ids, shadow_key0, sorted_rem, final_keys, final_ids)
-    assert final_keys.to_list() == sorted(keys)
+    assert np.array_equal(final_keys.to_numpy(), np.sort(keys))
     return stats.equivalent_precise_writes, len(rem_ids)
 
 
@@ -70,13 +72,15 @@ def _refine_with_exact_lis(keys, key0, ids) -> tuple[float, int]:
     final_keys = PreciseArray([0] * len(keys), stats=stats)
     final_ids = PreciseArray([0] * len(keys), stats=stats)
     merge_refined(shadow_ids, shadow_key0, sorted_rem, final_keys, final_ids)
-    assert final_keys.to_list() == sorted(keys)
+    assert np.array_equal(final_keys.to_numpy(), np.sort(keys))
     return stats.equivalent_precise_writes, len(rem_ids)
 
 
 def _refine_with_adaptive(keys, key0, ids) -> tuple[float, int]:
     final_ids, stats = adaptive_refine_writes(ids, key0)
-    assert [keys[i] for i in final_ids] == sorted(keys)
+    assert np.array_equal(
+        keys[np.asarray(final_ids, dtype=np.int64)], np.sort(keys)
+    )
     return stats.equivalent_precise_writes, -1
 
 
@@ -87,7 +91,7 @@ def _refine_with_natural_merge(keys, key0, ids) -> tuple[float, int]:
     key_array = PreciseArray(nearly_sorted, stats=stats)
     id_array = PreciseArray(ids.to_list(), stats=stats)
     make_sorter("natural_merge").sort(key_array, id_array)
-    assert key_array.to_list() == sorted(keys)
+    assert np.array_equal(key_array.to_numpy(), np.sort(keys))
     return stats.equivalent_precise_writes, -1
 
 

@@ -21,6 +21,8 @@ headline claim is radix's, and it survives the detailed model exactly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.memory.config import MLCParams
 from repro.memory.factories import PCMMemoryFactory
@@ -70,7 +72,7 @@ def run(scale: str | None = None, seed: int = 0) -> ExperimentTable:
             result = run_approx_refine(
                 keys, algorithm, memory, seed=seed, trace=hybrid_trace
             )
-            assert result.final_keys == sorted(keys)
+            assert np.array_equal(result.final_keys, np.sort(keys))
 
             config = SimulatorConfig(approx_write_factor=memory.p_ratio)
             hybrid_time = PCMSimulator(config).run(hybrid_trace.events).total_ns

@@ -33,7 +33,7 @@ ALGORITHMS = ("quicksort", "lsd6", "msd6", "mergesort")
 SERIES_POINTS = 512
 
 
-def shape_statistics(output: list[int]) -> tuple[float, float]:
+def shape_statistics(output) -> tuple[float, float]:
     """(fraction of in-order adjacent pairs, rank correlation with sorted).
 
     The rank correlation is Pearson's r between the output sequence and its
@@ -86,7 +86,9 @@ def run(scale: str | None = None, seed: int = 0) -> ExperimentTable:
             in_order, corr = shape_statistics(result.output_keys)
             table.add_row(figure, t, algorithm, result.rem_ratio, in_order, corr)
             step = max(1, n // SERIES_POINTS)
-            series[f"{figure}_{algorithm}"] = result.output_keys[::step]
+            series[f"{figure}_{algorithm}"] = (
+                result.output_keys[::step].tolist()
+            )
     # Downsampled output series travel in the JSON payload so the figures
     # can be plotted from the saved results.
     table.notes.append(f"series_points={SERIES_POINTS} (downsampled outputs)")

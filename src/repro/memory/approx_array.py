@@ -47,10 +47,27 @@ TraceHook = Callable[[str, str, int], None]
 
 
 def _check_word(value: int) -> int:
-    """Validate that ``value`` fits the 32-bit key format."""
+    """``value`` as the int of a 32-bit key word, or :class:`ValueError`.
+
+    Integral floats, bools and numpy integers are words; a non-integral
+    value is refused like an out-of-range one, never truncated.
+    """
+    if type(value) is not int:
+        value = _integral(value)
     if not 0 <= value < WORD_LIMIT:
         raise ValueError(f"key value {value!r} outside 32-bit unsigned range")
     return value
+
+
+def _integral(value) -> int:
+    """The int equal to ``value``; :class:`ValueError` if there is none."""
+    try:
+        word = int(value)
+    except (TypeError, ValueError, OverflowError):
+        word = None
+    if word is None or word != value:
+        raise ValueError(f"key value {value!r} is not an integer")
+    return word
 
 
 def _index_error(index: int, size: int) -> IndexError:
@@ -61,25 +78,32 @@ def _index_error(index: int, size: int) -> IndexError:
 def _as_words(values) -> np.ndarray:
     """Coerce ``values`` to a validated ``np.uint32`` array.
 
-    Bounds are tested once on an int64 view (``min``/``max``), so a block of
-    any size pays two reductions rather than a per-element range check.  A
-    ``range`` (the ID array's initial contents) becomes an ``np.arange``
-    without passing through a list.
+    A ``uint32`` array is taken as it is.  Otherwise bounds are tested once
+    on an integer view (``min``/``max``), so a block of any size pays two
+    reductions rather than a per-element range check.  Floats must be
+    integral (a cast would truncate them), and an object array (ints beyond
+    64 bits, mixed types) is checked word by word.  A ``range`` (the ID
+    array's initial contents) becomes an ``np.arange`` without passing
+    through a list.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.uint32:
         return values
     if isinstance(values, range):
         values = np.arange(values.start, values.stop, values.step, dtype=np.int64)
-    try:
-        wide = np.asarray(
-            values if isinstance(values, (np.ndarray, list, tuple)) else list(values),
-            dtype=np.int64,
-        )
-    except OverflowError as exc:
-        raise ValueError(f"key value outside 32-bit unsigned range: {exc}")
-    if wide.size and (int(wide.min()) < 0 or int(wide.max()) >= WORD_LIMIT):
+    elif not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    words = np.asarray(values)
+    kind = words.dtype.kind
+    if kind == "O":
+        words = np.vectorize(_check_word, otypes=[np.int64])(words)
+    elif kind == "f":
+        if not np.array_equal(words, np.floor(words)):
+            raise ValueError("key value is not an integer")
+    elif kind not in "biu":
+        raise ValueError(f"key values of dtype {words.dtype} are not integers")
+    if words.size and (words.min() < 0 or words.max() >= WORD_LIMIT):
         raise ValueError("key value outside 32-bit unsigned range")
-    return wide.astype(np.uint32)
+    return words.astype(np.uint32)
 
 
 def _is_word_list(values) -> bool:

@@ -17,7 +17,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Sequence
 
-from .approx_array import InstrumentedArray
+import numpy as np
+
+from .approx_array import InstrumentedArray, _check_word
 
 
 class WriteCombiningArray(InstrumentedArray):
@@ -33,11 +35,12 @@ class WriteCombiningArray(InstrumentedArray):
 
     Notes
     -----
-    ``len``, ``peek``, ``to_list`` and ``clone_empty`` see through the
-    buffer, so metrics and assertions observe the logical contents; actual
-    memory traffic is what reached ``backing``.  Call :meth:`flush` (or
-    rely on the sorting helpers, which flush on completion) before
-    measuring the backing store's final state directly.
+    ``len``, ``peek``, ``to_list``, ``to_numpy``, ``peek_gather_np`` and
+    ``clone_empty`` see through the buffer, so metrics and assertions
+    observe the logical contents; actual memory traffic is what reached
+    ``backing``.  Call :meth:`flush` (or rely on the sorting helpers, which
+    flush on completion) before measuring the backing store's final state
+    directly.
     """
 
     #: Combining depends on per-element access *order*; the vectorized sort
@@ -80,6 +83,9 @@ class WriteCombiningArray(InstrumentedArray):
         if self.capacity == 0:
             self.backing.write(index, value)
             return
+        # Checked as the backing array would check it, before it is
+        # buffered rather than when it is evicted.
+        value = _check_word(value)
         if index in self._buffer:
             self._buffer.move_to_end(index)
             self._buffer[index] = value
@@ -123,10 +129,19 @@ class WriteCombiningArray(InstrumentedArray):
         return self.backing.peek(index)
 
     def to_list(self) -> list[int]:
-        values = self.backing.to_list()
+        return self.to_numpy().tolist()
+
+    def to_numpy(self) -> np.ndarray:
+        values = self.backing.to_numpy()
         for index, value in self._buffer.items():
             values[index] = value
         return values
+
+    def peek_gather_np(self, indices: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.peek(i) for i in np.asarray(indices, dtype=np.int64).tolist()],
+            dtype=np.uint32,
+        )
 
     def clone_empty(
         self, size: Optional[int] = None, name: str = ""

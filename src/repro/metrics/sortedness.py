@@ -18,7 +18,6 @@ proportion of elements whose values deviate from the original input).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -263,12 +262,14 @@ def error_rate_multiset(original: Sequence[int], final: Sequence[int]) -> float:
         raise ValueError(
             f"length mismatch: original {len(original)} vs final {len(final)}"
         )
-    if not original:
+    if len(final) == 0:
         return 0.0
-    remaining = Counter(original)
-    matched = 0
-    for value in final:
-        if remaining[value] > 0:
-            remaining[value] -= 1
-            matched += 1
+    # The multiset intersection: for each value present in both, the
+    # smaller of its two counts.
+    values_a, counts_a = np.unique(np.asarray(original), return_counts=True)
+    values_b, counts_b = np.unique(np.asarray(final), return_counts=True)
+    _, in_a, in_b = np.intersect1d(
+        values_a, values_b, assume_unique=True, return_indices=True
+    )
+    matched = int(np.minimum(counts_a[in_a], counts_b[in_b]).sum())
     return 1.0 - matched / len(final)

@@ -57,6 +57,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.memory.approx_array import WORD_LIMIT
 from repro.memory.config import MLCParams
@@ -84,8 +86,8 @@ KS_ALPHA = 1e-3
 #: P&V model's highest-cost, highest-error value), which disqualifies it
 #: from the generator registry's seed-sensitivity contract but makes it a
 #: prime fuzz edge case.
-EXTRA_WORKLOADS: dict[str, Callable[[int, int], list[int]]] = {
-    "max_word": lambda n, seed=0: [WORD_LIMIT - 1] * n,
+EXTRA_WORKLOADS: dict[str, Callable[[int, int], np.ndarray]] = {
+    "max_word": lambda n, seed=0: np.full(n, WORD_LIMIT - 1, dtype=np.uint32),
 }
 
 
@@ -99,7 +101,7 @@ class OracleCase:
     t: float = 0.055
     seed: int = 0
 
-    def keys(self) -> list[int]:
+    def keys(self) -> np.ndarray:
         if self.workload in EXTRA_WORKLOADS:
             return EXTRA_WORKLOADS[self.workload](self.n, self.seed)
         return make_keys(self.workload, self.n, seed=self.seed)
@@ -164,22 +166,23 @@ def _first_mismatch(
     out: list[Divergence],
     equivalence: str,
     name: str,
-    expected: list,
-    actual: list,
+    expected,
+    actual,
 ) -> None:
-    """Record the first divergent element of two sequences (if any)."""
-    if expected == actual:
-        return
-    if len(expected) != len(actual):
+    """Record the first divergent element of two key or ID sequences (if
+    any), as Python ints so a finding stays JSON."""
+    want = np.asarray(expected)
+    got = np.asarray(actual)
+    if want.size != got.size:
         out.append(Divergence(
-            equivalence, name, None, len(expected), len(actual),
+            equivalence, name, None, int(want.size), int(got.size),
             detail="length mismatch",
         ))
         return
-    for i, (want, got) in enumerate(zip(expected, actual)):
-        if want != got:
-            out.append(Divergence(equivalence, name, i, want, got))
-            return
+    differ = np.flatnonzero(want != got)
+    if differ.size:
+        i = int(differ[0])
+        out.append(Divergence(equivalence, name, i, int(want[i]), int(got[i])))
 
 
 def _compare_stats(
@@ -201,12 +204,10 @@ def _compare_stats(
             return
 
 
-def digest_keys(keys: list[int]) -> str:
-    """Compact bit-exact digest of a key sequence."""
-    h = hashlib.sha256()
-    for key in keys:
-        h.update(key.to_bytes(4, "little"))
-    return h.hexdigest()[:16]
+def digest_keys(keys) -> str:
+    """Compact bit-exact digest of a key sequence: SHA-256 of its words as
+    4-byte little-endian integers."""
+    return hashlib.sha256(np.asarray(keys, "<u4").tobytes()).hexdigest()[:16]
 
 
 _MEMORY_CACHE: dict[float, PCMMemoryFactory] = {}
@@ -233,7 +234,7 @@ def check_scalar_numpy_precise(case: OracleCase) -> list[Divergence]:
     scalar = run_precise_baseline(keys, case.algorithm, kernels="scalar")
     vector = run_precise_baseline(keys, case.algorithm, kernels="numpy")
     name = "scalar_numpy_precise"
-    _first_mismatch(out, name, "final_keys", sorted(keys), scalar.final_keys)
+    _first_mismatch(out, name, "final_keys", np.sort(keys), scalar.final_keys)
     _first_mismatch(out, name, "final_keys", scalar.final_keys,
                     vector.final_keys)
     _first_mismatch(out, name, "final_ids", scalar.final_ids,
@@ -259,7 +260,7 @@ def check_scalar_numpy_approx(case: OracleCase) -> list[Divergence]:
         vector = run_approx_refine(
             keys, case.algorithm, memory, seed=case.seed, kernels="numpy"
         )
-        _first_mismatch(out, name, "final_keys", sorted(keys),
+        _first_mismatch(out, name, "final_keys", np.sort(keys),
                         scalar.final_keys)
         _first_mismatch(out, name, "final_keys", scalar.final_keys,
                         vector.final_keys)
@@ -280,9 +281,9 @@ def check_scalar_numpy_approx(case: OracleCase) -> list[Divergence]:
                 keys, case.algorithm, memory,
                 seed=case.seed * STAT_SEEDS + offset, kernels=mode,
             )
-            if result.final_keys != sorted(keys):
+            if not np.array_equal(result.final_keys, np.sort(keys)):
                 _first_mismatch(out, name, f"final_keys[{mode}]",
-                                sorted(keys), result.final_keys)
+                                np.sort(keys), result.final_keys)
                 return out
             rates[mode].append(
                 result.stats.corrupted_writes
@@ -452,7 +453,7 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
 
     pooled = run_approx_refine(keys, build(2), memory, seed=case.seed)
     local = run_approx_refine(keys, build(0), memory, seed=case.seed)
-    _first_mismatch(out, name, "final_keys", sorted(keys), pooled.final_keys)
+    _first_mismatch(out, name, "final_keys", np.sort(keys), pooled.final_keys)
     _first_mismatch(out, name, "final_keys", pooled.final_keys,
                     local.final_keys)
     _first_mismatch(out, name, "final_ids", pooled.final_ids,
@@ -467,11 +468,13 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
 
     pooled_precise = run_precise_baseline(keys, build(2))
     local_precise = run_precise_baseline(keys, build(0))
-    _first_mismatch(out, name, "precise_final_keys", sorted(keys),
+    _first_mismatch(out, name, "precise_final_keys", np.sort(keys),
                     pooled_precise.final_keys)
     _first_mismatch(out, name, "precise_final_ids",
                     pooled_precise.final_ids, local_precise.final_ids)
-    if sorted(pooled_precise.final_ids) != list(range(len(keys))):
+    if not np.array_equal(
+        np.sort(pooled_precise.final_ids), np.arange(len(keys))
+    ):
         out.append(Divergence(
             name, "precise_final_ids", None,
             "a permutation of input positions", "not a permutation",
@@ -512,9 +515,9 @@ def check_write_budget(case: OracleCase) -> list[Divergence]:
         stats = MemoryStats()
         array = PreciseArray(keys, stats=stats, name="budget-precise")
         runner.sort(array)
-        if array.to_list() != sorted(keys):
+        if not np.array_equal(array.to_numpy(), np.sort(keys)):
             _first_mismatch(out, name, f"precise[{mode}].final_keys",
-                            sorted(keys), array.to_list())
+                            np.sort(keys), array.to_numpy())
             return out
         if stats.precise_writes > bound:
             out.append(Divergence(

@@ -6,40 +6,94 @@ module provides the input distributions customary in the sorting literature
 (sorted, reverse, almost-sorted, Zipf-skewed, few-distinct) used by the
 extension studies and the property tests.
 
-All generators are seeded and deterministic.
+Every generator returns a fresh 1-D, C-contiguous ``np.uint32`` array: the
+one key type from the generator through the sorters to the result.  All
+generators are seeded and deterministic, and each draws the very keys of
+CPython's ``random.Random(seed)`` stream (see :func:`uniform_keys`).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable
+
+import numpy as np
 
 from repro.memory.approx_array import WORD_LIMIT
 
 #: Registry of generator names to factory callables.
-GeneratorFn = Callable[[int, int], list[int]]
+GeneratorFn = Callable[[int, int], np.ndarray]
+
+#: Most draw attempts (two 32-bit outputs each) :func:`uniform_keys` makes
+#: at once, which bounds its draw buffer to 16 MB whatever ``n`` is.
+UNIFORM_CHUNK = 1 << 20
+
+#: Mersenne Twister state words (the last entry of CPython's state tuple is
+#: the position in them).
+_MT_WORDS = 624
 
 
-def uniform_keys(n: int, seed: int = 0) -> list[int]:
-    """The paper's workload: n uniformly random 32-bit unsigned keys."""
-    rng = random.Random(seed)
-    return [rng.randrange(WORD_LIMIT) for _ in range(n)]
+def _cpython_stream(seed) -> np.random.MT19937:
+    """A numpy Mersenne Twister standing where ``random.Random(seed)`` does.
+
+    CPython and numpy run the same MT19937, so handing numpy CPython's
+    seeded state (624 words plus position) makes ``random_raw`` yield
+    exactly the 32-bit outputs ``random.Random(seed)`` would consume, for
+    every seed type ``random.Random`` accepts.
+    """
+    state = random.Random(seed).getstate()[1]
+    bitgen = np.random.MT19937(0)
+    bitgen.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(state[:_MT_WORDS], dtype=np.uint32),
+            "pos": state[_MT_WORDS],
+        },
+    }
+    return bitgen
 
 
-def sorted_keys(n: int, seed: int = 0) -> list[int]:
+def uniform_keys(n: int, seed: int = 0) -> np.ndarray:
+    """The paper's workload: n uniformly random 32-bit unsigned keys.
+
+    The keys are those of ``[random.Random(seed).randrange(2**32) for _ in
+    range(n)]``, drawn without a per-key Python call.  CPython's
+    ``randrange(2**32)`` is ``getrandbits(33)``, rejected while it is
+    ``>= 2**32``: two Mersenne Twister outputs per attempt, low word first,
+    and the attempt is accepted iff the second output's top bit is clear,
+    when the key is the first output.  So the stream is filtered in chunks
+    of at most :data:`UNIFORM_CHUNK` attempts.
+    """
+    keys = np.empty(n, dtype=np.uint32)
+    stream = _cpython_stream(seed)
+    filled = 0
+    while filled < n:
+        # About half the attempts are accepted; overdrawing is harmless,
+        # since the stream is not used afterwards.
+        attempts = min(UNIFORM_CHUNK, 2 * (n - filled) + 64)
+        pairs = stream.random_raw(2 * attempts).reshape(attempts, 2)
+        accepted = pairs[pairs[:, 1] < (1 << 31), 0]
+        take = min(accepted.size, n - filled)
+        keys[filled : filled + take] = accepted[:take]
+        filled += take
+    return keys
+
+
+def sorted_keys(n: int, seed: int = 0) -> np.ndarray:
     """Already-sorted uniform keys (best case for adaptive refinement)."""
-    return sorted(uniform_keys(n, seed))
+    keys = uniform_keys(n, seed)
+    keys.sort()
+    return keys
 
 
-def reverse_sorted_keys(n: int, seed: int = 0) -> list[int]:
+def reverse_sorted_keys(n: int, seed: int = 0) -> np.ndarray:
     """Reverse-sorted uniform keys (worst case for Rem-style measures)."""
-    return sorted(uniform_keys(n, seed), reverse=True)
+    return sorted_keys(n, seed)[::-1].copy()
 
 
 def almost_sorted_keys(
     n: int, seed: int = 0, swap_fraction: float = 0.01
-) -> list[int]:
+) -> np.ndarray:
     """Sorted keys with a fraction of random transpositions applied.
 
     Models the paper's refine-stage input regime: ``swap_fraction * n``
@@ -56,7 +110,9 @@ def almost_sorted_keys(
     return keys
 
 
-def zipf_keys(n: int, seed: int = 0, s: float = 1.2, universe: int = 4096) -> list[int]:
+def zipf_keys(
+    n: int, seed: int = 0, s: float = 1.2, universe: int = 4096
+) -> np.ndarray:
     """Zipf-skewed keys over a bounded universe (database-style skew).
 
     Rank ``r`` (1-based) is drawn with probability proportional to
@@ -91,34 +147,36 @@ def zipf_keys(n: int, seed: int = 0, s: float = 1.2, universe: int = 4096) -> li
                 hi = mid
         return rank_values[lo]
 
-    return [draw() for _ in range(n)]
+    return np.array([draw() for _ in range(n)], dtype=np.uint32)
 
 
-def few_distinct_keys(n: int, seed: int = 0, distinct: int = 16) -> list[int]:
+def few_distinct_keys(n: int, seed: int = 0, distinct: int = 16) -> np.ndarray:
     """Keys drawn from a tiny set of values (duplicate-heavy workload)."""
     if distinct < 1:
         raise ValueError(f"distinct must be >= 1, got {distinct}")
     rng = random.Random(seed)
     values = [rng.randrange(WORD_LIMIT) for _ in range(distinct)]
-    return [values[rng.randrange(distinct)] for _ in range(n)]
+    return np.array(
+        [values[rng.randrange(distinct)] for _ in range(n)], dtype=np.uint32
+    )
 
 
-def runs_keys(n: int, seed: int = 0, run_count: int = 8) -> list[int]:
-    """Concatenation of ``run_count`` sorted runs (natural-mergesort shape)."""
+def runs_keys(n: int, seed: int = 0, run_count: int = 8) -> np.ndarray:
+    """Concatenation of ``run_count`` sorted runs (natural-mergesort shape).
+
+    The runs are consecutive slices of :func:`uniform_keys`, each
+    ``ceil(n / run_count)`` keys long but the last, sorted in place.
+    """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
-    rng = random.Random(seed)
-    keys: list[int] = []
-    base = math.ceil(n / run_count)
-    remaining = n
-    while remaining > 0:
-        size = min(base, remaining)
-        keys.extend(sorted(rng.randrange(WORD_LIMIT) for _ in range(size)))
-        remaining -= size
+    keys = uniform_keys(n, seed)
+    base = -(-n // run_count)
+    for start in range(0, n, base or 1):
+        keys[start : start + base].sort()
     return keys
 
 
-def all_equal_keys(n: int, seed: int = 0) -> list[int]:
+def all_equal_keys(n: int, seed: int = 0) -> np.ndarray:
     """Every key equal to one seed-derived value (degenerate duplicate case).
 
     The all-equal array is the first edge case the :mod:`repro.verify`
@@ -126,7 +184,7 @@ def all_equal_keys(n: int, seed: int = 0) -> list[int]:
     full passes, and any off-by-one in the refine merge's tie handling
     surfaces immediately.
     """
-    return [random.Random(seed).randrange(WORD_LIMIT)] * n
+    return np.full(n, random.Random(seed).randrange(WORD_LIMIT), dtype=np.uint32)
 
 
 GENERATORS: dict[str, GeneratorFn] = {
@@ -141,8 +199,8 @@ GENERATORS: dict[str, GeneratorFn] = {
 }
 
 
-def make_keys(name: str, n: int, seed: int = 0) -> list[int]:
-    """Generate ``n`` keys from the named distribution."""
+def make_keys(name: str, n: int, seed: int = 0) -> np.ndarray:
+    """Generate ``n`` keys from the named distribution (a ``uint32`` array)."""
     try:
         generator = GENERATORS[name]
     except KeyError:

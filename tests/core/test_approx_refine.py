@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from repro.core.approx_refine import (
     run_precise_baseline,
 )
 from repro.core.report import REFINE_STAGES, STAGES
+from repro.verify import SANITIZE_ENV, checks_performed
 from repro.workloads.generators import make_keys, uniform_keys
 
 from ..conftest import make_pcm
@@ -26,20 +28,20 @@ class TestExactness:
     def test_exact_at_sweet_spot(self, algorithm, pcm_sweet):
         keys = uniform_keys(800, seed=1)
         result = run_approx_refine(keys, algorithm, pcm_sweet, seed=2)
-        assert result.final_keys == sorted(keys)
-        assert [keys[i] for i in result.final_ids] == result.final_keys
+        assert result.final_keys.tolist() == sorted(keys)
+        assert keys[result.final_ids].tolist() == result.final_keys.tolist()
 
     @pytest.mark.parametrize("algorithm", ("quicksort", "lsd6", "mergesort"))
     def test_exact_under_heavy_corruption(self, algorithm, pcm_aggressive):
         keys = uniform_keys(600, seed=2)
         result = run_approx_refine(keys, algorithm, pcm_aggressive, seed=3)
-        assert result.final_keys == sorted(keys)
-        assert sorted(result.final_ids) == list(range(len(keys)))
+        assert result.final_keys.tolist() == sorted(keys)
+        assert sorted(result.final_ids.tolist()) == list(range(len(keys)))
 
     def test_exact_on_spintronic_memory(self, stt_heavy):
         keys = uniform_keys(600, seed=3)
         result = run_approx_refine(keys, "msd6", stt_heavy, seed=4)
-        assert result.final_keys == sorted(keys)
+        assert result.final_keys.tolist() == sorted(keys)
 
     @pytest.mark.parametrize(
         "workload", ["sorted", "reverse", "few_distinct", "zipf", "runs"]
@@ -47,12 +49,12 @@ class TestExactness:
     def test_exact_across_distributions(self, workload, pcm_aggressive):
         keys = make_keys(workload, 400, seed=4)
         result = run_approx_refine(keys, "quicksort", pcm_aggressive, seed=5)
-        assert result.final_keys == sorted(keys)
+        assert result.final_keys.tolist() == sorted(keys)
 
     def test_tiny_inputs(self, pcm_sweet):
         for keys in ([], [7], [9, 1], [3, 3, 3]):
             result = run_approx_refine(keys, "quicksort", pcm_sweet, seed=6)
-            assert result.final_keys == sorted(keys)
+            assert result.final_keys.tolist() == sorted(keys)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -61,7 +63,7 @@ class TestExactness:
     def test_property_exact_for_any_input(self, keys):
         memory = make_pcm(0.1)  # cached fit; heavy corruption
         result = run_approx_refine(keys, "lsd6", memory, seed=7)
-        assert result.final_keys == sorted(keys)
+        assert result.final_keys.tolist() == sorted(keys)
 
 
 class TestAccounting:
@@ -131,8 +133,10 @@ class TestBaselineAndReduction:
     def test_baseline_sorts(self):
         keys = uniform_keys(400, seed=13)
         baseline = run_precise_baseline(keys, "mergesort")
-        assert baseline.final_keys == sorted(keys)
-        assert [keys[i] for i in baseline.final_ids] == baseline.final_keys
+        assert baseline.final_keys.tolist() == sorted(keys)
+        assert (
+            keys[baseline.final_ids].tolist() == baseline.final_keys.tolist()
+        )
 
     def test_baseline_cost_is_twice_alpha(self):
         """Keys + record IDs both rewritten: 2 * alpha(n) writes."""
@@ -191,7 +195,7 @@ class TestApproxOnly:
     def test_precise_t_sorts_exactly(self, pcm_precise):
         keys = uniform_keys(500, seed=25)
         result = run_approx_only(keys, "lsd6", pcm_precise, seed=26)
-        assert result.output_keys == sorted(keys)
+        assert result.output_keys.tolist() == sorted(keys)
         assert result.rem_ratio == 0.0
 
     def test_corruption_increases_with_t(self):
@@ -208,7 +212,7 @@ class TestDeterminism:
         keys = uniform_keys(400, seed=29)
         a = run_approx_refine(keys, "quicksort", pcm_sweet, seed=30)
         b = run_approx_refine(keys, "quicksort", pcm_sweet, seed=30)
-        assert a.final_ids == b.final_ids
+        assert a.final_ids.tolist() == b.final_ids.tolist()
         assert a.rem_tilde == b.rem_tilde
         assert a.total_units == pytest.approx(b.total_units)
 
@@ -216,7 +220,9 @@ class TestDeterminism:
         keys = uniform_keys(800, seed=31)
         a = run_approx_refine(keys, "quicksort", pcm_aggressive, seed=1)
         b = run_approx_refine(keys, "quicksort", pcm_aggressive, seed=2)
-        assert a.final_keys == b.final_keys == sorted(keys)
+        assert (
+            a.final_keys.tolist() == b.final_keys.tolist() == sorted(keys)
+        )
         assert a.rem_tilde != b.rem_tilde
 
 
@@ -248,10 +254,82 @@ class TestGridDigest:
                     result = run_approx_refine(
                         keys, sorter, memory, seed=0, kernels=kernels
                     )
-                    assert result.final_keys == sorted(keys)
+                    assert result.final_keys.tolist() == sorted(keys)
                     rows.append([
                         kernels, t, sorter, result.stats.as_dict(),
                         result.rem_tilde, result.approx_rem_ratio,
                     ])
         blob = json.dumps(rows, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == self.DIGEST
+
+
+def _entry_approx_refine(keys, kernels):
+    return run_approx_refine(keys, "lsd6", make_pcm(0.1), seed=3,
+                             kernels=kernels)
+
+
+def _entry_precise_baseline(keys, kernels):
+    return run_precise_baseline(keys, "mergesort", kernels=kernels)
+
+
+def _entry_approx_only(keys, kernels):
+    return run_approx_only(keys, "quicksort", make_pcm(0.1), seed=3,
+                           include_ids=True, kernels=kernels)
+
+
+class TestArrayBoundary:
+    """Keys go in and results come out as ``uint32`` arrays.
+
+    A list input and the equal array run the same execution: every output
+    and every counter agree.  The input is copied, so neither the run nor
+    a later change to its outputs touches the caller's array.  Each entry
+    point runs under both kernel modes, and under the sanitizer, which
+    checks the result read-out against its shadow.
+    """
+
+    ENTRY_POINTS = {
+        "approx_refine": _entry_approx_refine,
+        "precise_baseline": _entry_precise_baseline,
+        "approx_only": _entry_approx_only,
+    }
+
+    @staticmethod
+    def outputs(result):
+        if hasattr(result, "output_keys"):
+            return [result.output_keys]
+        return [result.final_keys, result.final_ids]
+
+    @pytest.mark.parametrize("sanitized", [False, True],
+                             ids=["plain", "sanitized"])
+    @pytest.mark.parametrize("kernels", ["scalar", "numpy"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("n", [0, 5, 300])
+    def test_list_and_array_inputs_agree(
+        self, entry, kernels, sanitized, n, monkeypatch
+    ):
+        if sanitized:
+            monkeypatch.setenv(SANITIZE_ENV, "1")
+        else:
+            monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        run = self.ENTRY_POINTS[entry]
+        keys = uniform_keys(n, seed=4)
+        snapshot = keys.copy()
+        checks = checks_performed()
+
+        from_array = run(keys, kernels)
+        from_list = run(keys.tolist(), kernels)
+
+        if n:
+            assert (checks_performed() > checks) == sanitized
+        assert np.array_equal(keys, snapshot)
+        assert from_array.stats.as_dict() == from_list.stats.as_dict()
+        for got, want in zip(self.outputs(from_array),
+                             self.outputs(from_list)):
+            for output in (got, want):
+                assert isinstance(output, np.ndarray)
+                assert output.dtype == np.uint32
+                assert output.shape == (n,)
+                assert not np.shares_memory(output, keys)
+            assert got.tolist() == want.tolist()
+            got[:] = 0
+        assert np.array_equal(keys, snapshot)

@@ -200,6 +200,37 @@ class TestRejectedBlockWrites:
             lambda arr: arr.scatter_np(np.array([0, 9]), np.array([1, 2])),
             IndexError,
         ),
+        # A non-integral word is refused like an out-of-range one, never
+        # truncated: on the list lane, the ndarray path, scatters and
+        # scalar writes alike.
+        "list_word_not_integral": (
+            lambda arr: arr.write_block(0, [1, 2.5]),
+            ValueError,
+        ),
+        "list_word_just_below_word_limit": (
+            lambda arr: arr.write_block(0, [2**32 - 0.5]),
+            ValueError,
+        ),
+        "ndarray_word_not_integral": (
+            lambda arr: arr.write_block(0, np.array([1.0, 1.5])),
+            ValueError,
+        ),
+        "ndarray_word_nan": (
+            lambda arr: arr.write_block(0, np.array([np.nan])),
+            ValueError,
+        ),
+        "scatter_word_not_integral": (
+            lambda arr: arr.scatter_np(np.array([0]), np.array([0.5])),
+            ValueError,
+        ),
+        "scalar_word_not_integral": (
+            lambda arr: arr.write(0, 2.5),
+            ValueError,
+        ),
+        "scalar_numpy_float_not_integral": (
+            lambda arr: arr.write(1, np.float64(7.25)),
+            ValueError,
+        ),
         "scatter_fewer_values_than_indices": (
             lambda arr: arr.scatter_np(np.array([0, 1, 2]), np.array([5])),
             ValueError,
@@ -241,6 +272,7 @@ class TestRejectedBlockWrites:
         assert arr.to_list() == [0, 0, 0, 0]
         if kind != "precise":
             assert block_stream_state(arr) == block_stream_state(twin)
+            assert scalar_stream_state(arr) == scalar_stream_state(twin)
         # The next accepted write behaves as on an array that never saw
         # the rejected one.
         for target in (arr, twin):
@@ -248,6 +280,42 @@ class TestRejectedBlockWrites:
         assert arr.to_list() == twin.to_list()
         assert arr.stats.as_dict() == twin.stats.as_dict()
         assert events == twin_events
+
+
+class TestIntegralWords:
+    """Integral floats, bools and numpy integers are words: each write
+    behaves as the same write of the equal int."""
+
+    @pytest.mark.parametrize("value", [2.0, True, np.uint32(2), np.int64(2)],
+                             ids=["float", "bool", "uint32", "int64"])
+    @pytest.mark.parametrize("kind", ["precise", "approx", "spintronic"])
+    def test_scalar_write_equals_int_write(
+        self, kind, value, pcm_model, precise_iterations
+    ):
+        make = TestRejectedBlockWrites.make
+        arr = make(kind, pcm_model, precise_iterations, [])
+        twin = make(kind, pcm_model, precise_iterations, [])
+        arr.write(1, value)
+        twin.write(1, int(value))
+        assert arr.to_list() == twin.to_list()
+        assert arr.stats.as_dict() == twin.stats.as_dict()
+        if kind != "precise":
+            assert scalar_stream_state(arr) == scalar_stream_state(twin)
+
+    def test_construction_refuses_non_integral_words(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            PreciseArray([1.9, 2**32 - 0.5])
+        assert PreciseArray([1.0, 2**32 - 1.0]).to_list() == [1, 2**32 - 1]
+
+
+def scalar_stream_state(arr):
+    """Where the generators an array's scalar writes draw from stand."""
+    batched = getattr(arr, "_scalar_rng", None)
+    return (
+        arr._rng.getstate(),
+        getattr(arr, "_u_pos", None),
+        None if batched is None else repr(batched.bit_generator.state),
+    )
 
 
 def block_stream_state(arr):

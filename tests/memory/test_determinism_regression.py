@@ -274,8 +274,8 @@ class TestGoldenValues:
         result = run_approx_refine(
             keys, sorter, make_pcm(t), seed=5, kernels=kernels
         )
-        assert result.final_keys == sorted(keys)
-        ids = json.dumps(result.final_ids).encode()
+        assert result.final_keys.tolist() == sorted(keys)
+        ids = json.dumps(result.final_ids.tolist()).encode()
         assert hashlib.sha256(ids).hexdigest()[:16] == digest
         assert result.rem_tilde == rem_tilde
         assert result.stats.as_dict() == stats

@@ -1,5 +1,6 @@
 """Tests for the software write-combining buffer."""
 
+import numpy as np
 import pytest
 
 from repro.memory.approx_array import PreciseArray
@@ -9,6 +10,7 @@ from repro.memory.write_combining import (
     sort_with_write_combining,
 )
 from repro.sorting.registry import make_sorter
+from repro.verify import sanitize
 from repro.workloads.generators import uniform_keys
 
 
@@ -90,6 +92,45 @@ class TestViews:
         array.write(2, 99)
         assert array.peek(2) == 99
         assert array.to_list() == [0, 0, 99, 0]
+
+    def test_numpy_views_merge_buffer_without_charging(self):
+        array, backing, stats = buffered(n=4, capacity=4)
+        array.write(2, 99)
+        array.write(0, 7)
+        charged = stats.as_dict()
+
+        contents = array.to_numpy()
+        assert contents.dtype == np.uint32
+        assert contents.tolist() == [7, 0, 99, 0]
+        gathered = array.peek_gather_np(np.array([2, 1, 0, 2]))
+        assert gathered.dtype == np.uint32
+        assert gathered.tolist() == [99, 0, 7, 99]
+        assert array.peek_gather_np(np.array([], dtype=np.int64)).size == 0
+        assert array.peek_block_np(0, 3).tolist() == [7, 0, 99]
+        # Views charge nothing, and the backing array moves only on flush.
+        assert stats.as_dict() == charged
+        assert backing.to_list() == [0, 0, 0, 0]
+        # to_numpy is a copy, not a window on the buffer or the backing.
+        contents[:] = 1
+        assert array.to_list() == [7, 0, 99, 0]
+        array.flush()
+        assert backing.to_numpy().tolist() == [7, 0, 99, 0]
+
+    @pytest.mark.parametrize("value", [2.5, 1 << 32, -1])
+    def test_buffered_write_checks_the_word(self, value):
+        array, backing, stats = buffered(n=4)
+        with pytest.raises(ValueError):
+            array.write(0, value)
+        array.flush()
+        assert array.to_list() == backing.to_list() == [0, 0, 0, 0]
+        assert stats.precise_writes == 0
+
+    def test_sanitizer_snapshots_through_buffer(self):
+        array, _, _ = buffered(n=4)
+        array.write(1, 5)
+        shadowed = sanitize(array)
+        assert shadowed.to_numpy().tolist() == [0, 5, 0, 0]
+        assert shadowed.peek_gather_np(np.array([1])).tolist() == [5]
 
     def test_write_block_bypasses_and_invalidates(self):
         array, backing, stats = buffered(n=8, capacity=4)

@@ -1,7 +1,9 @@
 """Tests for the sortedness measures, including property tests vs oracles."""
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +179,31 @@ class TestErrorRateMultiset:
     @given(short_lists)
     def test_permutation_has_zero_error(self, values):
         assert error_rate_multiset(values, list(reversed(values))) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_counting_loop(self, data):
+        """The numpy multiset intersection gives the counting loop's float,
+        on lists and on ``uint32`` arrays alike."""
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        word = st.one_of(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        )
+        original = data.draw(st.lists(word, min_size=n, max_size=n))
+        final = data.draw(st.lists(word, min_size=n, max_size=n))
+        remaining = Counter(original)
+        matched = 0
+        for value in final:
+            if remaining[value] > 0:
+                remaining[value] -= 1
+                matched += 1
+        want = 1.0 - matched / len(final) if final else 0.0
+        assert error_rate_multiset(original, final) == want
+        assert error_rate_multiset(
+            np.array(original, dtype=np.uint32),
+            np.array(final, dtype=np.uint32),
+        ) == want
 
 
 class TestDis:

@@ -42,8 +42,8 @@ class TestBitIdentical:
         close_tracer()
         monkeypatch.delenv(TRACE_DIR_ENV)
 
-        assert on.final_keys == off.final_keys
-        assert on.final_ids == off.final_ids
+        assert on.final_keys.tolist() == off.final_keys.tolist()
+        assert on.final_ids.tolist() == off.final_ids.tolist()
         assert on.stats == off.stats
         assert on.rem_tilde == off.rem_tilde
         # The per-stage accounting contract: bit-identical dict, including
@@ -62,7 +62,7 @@ class TestBitIdentical:
         on = run_precise_baseline(keys, "quicksort")
         close_tracer()
         monkeypatch.delenv(TRACE_DIR_ENV)
-        assert on.final_keys == off.final_keys
+        assert on.final_keys.tolist() == off.final_keys.tolist()
         assert on.stats == off.stats
 
 

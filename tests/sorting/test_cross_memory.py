@@ -62,4 +62,4 @@ def test_approx_refine_on_gray_memory_is_exact():
     keys = uniform_keys(600, seed=9)
     factory = _EncodedPCMFactory(0.09, "gray", FIT)
     result = run_approx_refine(keys, "msd6", factory, seed=10)
-    assert result.final_keys == sorted(keys)
+    assert result.final_keys.tolist() == sorted(keys)

@@ -36,8 +36,8 @@ WORKLOADS = {
 
 
 def assert_valid(keys, result):
-    assert result.final_keys == sorted(keys)
-    assert sorted(result.final_ids) == list(range(len(keys)))
+    assert result.final_keys.tolist() == sorted(keys)
+    assert sorted(result.final_ids.tolist()) == list(range(len(keys)))
     for key, ident in zip(result.final_keys, result.final_ids):
         assert keys[ident] == key
 

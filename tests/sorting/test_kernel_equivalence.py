@@ -153,8 +153,8 @@ class TestPipelines:
             run_precise_baseline(keys, "mergesort", kernels=mode)
             for mode in ("scalar", "numpy")
         ]
-        assert runs[0].final_keys == runs[1].final_keys
-        assert runs[0].final_ids == runs[1].final_ids
+        assert runs[0].final_keys.tolist() == runs[1].final_keys.tolist()
+        assert runs[0].final_ids.tolist() == runs[1].final_ids.tolist()
         assert runs[0].stats.__dict__ == runs[1].stats.__dict__
 
     @pytest.mark.parametrize("name", ["lsd6", "hmsd6", "natural_merge"])
@@ -167,8 +167,11 @@ class TestPipelines:
             run_approx_refine(keys, name, memory, seed=13, kernels=mode)
             for mode in ("scalar", "numpy")
         ]
-        assert runs[0].final_keys == runs[1].final_keys == sorted(keys)
-        assert runs[0].final_ids == runs[1].final_ids
+        assert (
+            runs[0].final_keys.tolist() == runs[1].final_keys.tolist()
+            == sorted(keys)
+        )
+        assert runs[0].final_ids.tolist() == runs[1].final_ids.tolist()
         assert runs[0].rem_tilde == runs[1].rem_tilde
         assert runs[0].stats.__dict__ == runs[1].stats.__dict__
 
@@ -187,7 +190,7 @@ class TestPipelines:
                 result = run_approx_refine(
                     keys, name, memory, seed=seed, kernels=mode
                 )
-                assert result.final_keys == sorted(keys)
+                assert result.final_keys.tolist() == sorted(keys)
                 rates[mode].append(
                     result.stats.corrupted_writes
                     / max(1, result.stats.approx_writes)

@@ -81,7 +81,7 @@ def test_approx_refine_matches_lanes_off(
             keys, sorter, memory, seed=4, kernels=kernels
         )
         return (result.stats.as_dict(), result.rem_tilde,
-                result.approx_rem_ratio, result.final_ids)
+                result.approx_rem_ratio, result.final_ids.tolist())
 
     with_lanes = _run(run, monkeypatch, True)
     if keyset == "uniform" and (kernels == "numpy" or sorter != "quicksort"):
@@ -100,7 +100,7 @@ def test_precise_baseline_matches_lanes_off(sorter, kernels, monkeypatch):
 
     def run():
         result = run_precise_baseline(keys, sorter, kernels=kernels)
-        return result.stats.as_dict(), result.final_ids
+        return result.stats.as_dict(), result.final_ids.tolist()
 
     assert _run(run, monkeypatch, True) == _run(run, monkeypatch, False)
 

@@ -41,7 +41,7 @@ class TestPreciseCorrectness:
     def test_already_sorted(self, name):
         keys = make_keys("sorted", 200, seed=2)
         out, _, _ = sort_precise(name, keys)
-        assert out == keys
+        assert out == keys.tolist()
 
     def test_reverse_sorted(self, name):
         keys = make_keys("reverse", 200, seed=3)

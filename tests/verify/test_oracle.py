@@ -1,5 +1,9 @@
 """Tests for the differential oracle: classes pass, plumbing behaves."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.sorting.registry import APPROX_KERNEL_EXACT, available_sorters
@@ -10,6 +14,7 @@ from repro.verify.oracle import (
     CaseResult,
     Divergence,
     OracleCase,
+    _first_mismatch,
     _ks_p_value,
     _ks_p_value_fallback,
     digest_keys,
@@ -25,7 +30,10 @@ REPRESENTATIVES = ["quicksort", "lsd4", "hmsd4"]
 class TestCasePlumbing:
     def test_keys_from_registry_workload(self):
         case = OracleCase("quicksort", workload="uniform", n=50, seed=3)
-        assert case.keys() == OracleCase("lsd4", n=50, seed=3).keys()
+        assert (
+            case.keys().tolist()
+            == OracleCase("lsd4", n=50, seed=3).keys().tolist()
+        )
         assert len(case.keys()) == 50
 
     def test_keys_from_extra_workload(self):
@@ -164,6 +172,29 @@ class TestHelpers:
         assert digest_keys(keys) == digest_keys(list(range(100)))
         assert digest_keys(keys) != digest_keys(keys[::-1])
         assert len(digest_keys([])) == 16
+
+    def test_digest_of_array_equals_digest_of_words(self):
+        """One hash of the little-endian words, whatever the sequence."""
+        keys = [0, 1, 2**32 - 1, 123_456_789]
+        h = hashlib.sha256()
+        for key in keys:
+            h.update(key.to_bytes(4, "little"))
+        assert digest_keys(keys) == h.hexdigest()[:16]
+        assert digest_keys(np.array(keys, dtype=np.uint32)) == digest_keys(keys)
+
+    def test_first_mismatch_records_json_ints(self):
+        out = []
+        _first_mismatch(out, "cls", "final_keys",
+                        np.array([1, 2, 3], dtype=np.uint32), [1, 5, 3])
+        _first_mismatch(out, "cls", "final_ids",
+                        np.arange(3, dtype=np.uint32), [0, 1])
+        _first_mismatch(out, "cls", "same",
+                        np.arange(3, dtype=np.uint32), [0, 1, 2])
+        assert [(d.field, d.index, d.expected, d.actual) for d in out] == [
+            ("final_keys", 1, 2, 5), ("final_ids", None, 3, 2),
+        ]
+        assert out[1].detail == "length mismatch"
+        json.dumps([d.__dict__ for d in out])
 
     def test_ks_fallback_agrees_with_scipy(self):
         a = [0.001, 0.002, 0.0015, 0.0012, 0.0025, 0.0018]
