@@ -9,16 +9,20 @@ Usage::
 Times two public calls for each algorithm under both kernel modes: the
 full approx-refine pipeline (approx-stage sort + Rem measurement +
 refine), and the precise baseline ``run_precise_baseline``.  Each call's
-output must be exactly ``sorted(keys)``.  One record per (algo, kernels,
-call) measurement is appended to a JSON array file (default
-``BENCH_sorters.json`` at the repo root), in the same append-style format
-as ``BENCH_runner.json``::
+output must be exactly ``sorted(keys)``.  Each call is timed ``--repeats``
+times (default 5: one timing moves with the speed of a shared host).  One
+record per (algo, kernels, call) measurement is appended to a JSON array
+file (default ``BENCH_sorters.json`` at the repo root), in the same
+append-style format as ``BENCH_runner.json``::
 
     {"schema": 1, "timestamp": ..., "n": ..., "T": ..., "algo": ...,
-     "kernels": ..., "seconds": ..., "rem_tilde": ..., "cpus": ...}
+     "kernels": ..., "seconds": ..., "median_s": ..., "max_s": ...,
+     "repeats": ..., "rem_tilde": ..., "cpus": ...}
 
-A precise-baseline record adds ``"mode": "precise"``, with ``"T": null``
-and ``"rem_tilde": null``.  The printed table reports the scalar/numpy
+``seconds`` is the best (minimum) of the repeats, as in the records made
+before ``median_s``, ``max_s`` and ``repeats`` were added.  A
+precise-baseline record adds ``"mode": "precise"``, with ``"T": null`` and
+``"rem_tilde": null``.  The printed table reports the scalar/numpy
 speedup per algorithm and call.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -70,7 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated registry names",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed calls per measurement")
     parser.add_argument(
         "--out", default="BENCH_sorters.json", metavar="PATH",
         help="JSON array file to append records to",
@@ -99,15 +105,15 @@ def main(argv: list[str] | None = None) -> int:
     for algo in algos:
         for mode, call in calls:
             for kernels in ("scalar", "numpy"):
-                best = float("inf")
+                times = []
                 rem_tilde = None
                 for _ in range(max(1, args.repeats)):
                     start = time.perf_counter()
                     result = call(algo, kernels)
-                    elapsed = time.perf_counter() - start
-                    best = min(best, elapsed)
+                    times.append(time.perf_counter() - start)
                     rem_tilde = getattr(result, "rem_tilde", None)
                     assert np.array_equal(result.final_keys, expected)
+                best, median = min(times), statistics.median(times)
                 seconds[(algo, mode, kernels)] = best
                 record = {
                     "schema": 1,
@@ -119,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
                     "algo": algo,
                     "kernels": kernels,
                     "seconds": round(best, 3),
+                    "median_s": round(median, 3),
+                    "max_s": round(max(times), 3),
+                    "repeats": len(times),
                     "rem_tilde": rem_tilde,
                     "cpus": os.cpu_count(),
                 }
@@ -126,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
                     record["mode"] = mode
                 records.append(record)
                 print(f"{algo:>12s}  {mode:>13s}  {kernels:>6s}"
-                      f"  {best:8.3f}s  (rem~ {rem_tilde})")
+                      f"  {best:8.3f}s  (median {median:.3f}s,"
+                      f" max {max(times):.3f}s, rem~ {rem_tilde})")
 
     print()
     print(f"{'algo':>12s}  {'call':>13s}  {'scalar':>9s}  {'numpy':>9s}"

@@ -46,21 +46,6 @@ def _use_np(kernels: Optional[str], *arrays: InstrumentedArray) -> bool:
     return all(a.trace is None and a.kernel_safe for a in arrays)
 
 
-def _account_reads(array: InstrumentedArray, count: int) -> None:
-    """Charge ``count`` repeat reads of ``array`` without re-issuing them.
-
-    Reads have no side effects in any memory model here, so for values the
-    kernel already holds the scalar path's repeat reads are observationally
-    just counters.
-    """
-    if count <= 0:
-        return
-    if array.region == "approx":
-        array.stats.record_approx_read(count)
-    else:
-        array.stats.record_precise_read(count)
-
-
 def find_rem_ids(
     ids: InstrumentedArray,
     key0: InstrumentedArray,
@@ -271,9 +256,10 @@ def _merge_refined_np(
     the ``m`` REM-set positions of ``ID`` is read once by the skip scan
     and each LIS~ position ``2*(parked REM emissions + 1)`` times; ``Key0``
     reads are the per-iteration LIS~-head read, the head comparison when
-    REM is non-empty, and the double read on each REM emission.  Values
-    the kernel already holds are re-charged via stats (reads are
-    side-effect-free), keeping counts identical to the scalar path.
+    REM is non-empty, and the double read on each REM emission.  Repeat
+    reads of values the kernel already holds are charged with
+    ``record_reads`` (reads are side-effect-free), keeping counts
+    identical to the scalar path.
     """
     n = len(ids)
     m = len(sorted_rem_ids)
@@ -319,8 +305,8 @@ def _merge_refined_np(
             t_last = int(np.searchsorted(lis_keys, rem_keys[-1], side="right"))
             iters_with_rem = m + t_last
 
-    _account_reads(ids, L + 2 * r_before)
-    _account_reads(key0, r_before + iters_with_rem)
+    ids.record_reads(L + 2 * r_before)
+    key0.record_reads(r_before + iters_with_rem)
 
     final_ids.write_block(0, merged_ids)
     final_keys.write_block(0, merged_keys)

@@ -8,7 +8,7 @@ semantically equivalent implementations:
   accounting and (on approximate memory) the corruption semantics.
 * ``"numpy"`` — kernelized: the same accesses expressed through the
   accounted batch primitives of :class:`repro.memory.InstrumentedArray`
-  (``read_block_np`` / ``write_block_np`` / ``gather_np`` / ``scatter_np``),
+  (``read_block_np`` / ``write_block`` / ``gather_np`` / ``scatter_np``),
   with the per-element control flow replaced by vectorized numpy kernels.
 
 On precise memory both paths produce bit-identical outputs and identical

@@ -120,20 +120,20 @@ def _is_word_list(values) -> bool:
 
 
 class InstrumentedArray:
-    """Common interface of the memory-backed arrays.
+    """The one body of every memory kind's accounted accesses.
 
-    Subclasses implement :meth:`write`; reads, bulk helpers and unaccounted
-    inspection are shared.  ``region`` labels the trace events the array
-    emits.
+    Every access that does not depend on the technology lives here once:
+    the reads, the block and scatter writes, :meth:`load_from`, the
+    unaccounted views and :meth:`clone_empty`.  A memory kind supplies what
+    differs: its ``region`` (the counter its reads charge, and its trace
+    label), its scalar :meth:`write`, :meth:`_write_words` (the store of a
+    checked block or scatter), and its constructor with its RNG streams
+    and :meth:`_clone_args`.
 
-    Besides the scalar interface, arrays expose *accounted batch
-    primitives* (:meth:`read_block_np`, :meth:`write_block_np`,
-    :meth:`gather_np`, :meth:`scatter_np`) that move numpy arrays in and
-    out without per-element Python calls while charging exactly one
-    accounted access per element — the foundation of the vectorized sort
-    kernels (DESIGN.md section 8).  The base-class implementations fall
-    back to the scalar path so any subclass stays correct; the concrete
-    memory types override them with vectorized versions.
+    The batch primitives (:meth:`read_block_np`, :meth:`write_block`,
+    :meth:`gather_np`, :meth:`scatter_np`) move numpy arrays without
+    per-element Python calls while charging exactly one accounted access
+    per element (DESIGN.md section 8).
     """
 
     region = "precise"
@@ -181,6 +181,14 @@ class InstrumentedArray:
         # keep using the ndarray; both views share storage.
         self._mv = memoryview(self._data)
         self.stats = stats if stats is not None else MemoryStats()
+        # The region's read counter, bound once: the shared read bodies
+        # make no more Python calls than a per-kind body would.  They call
+        # it through a local, because CPython specializes the load of an
+        # instance attribute but not a method call on one.
+        self._count_reads = (
+            self.stats.record_approx_read if self.region == "approx"
+            else self.stats.record_precise_read
+        )
         self.trace = trace
         self.name = name
 
@@ -201,75 +209,9 @@ class InstrumentedArray:
     def __len__(self) -> int:
         return self._data.size
 
-    # -- accounted access ------------------------------------------------ #
-
-    def read(self, index: int) -> int:
-        """Accounted element read (``ld`` / ``ld.approx``)."""
-        raise NotImplementedError
-
-    def write(self, index: int, value: int) -> None:
-        """Accounted element write (``st`` / ``st.approx``)."""
-        raise NotImplementedError
-
-    def clone_empty(self, size: Optional[int] = None, name: str = "") -> "InstrumentedArray":
-        """Allocate a zeroed array of the same memory kind and accounting.
-
-        Scratch buffers of the sorting algorithms (mergesort's ping-pong
-        buffer, radixsort's bucket region) must live in the *same* memory as
-        the keys they shadow so their writes are costed and corrupted
-        identically; this factory gives sorters a way to allocate them
-        without knowing the concrete memory type.
-        """
-        raise NotImplementedError
-
-    def read_block(self, start: int, count: int) -> list[int]:
-        """Accounted sequential read of ``count`` elements from ``start``."""
-        return [self.read(i) for i in range(start, start + count)]
-
-    def write_block(self, start: int, values: Sequence[int]) -> None:
-        """Accounted sequential write of ``values`` starting at ``start``."""
-        for offset, value in enumerate(values):
-            self.write(start + offset, value)
-
-    # -- accounted batch primitives (numpy in, numpy out) ---------------- #
-
-    def read_block_np(self, start: int, count: int) -> np.ndarray:
-        """Accounted sequential read returning a ``np.uint32`` copy.
-
-        Accounting is identical to :meth:`read_block` (one read per
-        element); the result never round-trips through a Python list.
-        """
-        return np.asarray(self.read_block(start, count), dtype=np.uint32)
-
-    def write_block_np(self, start: int, values: np.ndarray) -> None:
-        """Accounted sequential write of a numpy block (same as write_block)."""
-        self.write_block(start, values)
-
-    def gather_np(self, indices: np.ndarray) -> np.ndarray:
-        """Accounted read of arbitrary (possibly repeated) indices.
-
-        Charges exactly ``len(indices)`` reads — the batched equivalent of
-        a loop of scalar :meth:`read` calls over ``indices``.
-        """
-        return np.array(
-            [self.read(int(i)) for i in np.asarray(indices)], dtype=np.uint32
-        )
-
-    def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Accounted write of ``values[k]`` to ``indices[k]`` for every k.
-
-        Charges exactly ``len(indices)`` writes; with repeated indices the
-        last write wins, as in the scalar loop it replaces.
-        """
-        for i, v in zip(np.asarray(indices), np.asarray(values)):
-            self.write(int(i), int(v))
-
     def peek_block_np(self, start: int, count: int) -> np.ndarray:
         """Unaccounted numpy copy of a slice — for kernels/metrics/oracles."""
-        return np.array(
-            [self.peek(i) for i in range(start, start + count)],
-            dtype=np.uint32,
-        )
+        return self._data[start : start + count].copy()
 
     def peek_gather_np(self, indices: np.ndarray) -> np.ndarray:
         """Unaccounted read of arbitrary indices — for test/sanitizer oracles.
@@ -296,6 +238,131 @@ class InstrumentedArray:
         """
         vals = _as_words(values)
         self._data[start : start + vals.size] = vals
+
+    # -- accounted reads ------------------------------------------------- #
+
+    def read(self, index: int) -> int:
+        """Accounted element read (``ld`` / ``ld.approx``)."""
+        count_reads = self._count_reads
+        count_reads()
+        if self.trace is not None:
+            self.trace("R", self.region, index)
+        return self._mv[index]
+
+    def read_block(self, start: int, count: int) -> list[int]:
+        """Accounted sequential read of ``count`` elements from ``start``."""
+        count_reads = self._count_reads
+        count_reads(count)
+        if self.trace is not None:
+            self._trace_indices("R", slice(start, start + count))
+        return self._data[start : start + count].tolist()
+
+    def read_block_np(self, start: int, count: int) -> np.ndarray:
+        """Accounted sequential read returning a ``np.uint32`` copy.
+
+        Accounting is identical to :meth:`read_block` (one read per
+        element); the result never round-trips through a Python list.
+        """
+        count_reads = self._count_reads
+        count_reads(count)
+        if self.trace is not None:
+            self._trace_indices("R", slice(start, start + count))
+        return self._data[start : start + count].copy()
+
+    def gather_np(self, indices: np.ndarray) -> np.ndarray:
+        """Accounted read of arbitrary (possibly repeated) indices.
+
+        Charges exactly ``len(indices)`` reads — the batched equivalent of
+        a loop of scalar :meth:`read` calls over ``indices``.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        count_reads = self._count_reads
+        count_reads(idx.size)
+        if self.trace is not None:
+            self._trace_indices("R", idx)
+        return self._data[idx]
+
+    def record_reads(self, count: int) -> None:
+        """Charge ``count`` accounted reads of words the caller already holds.
+
+        Reads have no side effect in any memory model here, so a kernel
+        that kept the values (quicksort's list lane, the numpy refine
+        merge) charges its repeat reads instead of re-issuing them.  Its
+        callers run only on untraced arrays, so it emits no trace events.
+        """
+        count_reads = self._count_reads
+        count_reads(count)
+
+    # -- accounted writes ------------------------------------------------ #
+
+    def write(self, index: int, value: int) -> None:
+        """Accounted element write (``st`` / ``st.approx``)."""
+        raise NotImplementedError
+
+    def write_block(self, start: int, values: Sequence[int]) -> None:
+        """Accounted sequential write of ``values`` starting at ``start``.
+
+        A list of at most
+        :data:`~repro.memory.error_model.LIST_LANE_MAX_WORDS` valid words
+        reaches :meth:`_write_words` as it is (the list lane); anything
+        else is converted and checked by :func:`_as_words` first.
+        """
+        if not _is_word_list(values):
+            values = _as_words(values)
+        self._write_words(self._block_slots(start, len(values)), values)
+
+    def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Accounted write of ``values[k]`` to ``indices[k]`` for every k.
+
+        Charges exactly ``len(indices)`` writes, costed and corrupted as a
+        block write of ``values``; with repeated indices the last write
+        wins, as in the scalar loop it replaces.
+        """
+        vals = _as_words(values)
+        self._write_words(self._scatter_slots(indices, vals.size), vals)
+
+    def _write_words(
+        self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
+    ) -> None:
+        """Cost, corrupt, account, trace and store ``vals`` at ``slots``:
+        the one store of :meth:`write_block` and :meth:`scatter_np`.
+        ``vals`` is a checked ``uint32`` array or a list-lane list of valid
+        words, and ``slots`` is checked, so no store is refused after it
+        has been charged."""
+        raise NotImplementedError
+
+    def load_from(self, source: "InstrumentedArray") -> None:
+        """Approx-preparation copy: read ``source``, write every element here.
+
+        This is the accounted ``Key0 -> Key~`` copy of the paper's
+        approx-preparation stage; some keys may become imprecise in transit.
+        """
+        if len(source) != len(self):
+            raise ValueError(
+                f"size mismatch: source {len(source)} vs destination {len(self)}"
+            )
+        self.write_block(0, source.read_block_np(0, len(source)))
+
+    # -- structure --------------------------------------------------------- #
+
+    def clone_empty(self, size: Optional[int] = None, name: str = "") -> "InstrumentedArray":
+        """Allocate a zeroed array of the same memory kind and accounting.
+
+        Scratch buffers of the sorting algorithms (mergesort's ping-pong
+        buffer, radixsort's bucket region) must live in the *same* memory as
+        the keys they shadow so their writes are costed and corrupted
+        identically; this factory gives sorters a way to allocate them
+        without knowing the concrete memory type.
+        """
+        n = len(self) if size is None else size
+        return type(self)(
+            np.zeros(n, dtype=np.uint32), stats=self.stats, trace=self.trace,
+            name=name or self.name, **self._clone_args(),
+        )
+
+    def _clone_args(self) -> dict:
+        """A clone's constructor arguments besides data, stats, trace, name."""
+        return {}
 
     def _block_slots(self, start: int, count: int) -> slice:
         """The checked destination of a ``count``-word block write at ``start``.
@@ -325,15 +392,9 @@ class InstrumentedArray:
             raise IndexError(f"scatter index outside [0, {size})")
         return idx
 
-    def _trace_block(self, op: str, start: int, count: int) -> None:
-        """Emit one trace event per element of a block access."""
-        trace = self.trace
-        for i in range(start, start + count):
-            trace(op, self.region, i)
-
     def _trace_indices(self, op: str, indices: "np.ndarray | slice") -> None:
-        """Emit one trace event per element of a gather/scatter access
-        (or of a block access, given its slice)."""
+        """Emit one trace event per element of an access, given its indices
+        or, for a block access, its slice."""
         if isinstance(indices, slice):
             indices = range(indices.start, indices.stop)
         trace = self.trace
@@ -346,76 +407,10 @@ class PreciseArray(InstrumentedArray):
 
     region = "precise"
 
-    def clone_empty(self, size: Optional[int] = None, name: str = "") -> "PreciseArray":
-        n = len(self) if size is None else size
-        return PreciseArray(
-            np.zeros(n, dtype=np.uint32), stats=self.stats, trace=self.trace,
-            name=name or self.name,
-        )
-
-    def read_block(self, start: int, count: int) -> list[int]:
-        self.stats.record_precise_read(count)
-        if self.trace is not None:
-            self._trace_block("R", start, count)
-        return self._data[start : start + count].tolist()
-
-    def read_block_np(self, start: int, count: int) -> np.ndarray:
-        self.stats.record_precise_read(count)
-        if self.trace is not None:
-            self._trace_block("R", start, count)
-        return self._data[start : start + count].copy()
-
-    def write_block(self, start: int, values: Sequence[int]) -> None:
-        # A small list of valid words is stored as it is (the list lane).
-        checked = values if _is_word_list(values) else _as_words(values)
-        count = len(checked)
-        slots = self._block_slots(start, count)
-        self.stats.record_precise_write(count)
-        if self.trace is not None:
-            self._trace_block("W", start, count)
-        self._data[slots] = checked
-
-    def gather_np(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        self.stats.record_precise_read(idx.size)
-        if self.trace is not None:
-            self._trace_indices("R", idx)
-        return self._data[idx]
-
-    def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
-        checked = _as_words(values)
-        idx = self._scatter_slots(indices, checked.size)
-        self.stats.record_precise_write(idx.size)
-        if self.trace is not None:
-            self._trace_indices("W", idx)
-        self._data[idx] = checked
-
-    def peek_block_np(self, start: int, count: int) -> np.ndarray:
-        return self._data[start : start + count].copy()
-
-    def read(self, index: int) -> int:
-        self.stats.record_precise_read()
-        if self.trace is not None:
-            self.trace("R", self.region, index)
-        return self._mv[index]
-
-    # -- quicksort's lane entry points (DESIGN.md section 8) ------------ #
-    # Only its small-partition lane calls these, and only on arrays with no
-    # trace hook, so they emit no trace events.
-
-    def record_reads(self, count: int) -> None:
-        """Charge ``count`` accounted reads of words a lane already holds."""
-        self.stats.record_precise_read(count)
-
-    def swap(self, i: int, j: int) -> "tuple[int, int]":
-        """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
-        ``write(j, old_i)`` as one call; returns the stored pair."""
-        mv = self._mv
-        a, b = mv[i], mv[j]
-        self.stats.record_precise_read(2)
-        self.stats.record_precise_write(2)
-        mv[i], mv[j] = b, a
-        return b, a
+    # benchmarks/e2e/ledger.py times these by ``cls.__dict__[name]``, so
+    # this class body names them too.
+    write_block = InstrumentedArray.write_block
+    scatter_np = InstrumentedArray.scatter_np
 
     def write(self, index: int, value: int) -> None:
         # The memoryview would store a negative index counted from the end.
@@ -433,6 +428,26 @@ class PreciseArray(InstrumentedArray):
         self.stats.record_precise_write()
         if self.trace is not None:
             self.trace("W", self.region, index)
+
+    def swap(self, i: int, j: int) -> "tuple[int, int]":
+        """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
+        ``write(j, old_i)`` as one call; returns the stored pair.  Only
+        quicksort's small-partition lane calls it, on untraced arrays, so
+        it emits no trace events (DESIGN.md section 8)."""
+        mv = self._mv
+        a, b = mv[i], mv[j]
+        self.stats.record_precise_read(2)
+        self.stats.record_precise_write(2)
+        mv[i], mv[j] = b, a
+        return b, a
+
+    def _write_words(
+        self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
+    ) -> None:
+        self.stats.record_precise_write(len(vals))
+        if self.trace is not None:
+            self._trace_indices("W", slots)
+        self._data[slots] = vals
 
 
 class ApproxArray(InstrumentedArray):
@@ -465,6 +480,15 @@ class ApproxArray(InstrumentedArray):
 
     region = "approx"
 
+    # benchmarks/e2e/ledger.py times these by ``cls.__dict__[name]``, so
+    # this class body names them too.
+    read = InstrumentedArray.read
+    read_block = InstrumentedArray.read_block
+    read_block_np = InstrumentedArray.read_block_np
+    gather_np = InstrumentedArray.gather_np
+    write_block = InstrumentedArray.write_block
+    scatter_np = InstrumentedArray.scatter_np
+
     def __init__(
         self,
         data: Iterable[int],
@@ -481,64 +505,20 @@ class ApproxArray(InstrumentedArray):
             raise ValueError("precise_iterations must be positive")
         self.model = model
         self.precise_iterations = precise_iterations
-        self._seed = seed
         self._rng = random.Random(seed)
         self._stream = UniformStream(np.random.default_rng((seed, 0x5EED)))
         self._scalar_rng = np.random.default_rng((seed, 0xFA57))
         self._u_buffer: list[float] = []
         self._u_pos = 0
 
-    def clone_empty(self, size: Optional[int] = None, name: str = "") -> "ApproxArray":
-        n = len(self) if size is None else size
+    def _clone_args(self) -> dict:
         # Derive the scratch array's corruption stream from this array's so
         # clones stay deterministic under the parent's seed yet independent.
-        return ApproxArray(
-            np.zeros(n, dtype=np.uint32),
-            model=self.model,
-            precise_iterations=self.precise_iterations,
-            stats=self.stats,
-            seed=self._rng.getrandbits(32),
-            trace=self.trace,
-            name=name or self.name,
-        )
-
-    def read(self, index: int) -> int:
-        self.stats.record_approx_read()
-        if self.trace is not None:
-            self.trace("R", self.region, index)
-        return self._mv[index]
-
-    def read_block(self, start: int, count: int) -> list[int]:
-        self.stats.record_approx_read(count)
-        if self.trace is not None:
-            self._trace_block("R", start, count)
-        return self._data[start : start + count].tolist()
-
-    def read_block_np(self, start: int, count: int) -> np.ndarray:
-        self.stats.record_approx_read(count)
-        if self.trace is not None:
-            self._trace_block("R", start, count)
-        return self._data[start : start + count].copy()
-
-    def gather_np(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        self.stats.record_approx_read(idx.size)
-        if self.trace is not None:
-            self._trace_indices("R", idx)
-        return self._data[idx]
-
-    def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Accounted scatter: cost and corruption as a block write.
-
-        Per-word corruption comes from the same batched block sampler
-        (``corrupt_block`` on the block stream) as :meth:`write_block`,
-        so scalar-vs-kernel corruption rates agree in distribution.
-        """
-        vals = _as_words(values)
-        self._write_words(self._scatter_slots(indices, vals.size), vals)
-
-    def peek_block_np(self, start: int, count: int) -> np.ndarray:
-        return self._data[start : start + count].copy()
+        return {
+            "model": self.model,
+            "precise_iterations": self.precise_iterations,
+            "seed": self._rng.getrandbits(32),
+        }
 
     def _next_uniform(self) -> float:
         """One fast-path uniform from the batched scalar stream."""
@@ -572,46 +552,23 @@ class ApproxArray(InstrumentedArray):
         self._mv[index] = stored
         return stored
 
-    # -- quicksort's lane entry points (DESIGN.md section 8) ------------ #
-    # Only its small-partition lane calls these, and only on arrays with no
-    # trace hook, so they emit no read trace events.
-
-    def record_reads(self, count: int) -> None:
-        """Charge ``count`` accounted reads of words a lane already holds."""
-        self.stats.record_approx_read(count)
-
     def swap(self, i: int, j: int) -> "tuple[int, int]":
         """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
         ``write(j, old_i)`` as one call; returns the stored pair.  The
-        writes are :meth:`write`'s own, so they draw from the scalar
-        streams in the same order."""
+        writes are :meth:`write`'s own, drawing from the scalar streams in
+        the same order.  Only quicksort's small-partition lane calls it,
+        on untraced arrays, so it emits no read trace events."""
         mv = self._mv
         a, b = mv[i], mv[j]
         self.stats.record_approx_read(2)
         return self._store(i, b), self._store(j, a)
 
-    def write_block(self, start: int, values: Sequence[int]) -> None:
-        """Vectorized block write (numpy path; same distribution as scalar).
-
-        A list of at most
-        :data:`~repro.memory.error_model.LIST_LANE_MAX_WORDS` valid words
-        takes the model's list lane (:meth:`WordErrorModel.corrupt_list`):
-        the same draws, stored words and cost sum as the numpy path,
-        without its per-call overhead.
-        """
-        if not _is_word_list(values):
-            values = _as_words(values)
-        self._write_words(self._block_slots(start, len(values)), values)
-
     def _write_words(
         self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
     ) -> None:
-        """Cost, corrupt, account, trace and store ``vals`` at ``slots``.
-
-        The one body of :meth:`write_block` and :meth:`scatter_np`; a list
-        is a list-lane block of :meth:`write_block`.  The destination is
-        already checked, so no store is refused after it has been charged.
-        """
+        # A list-lane list takes the model's list lane (``corrupt_list``):
+        # the numpy path's draws, stored words and cost sum, without its
+        # per-call overhead.
         count = len(vals)
         if count == 0:
             return
@@ -628,15 +585,3 @@ class ApproxArray(InstrumentedArray):
         if self.trace is not None:
             self._trace_indices("W", slots)
         self._data[slots] = stored
-
-    def load_from(self, source: InstrumentedArray) -> None:
-        """Approx-preparation copy: read ``source``, write every element here.
-
-        This is the accounted ``Key0 -> Key~`` copy of the paper's
-        approx-preparation stage; some keys may become imprecise in transit.
-        """
-        if len(source) != len(self):
-            raise ValueError(
-                f"size mismatch: source {len(source)} vs destination {len(self)}"
-            )
-        self.write_block(0, source.read_block_np(0, len(source)))

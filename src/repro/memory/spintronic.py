@@ -20,12 +20,12 @@ run on it unchanged — the property Appendix A uses to claim generality.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .approx_array import (
-    InstrumentedArray, TraceHook, _as_words, _check_word, _index_error,
+    InstrumentedArray, TraceHook, _check_word, _index_error,
 )
 from .config import SpintronicParams, WORD_BITS
 from .stats import MemoryStats
@@ -117,49 +117,8 @@ class SpintronicArray(InstrumentedArray):
         self._rng = random.Random(seed)
         self._np_rng = np.random.default_rng((seed, 0x5E17))
 
-    def clone_empty(self, size: Optional[int] = None, name: str = "") -> "SpintronicArray":
-        n = len(self) if size is None else size
-        return SpintronicArray(
-            np.zeros(n, dtype=np.uint32),
-            model=self.model,
-            stats=self.stats,
-            seed=self._rng.getrandbits(32),
-            trace=self.trace,
-            name=name or self.name,
-        )
-
-    def read(self, index: int) -> int:
-        self.stats.record_approx_read()
-        if self.trace is not None:
-            self.trace("R", self.region, index)
-        return self._mv[index]
-
-    def read_block(self, start: int, count: int) -> list[int]:
-        self.stats.record_approx_read(count)
-        if self.trace is not None:
-            self._trace_block("R", start, count)
-        return self._data[start : start + count].tolist()
-
-    def read_block_np(self, start: int, count: int) -> np.ndarray:
-        self.stats.record_approx_read(count)
-        if self.trace is not None:
-            self._trace_block("R", start, count)
-        return self._data[start : start + count].copy()
-
-    def gather_np(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        self.stats.record_approx_read(idx.size)
-        if self.trace is not None:
-            self._trace_indices("R", idx)
-        return self._data[idx]
-
-    def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Accounted scatter; corruption from the batched block sampler."""
-        vals = _as_words(values)
-        self._write_words(self._scatter_slots(indices, vals.size), vals)
-
-    def peek_block_np(self, start: int, count: int) -> np.ndarray:
-        return self._data[start : start + count].copy()
+    def _clone_args(self) -> dict:
+        return {"model": self.model, "seed": self._rng.getrandbits(32)}
 
     def write(self, index: int, value: int) -> None:
         if not 0 <= index < len(self._mv):
@@ -173,13 +132,11 @@ class SpintronicArray(InstrumentedArray):
             self.trace("W", self.region, index)
         self._mv[index] = stored
 
-    def write_block(self, start: int, values: Sequence[int]) -> None:
-        vals = _as_words(values)
-        self._write_words(self._block_slots(start, vals.size), vals)
-
-    def _write_words(self, slots: "slice | np.ndarray", vals: np.ndarray) -> None:
-        """Corrupt, account, trace and store ``vals`` at checked ``slots``
-        (the one body of :meth:`write_block` and :meth:`scatter_np`)."""
+    def _write_words(
+        self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
+    ) -> None:
+        # A list-lane list is valid words already; the sampler takes arrays.
+        vals = np.asarray(vals, dtype=np.uint32)
         if vals.size == 0:
             return
         stored = self.model.corrupt_block(vals, self._np_rng)
@@ -190,11 +147,3 @@ class SpintronicArray(InstrumentedArray):
         if self.trace is not None:
             self._trace_indices("W", slots)
         self._data[slots] = stored
-
-    def load_from(self, source: InstrumentedArray) -> None:
-        """Accounted approx-preparation copy from a precise array."""
-        if len(source) != len(self):
-            raise ValueError(
-                f"size mismatch: source {len(source)} vs destination {len(self)}"
-            )
-        self.write_block(0, source.read_block_np(0, len(source)))

@@ -22,7 +22,7 @@ import numpy as np
 from .approx_array import InstrumentedArray, _check_word
 
 
-class WriteCombiningArray(InstrumentedArray):
+class WriteCombiningArray:
     """LRU write-combining front of a backing instrumented array.
 
     Parameters
@@ -35,12 +35,15 @@ class WriteCombiningArray(InstrumentedArray):
 
     Notes
     -----
-    ``len``, ``peek``, ``to_list``, ``to_numpy``, ``peek_gather_np`` and
-    ``clone_empty`` see through the buffer, so metrics and assertions
-    observe the logical contents; actual memory traffic is what reached
-    ``backing``.  Call :meth:`flush` (or rely on the sorting helpers, which
-    flush on completion) before measuring the backing store's final state
-    directly.
+    The front stores no words of its own, so it is no
+    :class:`InstrumentedArray`: it offers the accesses of the sorters'
+    scalar path, and ``kernel_safe`` keeps the vectorized kernels away.
+    Its unaccounted views (``len``, ``peek``, ``peek_block_np``,
+    ``peek_gather_np``, ``to_list``, ``to_numpy``) see through the buffer,
+    so metrics and assertions observe the logical contents; actual memory
+    traffic is what reached ``backing``.  Call :meth:`flush` (or rely on
+    the sorting helpers, which flush on completion) before measuring the
+    backing store's final state directly.
     """
 
     #: Combining depends on per-element access *order*; the vectorized sort
@@ -50,8 +53,8 @@ class WriteCombiningArray(InstrumentedArray):
     def __init__(self, backing: InstrumentedArray, capacity: int = 64) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
-        # Deliberately *not* calling super().__init__: this wrapper stores
-        # no data of its own and shares the backing array's accounting.
+        # The front shares the backing array's accounting; it emits no
+        # trace events (an absorbed write is no memory access).
         self.backing = backing
         self.stats = backing.stats
         self.trace = None
@@ -62,7 +65,7 @@ class WriteCombiningArray(InstrumentedArray):
         self.combined_writes = 0
 
     @property
-    def region(self) -> str:  # type: ignore[override]
+    def region(self) -> str:
         return self.backing.region
 
     def __len__(self) -> int:
@@ -128,20 +131,21 @@ class WriteCombiningArray(InstrumentedArray):
             return self._buffer[index]
         return self.backing.peek(index)
 
+    def peek_block_np(self, start: int, count: int) -> np.ndarray:
+        values = self.backing.peek_block_np(start, count)
+        for index, value in self._buffer.items():
+            if start <= index < start + count:
+                values[index - start] = value
+        return values
+
     def to_list(self) -> list[int]:
         return self.to_numpy().tolist()
 
     def to_numpy(self) -> np.ndarray:
-        values = self.backing.to_numpy()
-        for index, value in self._buffer.items():
-            values[index] = value
-        return values
+        return self.peek_block_np(0, len(self))
 
     def peek_gather_np(self, indices: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.peek(i) for i in np.asarray(indices, dtype=np.int64).tolist()],
-            dtype=np.uint32,
-        )
+        return self.to_numpy()[np.asarray(indices, dtype=np.int64)]
 
     def clone_empty(
         self, size: Optional[int] = None, name: str = ""

@@ -217,6 +217,23 @@ class BaseSorter:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def copy_block(
+    src_keys: InstrumentedArray,
+    src_ids: Optional[InstrumentedArray],
+    dst_keys: InstrumentedArray,
+    dst_ids: Optional[InstrumentedArray],
+    lo: int,
+    count: int,
+    vector: bool,
+) -> None:
+    """Copy ``src[lo:lo+count]`` to the same positions of ``dst``, keys
+    then ids, as arrays when ``vector`` and as lists otherwise."""
+    for src, dst in ((src_keys, dst_keys), (src_ids, dst_ids)):
+        if src is not None:
+            read = src.read_block_np if vector else src.read_block
+            dst.write_block(lo, read(lo, count))
+
+
 def nlog2n(n: int) -> float:
     """``n * log2(n)`` with the small-n edge handled."""
     if n < 2:

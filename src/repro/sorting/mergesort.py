@@ -25,7 +25,7 @@ import numpy as np
 from repro.memory.approx_array import InstrumentedArray
 from repro.obs import get_tracer
 
-from .base import BaseSorter, nlog2n
+from .base import BaseSorter, copy_block, nlog2n
 
 
 class Mergesort(BaseSorter):
@@ -69,9 +69,7 @@ class Mergesort(BaseSorter):
             # An odd number of passes left the result in the scratch buffer;
             # copy it home (accounted — these writes are real on hardware).
             with tracer.span("merge.copy_home", stats=keys.stats):
-                keys.write_block(0, src_keys.read_block(0, n))
-                if ids is not None and src_ids is not None:
-                    ids.write_block(0, src_ids.read_block(0, n))
+                copy_block(src_keys, src_ids, keys, ids, 0, n, False)
 
     def _level_scalar(
         self,
@@ -129,32 +127,12 @@ class Mergesort(BaseSorter):
         hi: int,
     ) -> None:
         """Merge ``src[lo:mid]`` and ``src[mid:hi]`` into ``dst[lo:hi]``."""
-        left = src_keys.read_block(lo, mid - lo)
-        right = src_keys.read_block(mid, hi - mid)
-        left_ids = src_ids.read_block(lo, mid - lo) if src_ids is not None else None
-        right_ids = src_ids.read_block(mid, hi - mid) if src_ids is not None else None
-
-        merged_keys: list[int] = []
-        merged_ids: list[int] = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            # `<=` keeps the merge stable.
-            if left[i] <= right[j]:
-                merged_keys.append(left[i])
-                if left_ids is not None:
-                    merged_ids.append(left_ids[i])
-                i += 1
-            else:
-                merged_keys.append(right[j])
-                if right_ids is not None:
-                    merged_ids.append(right_ids[j])
-                j += 1
-        merged_keys.extend(left[i:])
-        merged_keys.extend(right[j:])
-        if left_ids is not None and right_ids is not None:
-            merged_ids.extend(left_ids[i:])
-            merged_ids.extend(right_ids[j:])
-
+        merged_keys, merged_ids = _merge_walk(
+            src_keys.read_block(lo, mid - lo),
+            src_keys.read_block(mid, hi - mid),
+            src_ids.read_block(lo, mid - lo) if src_ids is not None else None,
+            src_ids.read_block(mid, hi - mid) if src_ids is not None else None,
+        )
         dst_keys.write_block(lo, merged_keys)
         if dst_ids is not None:
             dst_ids.write_block(lo, merged_ids)
@@ -339,8 +317,8 @@ def _merge_walk(
 ) -> "tuple[list[int], list[int] | None]":
     """The scalar two-pointer merge on already-read values.
 
-    Used by the numpy kernel when corruption has left a run unsorted;
-    identical logic to :meth:`Mergesort._merge_runs`' inner walk.
+    The walk of :meth:`Mergesort._merge_runs`, and of the numpy kernel
+    when corruption has left a run unsorted.  ``<=`` keeps it stable.
     """
     merged_keys: list[int] = []
     merged_ids: list[int] = []

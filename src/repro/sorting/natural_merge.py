@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.memory.approx_array import InstrumentedArray
 
-from .base import BaseSorter
+from .base import BaseSorter, copy_block
 from .mergesort import Mergesort
 
 
@@ -71,16 +71,9 @@ class NaturalMergesort(BaseSorter):
             if index < runs:
                 # One unpaired trailing run: copy it across unchanged.
                 lo = boundaries[index]
-                if use_np:
-                    dst_keys.write_block(lo, src_keys.read_block_np(lo, n - lo))
-                    if dst_ids is not None and src_ids is not None:
-                        dst_ids.write_block(
-                            lo, src_ids.read_block_np(lo, n - lo)
-                        )
-                else:
-                    dst_keys.write_block(lo, src_keys.read_block(lo, n - lo))
-                    if dst_ids is not None and src_ids is not None:
-                        dst_ids.write_block(lo, src_ids.read_block(lo, n - lo))
+                copy_block(
+                    src_keys, src_ids, dst_keys, dst_ids, lo, n - lo, use_np
+                )
                 new_boundaries.append(n)
             boundaries = new_boundaries
             src_keys, dst_keys = dst_keys, src_keys
@@ -88,14 +81,7 @@ class NaturalMergesort(BaseSorter):
                 src_ids, dst_ids = dst_ids, src_ids
 
         if src_keys is not keys:
-            if use_np:
-                keys.write_block(0, src_keys.read_block_np(0, n))
-                if ids is not None and src_ids is not None:
-                    ids.write_block(0, src_ids.read_block_np(0, n))
-            else:
-                keys.write_block(0, src_keys.read_block(0, n))
-                if ids is not None and src_ids is not None:
-                    ids.write_block(0, src_ids.read_block(0, n))
+            copy_block(src_keys, src_ids, keys, ids, 0, n, use_np)
 
     @staticmethod
     def _detect_runs(keys: InstrumentedArray) -> list[int]:

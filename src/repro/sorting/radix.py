@@ -30,7 +30,7 @@ import numpy as np
 from repro.memory.approx_array import InstrumentedArray
 from repro.obs import get_tracer
 
-from .base import BaseSorter
+from .base import BaseSorter, copy_block
 
 #: Key width the digit plans cover (the paper's 32-bit integer keys).
 KEY_BITS = 32
@@ -184,23 +184,6 @@ def _distribute(
     return counts
 
 
-def _copy(
-    src_keys: InstrumentedArray,
-    src_ids: Optional[InstrumentedArray],
-    dst_keys: InstrumentedArray,
-    dst_ids: Optional[InstrumentedArray],
-    lo: int,
-    count: int,
-    vector: bool,
-) -> None:
-    """Copy ``src[lo:lo+count]`` to the same positions of ``dst``, keys
-    then ids, as arrays when ``vector`` and as lists otherwise."""
-    for src, dst in ((src_keys, dst_keys), (src_ids, dst_ids)):
-        if src is not None:
-            read = src.read_block_np if vector else src.read_block
-            dst.write_block(lo, read(lo, count))
-
-
 class LSDRadixSort(BaseSorter):
     """Least-significant-digit radix sort with queue buckets.
 
@@ -242,12 +225,12 @@ class LSDRadixSort(BaseSorter):
             ):
                 _distribute(*src, *dst, 0, n, shift, mask, vector)
                 if self.queues:
-                    _copy(*dst, *src, 0, n, vector)
+                    copy_block(*dst, *src, 0, n, vector)
                 else:
                     src, dst = dst, src
         if src[0] is not keys:
             # Odd histogram pass count: the result sits in the buffer.
-            _copy(*src, keys, ids, 0, n, vector)
+            copy_block(*src, keys, ids, 0, n, vector)
 
     def precise_schedule(self, n: int) -> "tuple[int, int]":
         """Per array, each pass moves every element out to the bucket region
@@ -312,7 +295,7 @@ class MSDRadixSort(BaseSorter):
                 sizes=True,
             )
             if self.queues:
-                _copy(*buckets, keys, ids, lo, hi - lo, vector)
+                copy_block(*buckets, keys, ids, lo, hi - lo, vector)
             for sub_lo, sub_hi in _bucket_bounds(lo, sizes):
                 if sub_hi - sub_lo > 1:
                     stack.append((sub_lo, sub_hi, depth + 1))

@@ -40,6 +40,7 @@ import numpy as np
 from repro.errors import SanitizerError
 from repro.memory.approx_array import InstrumentedArray, WORD_LIMIT
 from repro.memory.stats import MemoryStats
+from repro.memory.write_combining import WriteCombiningArray
 
 #: Process-wide count of invariant checks performed by sanitized arrays.
 #: Exposed through :func:`repro.verify.checks_performed` so callers (tests,
@@ -71,6 +72,15 @@ class SanitizedArray:
         if isinstance(inner, SanitizedArray):
             inner = inner.inner  # never stack shadows
         self.inner = inner
+        if isinstance(inner, WriteCombiningArray):
+            # A buffered write charges nothing until it is evicted, so the
+            # rule of one counted write per write cannot hold for it.
+            self._fail(
+                "interface", "sanitize",
+                "a write-combining array defers its writes by design, so"
+                " they cannot be checked one by one; sanitize the array it"
+                " buffers instead",
+            )
         # The shadow is the sanitizer's own record of the stored contents,
         # updated only from unaccounted peeks after each delegated write.
         self._shadow = inner.to_numpy()
@@ -105,8 +115,7 @@ class SanitizedArray:
         # Only called for attributes not found on the proxy itself.  Every
         # method of the checked interface is defined here, so an inner
         # method that reaches this point (``poke_block_np``, quicksort's
-        # lane entry points ``swap``/``record_reads``, ...) would run
-        # unchecked.
+        # lane entry point ``swap``, ...) would run unchecked.
         value = getattr(self.inner, attribute)
         if callable(value):
             self._fail(
@@ -295,6 +304,16 @@ class SanitizedArray:
         self._check_read_integrity("gather_np", idx, values)
         return values
 
+    def record_reads(self, count: int) -> None:
+        """Reads charged without being issued: exactly ``count`` reads in
+        this array's region, and no other counter moves."""
+        _count_checks(1)
+        if count < 0:
+            self._fail("accounting", "record_reads", f"count {count} < 0")
+        before = self.inner.stats.snapshot()
+        self.inner.record_reads(count)
+        self._expect_delta("record_reads", before, reads=count)
+
     # -- accounted writes ------------------------------------------------- #
 
     def write(self, index: int, value: int) -> None:
@@ -312,40 +331,26 @@ class SanitizedArray:
             self._expect_delta("write", before, writes=1)
             self._precise_stored_check("write", [index], [value])
 
-    def _write_block_checked(
-        self, op: str, start: int, values, delegate
-    ) -> None:
+    def write_block(self, start: int, values: Sequence[int]) -> None:
         intended = np.asarray(
             values if isinstance(values, np.ndarray) else list(values),
             dtype=np.uint32,
         )
         count = int(intended.size)
-        self._check_block_bounds(op, start, count)
+        self._check_block_bounds("write_block", start, count)
         before = self.inner.stats.snapshot()
-        delegate()
+        self.inner.write_block(start, values)
         positions = np.arange(start, start + count)
         if self.inner.region == "approx":
             stored = self.inner.peek_block_np(start, count)
             self._expect_delta(
-                op, before, writes=count,
+                "write_block", before, writes=count,
                 corrupted=int(np.count_nonzero(stored != intended)),
             )
             self._shadow[start : start + count] = stored
         else:
-            self._expect_delta(op, before, writes=count)
-            self._precise_stored_check(op, positions, intended)
-
-    def write_block(self, start: int, values: Sequence[int]) -> None:
-        self._write_block_checked(
-            "write_block", start, values,
-            lambda: self.inner.write_block(start, values),
-        )
-
-    def write_block_np(self, start: int, values: np.ndarray) -> None:
-        self._write_block_checked(
-            "write_block_np", start, values,
-            lambda: self.inner.write_block_np(start, values),
-        )
+            self._expect_delta("write_block", before, writes=count)
+            self._precise_stored_check("write_block", positions, intended)
 
     def scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
         idx = np.asarray(indices, dtype=np.int64)

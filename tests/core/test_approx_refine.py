@@ -149,6 +149,21 @@ class TestBaselineAndReduction:
             2 * make_sorter("lsd6").expected_key_writes(n)
         )
 
+    @pytest.mark.parametrize("algorithm", ["mergesort", "quicksort", "lsd6"])
+    def test_baseline_is_serial_under_shards(self, algorithm, monkeypatch):
+        """Equation 2's baseline is the serial sort: ``REPRO_SHARDS`` shards
+        the named sorters of the approx stage, never the baseline."""
+        from repro.sorting.registry import SHARDS_ENV, make_sorter
+
+        keys = uniform_keys(8_000, seed=21)
+        serial = run_precise_baseline(keys, algorithm)
+        monkeypatch.setenv(SHARDS_ENV, "4")
+        assert make_sorter(algorithm).name == f"sharded:{algorithm}:4"
+        sharded_env = run_precise_baseline(keys, algorithm)
+        assert sharded_env.algorithm == serial.algorithm == algorithm
+        assert sharded_env.stats.as_dict() == serial.stats.as_dict()
+        assert np.array_equal(sharded_env.final_ids, serial.final_ids)
+
     def test_radix_beats_baseline_at_sweet_spot(self, pcm_sweet):
         """The headline: positive write reduction for 3-bit LSD at T=0.055."""
         keys = uniform_keys(4_000, seed=15)

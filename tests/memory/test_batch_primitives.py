@@ -9,7 +9,7 @@ scatters draw per-word corruption from the same batched block sampler as
 import numpy as np
 import pytest
 
-from repro.memory.approx_array import ApproxArray, InstrumentedArray, PreciseArray
+from repro.memory.approx_array import ApproxArray, PreciseArray
 from repro.memory.config import MLCParams, SpintronicParams
 from repro.memory.error_model import get_model, precise_reference_model
 from repro.memory.spintronic import SpintronicArray, SpintronicErrorModel
@@ -149,31 +149,6 @@ class TestSpintronicArray:
         arr = SpintronicArray(range(12), model=model, stats=stats)
         assert arr.read_block_np(3, 4).tolist() == [3, 4, 5, 6]
         assert stats.approx_reads == 4
-
-
-class TestBaseClassFallbacks:
-    """A subclass overriding only the scalar interface must stay correct."""
-
-    class MinimalArray(InstrumentedArray):
-        region = "precise"
-
-        def read(self, index):
-            self.stats.record_precise_read()
-            return int(self._mv[index])
-
-        def write(self, index, value):
-            self.stats.record_precise_write()
-            self._mv[index] = value
-
-    def test_fallbacks_route_through_scalar_interface(self):
-        stats = MemoryStats()
-        arr = self.MinimalArray(range(8), stats=stats)
-        assert arr.read_block_np(1, 3).tolist() == [1, 2, 3]
-        assert arr.gather_np(np.array([0, 7])).tolist() == [0, 7]
-        arr.scatter_np(np.array([4, 5]), np.array([44, 55]))
-        assert arr.peek_block_np(4, 2).tolist() == [44, 55]
-        assert stats.precise_writes == 2
-        assert stats.precise_reads >= 5
 
 
 class TestRejectedBlockWrites:

@@ -10,7 +10,6 @@ from repro.memory.write_combining import (
     sort_with_write_combining,
 )
 from repro.sorting.registry import make_sorter
-from repro.verify import sanitize
 from repro.workloads.generators import uniform_keys
 
 
@@ -116,6 +115,17 @@ class TestViews:
         array.flush()
         assert backing.to_numpy().tolist() == [7, 0, 99, 0]
 
+    def test_peek_block_np_window_sees_buffer(self):
+        array, backing, stats = buffered(n=6, capacity=4)
+        array.write(0, 7)
+        array.write(3, 99)
+        array.write(5, 11)
+        assert array.peek_block_np(2, 3).tolist() == [0, 99, 0]
+        assert array.peek_block_np(5, 1).tolist() == [11]
+        assert array.peek_block_np(1, 0).tolist() == []
+        assert stats.as_dict() == MemoryStats().as_dict()
+        assert backing.to_list() == [0] * 6
+
     @pytest.mark.parametrize("value", [2.5, 1 << 32, -1])
     def test_buffered_write_checks_the_word(self, value):
         array, backing, stats = buffered(n=4)
@@ -124,13 +134,6 @@ class TestViews:
         array.flush()
         assert array.to_list() == backing.to_list() == [0, 0, 0, 0]
         assert stats.precise_writes == 0
-
-    def test_sanitizer_snapshots_through_buffer(self):
-        array, _, _ = buffered(n=4)
-        array.write(1, 5)
-        shadowed = sanitize(array)
-        assert shadowed.to_numpy().tolist() == [0, 5, 0, 0]
-        assert shadowed.peek_gather_np(np.array([1])).tolist() == [5]
 
     def test_write_block_bypasses_and_invalidates(self):
         array, backing, stats = buffered(n=8, capacity=4)

@@ -20,6 +20,8 @@ from repro.core.approx_refine import (
 from repro.errors import SanitizerError
 from repro.memory.approx_array import PreciseArray, WORD_LIMIT
 from repro.memory.stats import MemoryStats
+from repro.memory.write_combining import WriteCombiningArray
+from repro.sorting.registry import make_base_sorter
 from repro.verify import (
     SANITIZE_ENV,
     SanitizedArray,
@@ -214,8 +216,7 @@ class TestUnwrappedMethods:
     @pytest.mark.parametrize("call", [
         lambda a: a.poke_block_np(0, np.array([5, 6], dtype=np.uint32)),
         lambda a: a.swap(0, 1),
-        lambda a: a.record_reads(3),
-    ], ids=["poke_block_np", "swap", "record_reads"])
+    ], ids=["poke_block_np", "swap"])
     def test_refused(self, kind, call, pcm_aggressive):
         inner = (
             PreciseArray([1, 2, 3, 4]) if kind == "precise"
@@ -232,6 +233,81 @@ class TestUnwrappedMethods:
     def test_data_attributes_still_pass(self, pcm_sweet):
         array = sanitize(pcm_sweet.make_array([1, 2], seed=4))
         assert array.precise_iterations == array.inner.precise_iterations
+
+
+class TestRecordReads:
+    """``record_reads`` charges reads the caller did not re-issue (the
+    numpy refine merge calls it on sanitized arrays): exactly ``count``
+    reads in the array's region, and no other counter moves."""
+
+    @pytest.mark.parametrize("kind", ["precise", "approx"])
+    def test_checked_and_transparent(self, kind, pcm_aggressive):
+        def make():
+            if kind == "precise":
+                return PreciseArray([1, 2, 3, 4])
+            return pcm_aggressive.make_array([1, 2, 3, 4], seed=2)
+
+        plain, inner = make(), make()
+        array = sanitize(inner)
+        before = checks_performed()
+        plain.record_reads(3)
+        array.record_reads(3)
+        array.record_reads(0)
+        assert checks_performed() > before
+        assert inner.stats.as_dict() == plain.stats.as_dict()
+        assert inner.stats.total_reads == 3
+        assert array.read(0) == 1
+
+    def test_wrong_count(self):
+        class _Overcounting(PreciseArray):
+            def record_reads(self, count):
+                self.stats.record_precise_read(count + 1)
+
+        with pytest.raises(SanitizerError, match="accounting"):
+            sanitize(_Overcounting([0] * 4)).record_reads(2)
+
+    def test_wrong_region(self):
+        class _ApproxCharging(PreciseArray):
+            def record_reads(self, count):
+                self.stats.record_approx_read(count)
+
+        with pytest.raises(SanitizerError, match="accounting"):
+            sanitize(_ApproxCharging([0] * 4)).record_reads(2)
+
+    def test_negative_count(self):
+        array = sanitize(PreciseArray([0] * 4))
+        with pytest.raises(SanitizerError, match="accounting"):
+            array.record_reads(-1)
+        assert array.stats.as_dict() == MemoryStats().as_dict()
+
+
+class TestWriteCombining:
+    """A write-combining buffer defers writes by design, so the rule of one
+    counted write per write cannot hold for it: ``sanitize`` refuses it
+    when it is built, and the array it buffers is the one to check."""
+
+    def test_sanitize_refuses_write_combining_array(self):
+        backing = PreciseArray([5, 6, 7])
+        front = WriteCombiningArray(backing, capacity=4)
+        front.write(2, 4)
+        with pytest.raises(SanitizerError, match="write-combining") as info:
+            sanitize(front)
+        assert info.value.invariant == "interface"
+        assert front.to_list() == [5, 6, 4]
+        assert backing.to_list() == [5, 6, 7]
+        assert backing.stats.as_dict() == MemoryStats().as_dict()
+
+    def test_buffering_a_sanitized_array(self):
+        keys = uniform_keys(40, seed=3)
+        backing = sanitize(PreciseArray(keys))
+        front = WriteCombiningArray(backing, capacity=8)
+        before = checks_performed()
+        make_base_sorter("insertion").sort(front)
+        front.flush()
+        assert checks_performed() > before
+        assert backing.to_list() == sorted(keys.tolist())
+        assert 0 < backing.stats.precise_writes
+        assert front.combined_writes > 0
 
 
 class _LazyAccountingArray(PreciseArray):

@@ -58,7 +58,8 @@ MEASURED_FIELDS = frozenset({
     "write_reduction_sharded_min", "write_reduction_sharded_max",
     "rem_tilde_serial_mean", "rem_tilde_serial_min", "rem_tilde_serial_max",
     "rem_tilde_sharded_mean", "rem_tilde_sharded_min",
-    "rem_tilde_sharded_max", "within_serial_range",
+    "rem_tilde_sharded_max", "within_serial_range", "median_s", "max_s",
+    "repeats",
 })
 
 #: Files whose records must carry an integer ``schema`` stamp (``--check``
