@@ -5,9 +5,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --quick
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py \
-        --n 1000000 --shards 4 --skip-paper-row
+        --n 1000000 --shards 4
 
-Three parts, appended as records to ``BENCH_parallel.json`` at the repo
+Two parts, appended as records to ``BENCH_parallel.json`` at the repo
 root (same append-style array as ``BENCH_runner.json``):
 
 1. **Precise-kernel scaling** (``part = "precise_kernels"``): sort n
@@ -23,17 +23,11 @@ root (same append-style array as ``BENCH_runner.json``):
 2. **Approximate-lane agreement** (``part = "approx_gate"``): ext_variance's
    sweet-spot cell (n = 8,000, T = 0.055, seven corruption seeds) for its
    five sorters, serial and at 2 and 4 shards, measured as ext_variance
-   measures it under ``--shards`` (the precise baseline runs through the
-   same sorter).  Each record carries serial and sharded mean/min/max of
+   measures it except that each side's precise baseline runs through that
+   side's sorter.  Each record carries serial and sharded mean/min/max of
    write reduction and Rem~, and ``within_serial_range``: whether both
    sharded means lie inside serial's [min, max].  It records; it does not
    fail the bench.  ``--quick`` runs only lsd6 at 2 shards.
-
-3. **fig09 paper-scale row** (``part = "fig09_paper"``): the paper's own
-   configuration — n = 16M uniform keys, T = 0.055, lsd6 — through the
-   real ``fig09`` cell function, serial vs ``REPRO_SHARDS``-sharded, with
-   wall-clock and scaling-efficiency columns.  ``--quick`` (the CI lane)
-   skips this part; ``--paper-n`` shrinks it for rehearsals.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -56,10 +49,10 @@ from repro.memory.factories import PCMMemoryFactory
 from repro.memory.stats import MemoryStats, write_reduction
 from repro.parallel.pool import usable_cpus
 from repro.parallel.sharded import ShardedSorter
-from repro.sorting.registry import SHARDS_ENV, make_base_sorter
+from repro.sorting.registry import make_sorter
 from repro.workloads.generators import uniform_keys
 
-#: Monte-Carlo fit size for the paper-row and gate memory models.
+#: Monte-Carlo fit size for the gate's memory model.
 FIT = 20_000
 
 SWEET_SPOT_T = 0.055
@@ -104,9 +97,9 @@ def bench_precise(algo: str, n: int, shards: int, seed: int) -> dict:
     keys = uniform_keys(n, seed=seed)
 
     serial_s, serial_out, _ = _timed_sort(
-        make_base_sorter(algo, kernels="numpy"), keys
+        make_sorter(algo, kernels="numpy"), keys
     )
-    sharded = ShardedSorter(make_base_sorter(algo), shards=shards,
+    sharded = ShardedSorter(make_sorter(algo), shards=shards,
                             kernels="numpy")
     sharded_s, sharded_out, _ = _timed_sort(sharded, keys)
     plan = sharded.last_plan
@@ -117,12 +110,12 @@ def bench_precise(algo: str, n: int, shards: int, seed: int) -> dict:
     digest_serial = _digest(serial_out)
     digest_sharded = _digest(sharded_out)
     _, local_out, local_stats = _timed_sort(
-        ShardedSorter(make_base_sorter(algo), shards=shards, workers=0,
+        ShardedSorter(make_sorter(algo), shards=shards, workers=0,
                       kernels="numpy"),
         keys,
     )
     _, pooled_out, pooled_stats = _timed_sort(
-        ShardedSorter(make_base_sorter(algo), shards=shards, workers=2,
+        ShardedSorter(make_sorter(algo), shards=shards, workers=2,
                       kernels="numpy"),
         keys,
     )
@@ -196,12 +189,12 @@ def bench_approx_gate(
     records = []
     for algo in algos:
         serial_wr, serial_rem, serial_s = _gate_cells(
-            keys, memory, lambda: make_base_sorter(algo)
+            keys, memory, lambda: make_sorter(algo)
         )
         for shards in shard_counts:
             wr, rem, sharded_s = _gate_cells(
                 keys, memory,
-                lambda: ShardedSorter(make_base_sorter(algo), shards=shards),
+                lambda: ShardedSorter(make_sorter(algo), shards=shards),
             )
             wr_mean = sum(wr) / len(wr)
             rem_mean = sum(rem) / len(rem)
@@ -240,59 +233,6 @@ def bench_approx_gate(
     return records
 
 
-def bench_fig09_row(n: int, shards: int, seed: int) -> dict:
-    """The paper-scale fig09 cell (T = 0.055, lsd6), serial vs sharded."""
-    from repro.experiments.fig09_write_reduction_t import _cell
-
-    algo = "lsd6"
-    os.environ["REPRO_KERNELS"] = "numpy"
-    keys = uniform_keys(n, seed=seed)
-    print(f"[fig09] n={n}: precise baseline ({algo})...", flush=True)
-    baseline = run_precise_baseline(keys, algo)
-    cell_args = (SWEET_SPOT_T, algo, n, seed, FIT, baseline.total_units)
-
-    os.environ.pop(SHARDS_ENV, None)
-    start = time.perf_counter()
-    serial_cell = _cell(*cell_args)
-    serial_s = time.perf_counter() - start
-    print(f"[fig09] serial cell: {serial_s:.1f}s", flush=True)
-
-    os.environ[SHARDS_ENV] = str(shards)
-    try:
-        start = time.perf_counter()
-        sharded_cell = _cell(*cell_args)
-        sharded_s = time.perf_counter() - start
-    finally:
-        os.environ.pop(SHARDS_ENV, None)
-    print(f"[fig09] sharded({shards}) cell: {sharded_s:.1f}s", flush=True)
-
-    speedup = serial_s / sharded_s if sharded_s else float("inf")
-    record = {
-        "schema": 1,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "part": "fig09_paper",
-        "algo": algo,
-        "n": n,
-        "T": SWEET_SPOT_T,
-        "shards": shards,
-        "cpus": usable_cpus(),
-        "kernels": "numpy",
-        "serial_wall_s": round(serial_s, 2),
-        "sharded_wall_s": round(sharded_s, 2),
-        "speedup": round(speedup, 3),
-        "scaling_efficiency": round(speedup / shards, 3),
-        "write_reduction_serial": serial_cell[0],
-        "write_reduction_sharded": sharded_cell[0],
-        "rem_tilde_serial": serial_cell[1],
-        "rem_tilde_sharded": sharded_cell[1],
-    }
-    print(
-        f"[fig09] write_reduction serial {serial_cell[0]:+.4f} vs"
-        f" sharded {sharded_cell[0]:+.4f}; speedup {speedup:.2f}x"
-    )
-    return record
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_parallel_scaling",
@@ -300,23 +240,18 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument("--n", type=int, default=1_000_000,
                         help="keys for the precise-kernel part")
-    parser.add_argument("--paper-n", type=int, default=16_000_000,
-                        help="keys for the fig09 paper row")
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--algos", default="mergesort,lsd6")
-    parser.add_argument("--skip-paper-row", action="store_true")
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI lane: small n, guards on, gate on lsd6 at 2 shards only,"
-        " paper row skipped",
+        help="CI lane: small n, guards on, gate on lsd6 at 2 shards only",
     )
     parser.add_argument("--out", default="BENCH_parallel.json")
     args = parser.parse_args(argv)
 
     if args.quick:
         args.n = min(args.n, 200_000)
-        args.skip_paper_row = True
 
     records = [
         bench_precise(algo, args.n, args.shards, args.seed)
@@ -331,8 +266,6 @@ def main(argv: "list[str] | None" = None) -> int:
         records += bench_approx_gate(("lsd6",), (2,), args.seed)
     else:
         records += bench_approx_gate(GATE_ALGOS, (2, 4), args.seed)
-    if not args.skip_paper_row:
-        records.append(bench_fig09_row(args.paper_n, args.shards, args.seed))
 
     out = Path(__file__).resolve().parent.parent / args.out
     _append_records(out, records)

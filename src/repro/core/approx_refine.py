@@ -35,7 +35,7 @@ from repro.memory.stats import MemoryStats
 from repro.metrics.sortedness import error_rate_multiset, rem_ratio
 from repro.obs import StageRecorder, get_tracer
 from repro.sorting.base import BaseSorter
-from repro.sorting.registry import make_base_sorter, make_sorter, with_kernels
+from repro.sorting.registry import make_sorter, with_kernels
 from repro.verify import checks_performed, sanitize, sanitizing
 
 from .refine import find_rem_ids, merge_refined, sort_rem_ids
@@ -43,10 +43,10 @@ from .report import ApproxRefineResult, BaselineResult
 
 
 def _resolve_sorter(
-    sorter: "BaseSorter | str", kernels: "str | None" = None, make=make_sorter
+    sorter: "BaseSorter | str", kernels: "str | None" = None
 ) -> BaseSorter:
     if isinstance(sorter, str):
-        return make(sorter, **({} if kernels is None else {"kernels": kernels}))
+        return make_sorter(sorter, **({} if kernels is None else {"kernels": kernels}))
     if kernels is not None and sorter.kernels != kernels:
         return with_kernels(sorter, kernels)
     return sorter
@@ -195,11 +195,9 @@ def run_precise_baseline(
 
     Keys and IDs both live in precise memory; total cost is
     ``2 * alpha_alg(n)`` writes (keys plus record IDs).  ``trace`` and
-    ``kernels`` work as in :func:`run_approx_refine`.  A sorter *name* is
-    built serial (``make_base_sorter``), so ``REPRO_SHARDS`` does not move
-    the baseline; a sorter instance runs as given.
+    ``kernels`` work as in :func:`run_approx_refine`.
     """
-    algorithm = _resolve_sorter(sorter, kernels, make=make_base_sorter)
+    algorithm = _resolve_sorter(sorter, kernels)
     stats = MemoryStats()
     wrap = sanitize if sanitizing() else (lambda array: array)
 

@@ -54,11 +54,10 @@ every process of the run appends span/counter/gauge events to its own
 per-pid JSONL file, and the runner merges them into ``PATH`` (default
 ``trace.jsonl``) when the run finishes.  Analyze with ``python -m
 repro.obs.report PATH``: its spans section carries exact p50/p95/p99
-latencies per span name (``experiment.<name>``, ``sort.<algo>``, ...),
-and pooled shard runs add ``pool.*`` task counters and gauges.  A
-per-run id (``REPRO_TRACE_RUN``) is exported alongside the trace
-directory so pooled shard workers can stamp cross-process parent links
-into their part files.  ``--profile`` additionally runs each experiment
+latencies per span name (``experiment.<name>``, ``sort.<algo>``, ...).
+A per-run id (``REPRO_TRACE_RUN``) is exported alongside the trace
+directory and stamped into every process's ``meta`` event.
+``--profile`` additionally runs each experiment
 under :mod:`cProfile`, dumping ``<name>.prof`` next to the trace.
 Resumes and retries are traced too: a ``run.resume`` span plus
 ``run.restored``, ``run.retry`` and ``run.experiment_failed`` counters.
@@ -91,7 +90,6 @@ from repro.kernels import KERNEL_MODES, KERNELS_ENV, resolve_kernels
 from repro.obs import TRACE_DIR_ENV, TRACE_RUN_ENV, close_tracer, get_tracer
 from repro.obs.flight import dump_flight, get_flight
 from repro.obs.io import merge_traces
-from repro.sorting.registry import SHARDS_ENV
 from repro.verify import SANITIZE_ENV
 
 from .checkpoint import RunCheckpoint
@@ -109,7 +107,6 @@ from . import (
     ablation_refine,
     ext_density,
     ext_distributions,
-    ext_gray,
     ext_pipeline_sim,
     ext_sequential,
     ext_total_time,
@@ -147,7 +144,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentTable]] = {
     "ablation_refine": ablation_refine.run,
     "ext_density": ext_density.run,
     "ext_distributions": ext_distributions.run,
-    "ext_gray": ext_gray.run,
     "ext_pipeline_sim": ext_pipeline_sim.run,
     "ext_sequential": ext_sequential.run,
     "ext_total_time": ext_total_time.run,
@@ -574,8 +570,8 @@ def _serial_baseline(path: Path, record: dict) -> "dict | None":
     """The latest comparable serial record already in ``path``, if any.
 
     Comparable means the same experiment set, scale, seed and kernel mode,
-    run without any parallelism (``jobs`` 1 and no sharding) — the
-    denominator the speedup/scaling-efficiency fields are defined against.
+    run without any parallelism (``jobs`` 1) — the denominator the
+    speedup/scaling-efficiency fields are defined against.
     """
     if not path.exists():
         return None
@@ -595,7 +591,6 @@ def _serial_baseline(path: Path, record: dict) -> "dict | None":
             and candidate.get("seed") == record.get("seed")
             and candidate.get("kernels") == record.get("kernels")
             and candidate.get("jobs", 1) == 1
-            and (candidate.get("shards") or 1) == 1
             and candidate.get("total_s")
         ):
             return candidate
@@ -653,12 +648,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes: fans independent experiments, or the"
         " cells of a single cell-parallel experiment (output is"
         " bit-identical for any N)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard every sort N ways inside the cell (exports"
-        f" {SHARDS_ENV}; intra-sort parallelism over shared memory;"
-        " see docs/scaling.md)",
     )
     parser.add_argument(
         "--checkpoint", nargs="?", const="", default=None, metavar="RUN_ID",
@@ -756,12 +745,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.sanitize:
         # Same export pattern; the pipelines check it at allocation sites.
         os.environ[SANITIZE_ENV] = "1"
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        # Same export pattern again: make_sorter() wraps every plain sorter
-        # in a ShardedSorter, so experiments shard without any plumbing.
-        os.environ[SHARDS_ENV] = str(args.shards)
 
     if args.list:
         width = max(len(name) for name in EXPERIMENTS)
@@ -973,7 +956,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "jobs": args.jobs,
             "cpus": os.cpu_count(),
             "workers_effective": workers_effective,
-            "shards": args.shards,
             "kernels": resolve_kernels(args.kernels),
             "experiments": {name: round(t, 3) for name, t in timings.items()},
             "total_s": round(total, 3),
@@ -982,14 +964,9 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         baseline = _serial_baseline(path, record)
         if baseline is not None and total > 0:
             speedup = baseline["total_s"] / total
-            parallelism = (
-                args.shards
-                if args.shards is not None and args.shards > 1
-                else workers_effective
-            )
             record["speedup_vs_serial"] = round(speedup, 3)
             record["scaling_efficiency"] = round(
-                speedup / max(1, parallelism), 3
+                speedup / max(1, workers_effective), 3
             )
         if args.resume is not None:
             record["resumed"] = args.resume

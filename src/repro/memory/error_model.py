@@ -143,7 +143,7 @@ def model_cache_dir() -> "Path | None":
 
 
 def _cache_path(
-    params: MLCParams, samples_per_level: int, seed: int, encoding: str
+    params: MLCParams, samples_per_level: int, seed: int
 ) -> "Path | None":
     """Cache file for one fit key, hashed over the full parameter set."""
     directory = model_cache_dir()
@@ -155,7 +155,6 @@ def _cache_path(
             "params": asdict(params),
             "samples_per_level": samples_per_level,
             "seed": seed,
-            "encoding": encoding,
         },
         sort_keys=True,
     )
@@ -204,15 +203,9 @@ def characterize_cells_cached(
     params: MLCParams,
     samples_per_level: int = DEFAULT_FIT_SAMPLES,
     seed: int = 0,
-    encoding: str = "binary",
 ) -> CellCharacteristics:
-    """Disk-cached :func:`characterize_cells`.
-
-    The fit itself does not depend on ``encoding`` (it measures analog level
-    transitions), but the key includes it so every compiled-model identity
-    maps to exactly one cache entry.
-    """
-    path = _cache_path(params, samples_per_level, seed, encoding)
+    """Disk-cached :func:`characterize_cells`."""
+    path = _cache_path(params, samples_per_level, seed)
     if path is not None:
         cached = _load_characteristics(path, params.levels)
         if cached is not None:
@@ -366,7 +359,8 @@ class WordErrorModel:
     """Fast sampler of write corruption and write cost for 32-bit words.
 
     A word is sixteen concatenated 2-bit cells (paper Section 3.2); cell
-    ``k`` stores bits ``2k`` and ``2k + 1`` of the integer.  Errors are
+    ``k`` stores bits ``2k`` and ``2k + 1`` of the integer, and those two
+    bits are its level (the paper's binary mapping).  Errors are
     sampled cell-independently from the fitted transition matrix; the cost of
     a word write is the *average* #P over its sixteen cells, matching the
     paper's ``p(t)`` accounting (Section 2.2).
@@ -379,25 +373,13 @@ class WordErrorModel:
         Monte-Carlo sample count for the fit.
     seed:
         Seed of the fit (independent from run-time sampling randomness).
-    encoding:
-        Mapping between a cell's 2 data bits and its analog level:
-        ``"binary"`` (level = bit value, the paper's implicit choice) or
-        ``"gray"`` (adjacent levels differ in one bit, standard MLC
-        practice — a one-level drift error then flips a single data bit).
     """
-
-    #: level -> stored bit pattern, per encoding.
-    ENCODINGS = {
-        "binary": (0, 1, 2, 3),
-        "gray": (0b00, 0b01, 0b11, 0b10),
-    }
 
     def __init__(
         self,
         params: MLCParams,
         samples_per_level: int = DEFAULT_FIT_SAMPLES,
         seed: int = 0,
-        encoding: str = "binary",
         characteristics: "CellCharacteristics | None" = None,
     ) -> None:
         n = params.levels
@@ -405,11 +387,6 @@ class WordErrorModel:
             raise ValueError(
                 "WordErrorModel compiles 2-bit (4-level) cells; "
                 f"got {n} levels"
-            )
-        if encoding not in self.ENCODINGS:
-            raise ValueError(
-                f"encoding must be one of {sorted(self.ENCODINGS)},"
-                f" got {encoding!r}"
             )
         self.params = params
         # ``characteristics`` lets the cache layer inject a previously fitted
@@ -420,15 +397,6 @@ class WordErrorModel:
             if characteristics is not None
             else characterize_cells(params, samples_per_level, seed)
         )
-        self.encoding = encoding
-        level_to_bits = self.ENCODINGS[encoding]
-        bits_to_level = [0] * 4
-        for level, bits in enumerate(level_to_bits):
-            bits_to_level[bits] = level
-        self._level_to_bits = list(level_to_bits)
-        self._bits_to_level = bits_to_level
-        self._level_to_bits_np = np.array(level_to_bits, dtype=np.uint32)
-        self._bits_to_level_np = np.array(bits_to_level, dtype=np.int64)
 
         trans = self.characteristics.transition
         self._p_err = self.characteristics.error_rate_by_level.copy()
@@ -440,14 +408,10 @@ class WordErrorModel:
         self._cond_cdf = np.cumsum(cond / safe, axis=1)
         self._mean_iters = self.characteristics.mean_iterations.copy()
 
-        # Per-byte tables: a byte holds four 2-bit cells (bit patterns,
-        # mapped through the encoding to levels).
-        byte_levels = np.empty((256, 4), dtype=np.int64)
-        for b in range(256):
-            byte_levels[b] = [
-                bits_to_level[(b >> (2 * k)) & 3] for k in range(4)
-            ]
-        self._byte_levels = byte_levels
+        # Per-byte tables: a byte holds four 2-bit cells.
+        byte_levels = (
+            np.arange(256)[:, None] >> (2 * np.arange(4))[None, :]
+        ) & 3
         p_ok = 1.0 - self._p_err
         self._byte_p_ok = np.prod(p_ok[byte_levels], axis=1)
         self._byte_iters = np.sum(self._mean_iters[byte_levels], axis=1)
@@ -457,11 +421,6 @@ class WordErrorModel:
         self._byte_iters_list = self._byte_iters.tolist()
         self._p_err_list = self._p_err.tolist()
         self._cond_cdf_list = [row.tolist() for row in self._cond_cdf]
-        # The dense walks' tables, indexed by a cell's stored bit pattern.
-        self._p_err_by_bits = [self._p_err_list[lv] for lv in bits_to_level]
-        self._cond_cdf_by_bits = [self._cond_cdf_list[lv] for lv in bits_to_level]
-        self._p_err_by_bits_np = self._p_err[self._bits_to_level_np]
-        self._cond_cdf_by_bits_np = self._cond_cdf[self._bits_to_level_np]
         self._max_p_err = max(self._p_err_list)
         # Per-halfword (16-bit) tables halve the lookup count of the block
         # paths; 2 x 64 KiB entries of float64 is well worth the two table
@@ -580,10 +539,7 @@ class WordErrorModel:
         conditional distribution; later cells err independently as usual.
         """
         p_err = self._p_err_list
-        b2l = self._bits_to_level
-        levels = [
-            b2l[(value >> (2 * k)) & 3] for k in range(CELLS_PER_WORD)
-        ]
+        levels = [(value >> (2 * k)) & 3 for k in range(CELLS_PER_WORD)]
         qs = [p_err[lv] for lv in levels]
 
         # P(first error at cell i | >= 1 error) ~ prod_{j<i}(1-q_j) * q_i
@@ -607,8 +563,7 @@ class WordErrorModel:
                 erred = rng.random() < qs[i]
             if erred:
                 new_level = self._sample_error_target(levels[i], rng)
-                new_bits = self._level_to_bits[new_level]
-                out = (out & ~(0b11 << (2 * i))) | (new_bits << (2 * i))
+                out = (out & ~(0b11 << (2 * i))) | (new_level << (2 * i))
         return out
 
     def _sample_error_target(self, level: int, rng: np.random.Generator) -> int:
@@ -804,8 +759,7 @@ class WordErrorModel:
         """
         e = words.size
         shifts = (np.arange(CELLS_PER_WORD, dtype=np.uint32) * np.uint32(2))
-        bits = (words[:, None] >> shifts[None, :]) & np.uint32(3)
-        levels = self._bits_to_level_np[bits]
+        levels = (words[:, None] >> shifts[None, :]) & np.uint32(3)
         q = self._p_err[levels]
 
         # P(first error at cell i) = prod_{j<i}(1 - q_j) * q_i.
@@ -829,9 +783,8 @@ class WordErrorModel:
             >= self._cond_cdf[levels]
         ).sum(axis=2)
         new_levels = np.minimum(new_levels, self.params.levels - 1)
-        new_bits = self._level_to_bits_np[new_levels]
 
-        stored = np.where(err_mask, new_bits, bits).astype(np.uint64)
+        stored = np.where(err_mask, new_levels, levels).astype(np.uint64)
         return (
             (stored << shifts[None, :].astype(np.uint64)).sum(axis=1)
         ).astype(np.uint32)
@@ -861,8 +814,7 @@ class WordErrorModel:
             return self._sweep(vals, rng)
         out = vals.copy()
         for k in range(CELLS_PER_WORD):
-            bits = (vals >> np.uint32(2 * k)) & np.uint32(3)
-            levels = self._bits_to_level_np[bits]
+            levels = (vals >> np.uint32(2 * k)) & np.uint32(3)
             q = self._p_err[levels]
             err_mask = rng.random(vals.size) < q
             if not err_mask.any():
@@ -871,10 +823,11 @@ class WordErrorModel:
             u = rng.random(err_levels.size)
             cdf = self._cond_cdf[err_levels]
             new_levels = (u[:, None] >= cdf).sum(axis=1)
-            new_levels = np.minimum(new_levels, self.params.levels - 1)
-            new_bits = self._level_to_bits_np[new_levels]
+            new_levels = np.minimum(
+                new_levels, self.params.levels - 1
+            ).astype(np.uint32)
             cleared = out[err_mask] & ~np.uint32(0b11 << (2 * k))
-            out[err_mask] = cleared | (new_bits << np.uint32(2 * k))
+            out[err_mask] = cleared | (new_levels << np.uint32(2 * k))
         return out
 
     def _walk(self, words: "list[int]", stream: UniformStream) -> "list[int]":
@@ -895,8 +848,7 @@ class WordErrorModel:
         near = np.flatnonzero(window < self._max_p_err)
         near_pos, near_u = near.tolist(), window[near].tolist()
         out = list(words)
-        p_err, cdf = self._p_err_by_bits, self._cond_cdf_by_bits
-        level_to_bits = self._level_to_bits
+        p_err, cdf = self._p_err_list, self._cond_cdf_list
         top = self.params.levels - 1
         pos = c = 0
         for shift in range(0, 2 * CELLS_PER_WORD, 2):
@@ -915,9 +867,7 @@ class WordErrorModel:
                     cdf[(words[i] >> shift) & 3], window.item(end)
                 )
                 end += 1
-                out[i] = (out[i] & ~(3 << shift)) | (
-                    level_to_bits[min(level, top)] << shift
-                )
+                out[i] = (out[i] & ~(3 << shift)) | (min(level, top) << shift)
             pos = end
         stream.skip(pos)
         return out
@@ -934,7 +884,7 @@ class WordErrorModel:
         """
         m = vals.size
         cells, shifts, targets = [], [], []
-        p_err = self._p_err_by_bits_np
+        p_err = self._p_err
         for shift in range(0, 2 * CELLS_PER_WORD, 2):
             bits = (vals >> np.uint32(shift)) & np.uint32(3)
             erring = np.flatnonzero(stream.take(m) < p_err[bits])
@@ -948,11 +898,9 @@ class WordErrorModel:
         shift = np.concatenate(shifts)
         bits = (vals[idx] >> shift) & np.uint32(3)
         level = (
-            np.concatenate(targets)[:, None] >= self._cond_cdf_by_bits_np[bits]
+            np.concatenate(targets)[:, None] >= self._cond_cdf[bits]
         ).sum(axis=1)
-        new_bits = self._level_to_bits_np[
-            np.minimum(level, self.params.levels - 1)
-        ]
+        new_bits = np.minimum(level, self.params.levels - 1).astype(np.uint32)
         cleared = np.bincount(
             idx, weights=np.uint32(3) << shift, minlength=m
         ).astype(np.uint32)
@@ -988,16 +936,15 @@ class _ModelCache:
         params: MLCParams,
         samples_per_level: int = DEFAULT_FIT_SAMPLES,
         seed: int = 0,
-        encoding: str = "binary",
     ) -> WordErrorModel:
-        key = (params, samples_per_level, seed, encoding)
+        key = (params, samples_per_level, seed)
         model = self._models.get(key)
         if model is None:
             characteristics = characterize_cells_cached(
-                params, samples_per_level, seed, encoding
+                params, samples_per_level, seed
             )
             model = WordErrorModel(
-                params, samples_per_level, seed, encoding,
+                params, samples_per_level, seed,
                 characteristics=characteristics,
             )
             self._models[key] = model
@@ -1016,10 +963,9 @@ def get_model(
     params: MLCParams,
     samples_per_level: int = DEFAULT_FIT_SAMPLES,
     seed: int = 0,
-    encoding: str = "binary",
 ) -> WordErrorModel:
     """Fetch (or compile and cache) the error model for ``params``."""
-    return MODEL_CACHE.get(params, samples_per_level, seed, encoding)
+    return MODEL_CACHE.get(params, samples_per_level, seed)
 
 
 def precise_reference_model(

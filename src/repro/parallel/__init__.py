@@ -16,9 +16,7 @@ shards get the base sorter's own fused path
 sharding adds no kernels of its own.
 
 Spec strings understood by :func:`repro.sorting.make_sorter`:
-``"sharded:<base>"`` and ``"sharded:<base>:<shards>"``; the
-``REPRO_SHARDS`` environment variable (set by ``runner.py --shards``)
-wraps every plain registry sorter the same way.
+``"sharded:<base>"`` and ``"sharded:<base>:<shards>"``.
 """
 
 from .pool import WorkerPool, fork_available, get_pool, shutdown_pools

@@ -161,7 +161,7 @@ def _sort_shard_task(payload: dict) -> "tuple[MemoryStats, MemoryStats]":
 def _sort_shard_attached(
     shm: shared_memory.SharedMemory, payload: dict
 ) -> "tuple[MemoryStats, MemoryStats]":
-    from repro.sorting.registry import make_base_sorter
+    from repro.sorting.registry import make_sorter
 
     buf = np.frombuffer(shm.buf, dtype=np.uint32, count=payload["total"])
     offset = payload["offset"]
@@ -171,7 +171,7 @@ def _sort_shard_attached(
     ids_segment = (
         buf[ids_offset : ids_offset + count] if ids_offset is not None else None
     )
-    base = make_base_sorter(payload["algorithm"], **payload["sorter_kwargs"])
+    base = make_sorter(payload["algorithm"], **payload["sorter_kwargs"])
     return _sort_shard_segment(
         base, payload["mem"], keys_segment, ids_segment,
         payload["seed"], payload["name"],
@@ -421,7 +421,7 @@ class ShardedSorter(BaseSorter):
         live = [
             index for index in range(self.shards) if int(counts[index]) >= 2
         ]
-        from repro.sorting.registry import _implicit_kwargs, make_base_sorter
+        from repro.sorting.registry import _implicit_kwargs, make_sorter
 
         # Both execution paths rebuild a *fresh* base sorter per shard from
         # the same recipe: a stateful base (quicksort's pivot RNG) must not
@@ -470,7 +470,7 @@ class ShardedSorter(BaseSorter):
                 offset = int(offsets[index])
                 count = int(counts[index])
                 results[index] = _sort_shard_segment(
-                    make_base_sorter(self.base.name, **sorter_kwargs),
+                    make_sorter(self.base.name, **sorter_kwargs),
                     spec,
                     buffer[offset : offset + count],
                     (

@@ -8,7 +8,6 @@ Appendix-B histogram variants ``hlsd3``–``hlsd6`` / ``hmsd3``–``hmsd6``.
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 from repro.errors import ConfigError
@@ -59,76 +58,23 @@ APPROX_KERNEL_EXACT = frozenset(
 )
 
 
-#: Environment variable wrapping every :func:`make_sorter` result in a
-#: :class:`~repro.parallel.sharded.ShardedSorter` with this many shards
-#: (values below 2 are a no-op).  Set by ``runner.py --shards`` so whole
-#: experiments go sharded without any per-site plumbing.
-SHARDS_ENV = "REPRO_SHARDS"
-
-
 def available_sorters() -> list[str]:
     """Names accepted by :func:`make_sorter`, sorted alphabetically.
 
-    Only base algorithm names are listed: the ``sharded:`` spec prefix and
-    the :data:`SHARDS_ENV` wrap compose over these rather than extending
-    the paper's algorithm set.
+    Only base algorithm names are listed: the ``sharded:`` spec prefix
+    composes over these rather than extending the paper's algorithm set.
     """
     return sorted(_FACTORIES)
 
 
-def make_base_sorter(name: str, **kwargs) -> BaseSorter:
-    """Instantiate a plain (unsharded) sorter by its registry name.
+def make_sorter(name: str, **kwargs) -> BaseSorter:
+    """Instantiate a sorter by its registry name or sharded spec.
 
     Keyword arguments are forwarded to the constructor (e.g.
-    ``make_base_sorter("quicksort", seed=7)``).  This is the factory the
-    shard pool workers rebuild from — it must never consult
-    :data:`SHARDS_ENV`, or a worker would shard recursively.
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown sorter {name!r}; available: {', '.join(available_sorters())}"
-        ) from None
-    if kwargs:
-        # Factories for the radix family are zero-argument closures; rebuild
-        # with explicit kwargs by dispatching on the class they produce.
-        instance = factory()
-        return type(instance)(**{**_implicit_kwargs(instance), **kwargs})
-    return factory()
-
-
-def env_shards() -> int:
-    """The shard count :data:`SHARDS_ENV` requests (1 when it is unset).
-
-    The one parser of the variable, called by :func:`make_sorter`: a bad
-    value (not an integer, or below 1) raises
-    :class:`~repro.errors.ConfigError`.
-    """
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{SHARDS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if shards < 1:
-        raise ConfigError(f"{SHARDS_ENV} must be >= 1, got {shards}")
-    return shards
-
-
-def make_sorter(name: str, **kwargs) -> BaseSorter:
-    """Instantiate a sorter by name, honouring sharding spec and environment.
-
-    Accepts the plain registry names plus the sharded spec forms
-    ``"sharded:<base>"`` (default shard count) and
-    ``"sharded:<base>:<shards>"``.  When :data:`SHARDS_ENV` requests >= 2
-    shards, plain names are wrapped in a
-    :class:`~repro.parallel.sharded.ShardedSorter` too — experiments opt
-    in with one environment variable and the PR-5 oracle/sanitizer lanes
-    exercise the sharded path with zero changes.
+    ``make_sorter("quicksort", seed=7)``).  Besides the plain registry
+    names it accepts the sharded spec forms ``"sharded:<base>"`` (default
+    shard count) and ``"sharded:<base>:<shards>"``, which wrap the base
+    sorter in a :class:`~repro.parallel.sharded.ShardedSorter`.
     """
     if name.startswith("sharded:"):
         from repro.parallel.sharded import ShardedSorter
@@ -158,17 +104,22 @@ def make_sorter(name: str, **kwargs) -> BaseSorter:
             wrapper_kwargs["shards"] = shards
         kernels = kwargs.pop("kernels", None)
         return ShardedSorter(
-            make_base_sorter(base_name, **kwargs),
+            make_sorter(base_name, **kwargs),
             kernels=kernels,
             **wrapper_kwargs,
         )
-    sorter = make_base_sorter(name, **kwargs)
-    shards = env_shards()
-    if shards >= 2:
-        from repro.parallel.sharded import ShardedSorter
-
-        return ShardedSorter(sorter, shards=shards)
-    return sorter
+    try:
+        factory = _FACTORIES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown sorter {name!r}; available: {', '.join(available_sorters())}"
+        ) from None
+    if kwargs:
+        # Factories for the radix family are zero-argument closures; rebuild
+        # with explicit kwargs by dispatching on the class they produce.
+        instance = factory()
+        return type(instance)(**{**_implicit_kwargs(instance), **kwargs})
+    return factory()
 
 
 def _implicit_kwargs(instance: BaseSorter) -> dict:

@@ -65,7 +65,12 @@ from repro.memory.config import MLCParams
 from repro.memory.factories import PCMMemoryFactory
 from repro.memory.stats import MemoryStats
 from repro.obs import NULL_TRACER, Tracer, set_tracer
-from repro.sorting.registry import APPROX_KERNEL_EXACT, available_sorters
+from repro.sorting.registry import (
+    APPROX_KERNEL_EXACT,
+    available_sorters,
+    make_sorter,
+    with_kernels,
+)
 from repro.workloads.generators import GENERATORS, make_keys
 
 #: Monte-Carlo fit size for oracle-scope memory models (cached per T).
@@ -438,7 +443,6 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
     class degenerates to a self-consistency check.
     """
     from repro.parallel.sharded import ShardedSorter
-    from repro.sorting.registry import make_base_sorter
 
     out: list[Divergence] = []
     name = "sharded_serial"
@@ -447,7 +451,7 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
 
     def build(workers: int) -> ShardedSorter:
         return ShardedSorter(
-            make_base_sorter(case.algorithm),
+            make_sorter(case.algorithm),
             shards=3, workers=workers, min_n=2, kernels="numpy",
         )
 
@@ -499,11 +503,10 @@ def check_write_budget(case: OracleCase) -> list[Divergence]:
     traffic) makes the class a no-op.
     """
     from repro.memory.approx_array import PreciseArray
-    from repro.sorting.registry import make_base_sorter, with_kernels
 
     out: list[Divergence] = []
     name = "write_budget"
-    sorter = make_base_sorter(case.algorithm)
+    sorter = make_sorter(case.algorithm)
     schedule = sorter.precise_schedule(case.n)
     if schedule is None:
         return out

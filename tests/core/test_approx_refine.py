@@ -150,19 +150,29 @@ class TestBaselineAndReduction:
         )
 
     @pytest.mark.parametrize("algorithm", ["mergesort", "quicksort", "lsd6"])
-    def test_baseline_is_serial_under_shards(self, algorithm, monkeypatch):
-        """Equation 2's baseline is the serial sort: ``REPRO_SHARDS`` shards
-        the named sorters of the approx stage, never the baseline."""
-        from repro.sorting.registry import SHARDS_ENV, make_sorter
-
+    def test_stale_shards_env_is_ignored(
+        self, algorithm, pcm_sweet, monkeypatch
+    ):
+        """A leftover ``REPRO_SHARDS`` from a retired option shards neither
+        the approx stage nor Equation 2's baseline."""
         keys = uniform_keys(8_000, seed=21)
-        serial = run_precise_baseline(keys, algorithm)
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert make_sorter(algorithm).name == f"sharded:{algorithm}:4"
-        sharded_env = run_precise_baseline(keys, algorithm)
-        assert sharded_env.algorithm == serial.algorithm == algorithm
-        assert sharded_env.stats.as_dict() == serial.stats.as_dict()
-        assert np.array_equal(sharded_env.final_ids, serial.final_ids)
+
+        def runs():
+            return (
+                run_approx_refine(keys, algorithm, pcm_sweet, seed=22),
+                run_precise_baseline(keys, algorithm),
+            )
+
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        unset = runs()
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        stale = runs()
+        assert stale[0].rem_tilde == unset[0].rem_tilde
+        for before, after in zip(unset, stale):
+            assert after.algorithm == before.algorithm == algorithm
+            assert after.stats.as_dict() == before.stats.as_dict()
+            assert np.array_equal(after.final_keys, before.final_keys)
+            assert np.array_equal(after.final_ids, before.final_ids)
 
     def test_radix_beats_baseline_at_sweet_spot(self, pcm_sweet):
         """The headline: positive write reduction for 3-bit LSD at T=0.055."""

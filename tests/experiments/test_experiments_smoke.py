@@ -251,7 +251,7 @@ class TestRegistry:
         assert set(EXPERIMENTS) == {
             "fig02", "fig04", "fig05_07", "table3", "fig09", "fig10",
             "fig11", "fig12", "fig13", "fig14", "fig15", "pcmsim",
-            "ablation_refine", "ext_density", "ext_distributions", "ext_gray",
+            "ablation_refine", "ext_density", "ext_distributions",
             "ext_pipeline_sim", "ext_sequential", "ext_total_time",
             "ext_variance", "ext_write_combining",
         }

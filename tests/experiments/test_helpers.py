@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.experiments.ext_gray import mean_displacement
 from repro.experiments.ext_total_time import total_access_ns
 from repro.experiments.fig02_cell import FIG2_T_VALUES
 from repro.experiments.fig04_sortedness import precise_write_units
@@ -35,19 +34,6 @@ class TestShapeStatistics:
         assert shape_statistics([]) == (1.0, 1.0)
         assert shape_statistics([5]) == (1.0, 1.0)
         assert shape_statistics([5, 5, 5]) == (1.0, 1.0)
-
-
-class TestMeanDisplacement:
-    def test_identical_multisets(self):
-        assert mean_displacement([3, 1, 2], [1, 2, 3]) == 0.0
-
-    def test_one_value_shift(self):
-        assert mean_displacement([0, 10], [0, 14]) == pytest.approx(2.0)
-
-    def test_magnitude_reflects_bit_position(self):
-        low = mean_displacement([0], [1])
-        high = mean_displacement([0], [1 << 30])
-        assert high > low
 
 
 class TestTotalAccessTime:

@@ -217,54 +217,17 @@ class TestModuleEntryPoint:
         assert "fig09" in result.stdout
 
 
-class TestShardsCLI:
-    def test_shards_exported_to_environment(self, capsys, monkeypatch):
-        import os
-
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "1")  # recorded → restored at teardown
-        assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--shards", "2"]
-        ) == 0
-        assert os.environ[SHARDS_ENV] == "2"
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--exp", "fig02", "--shards", "0"])
-
-    def test_sharded_smoke_run_deterministic(self, capsys, monkeypatch):
-        # On approximate memory each shard sort draws its own corruption
-        # stream, so sharded output need not equal serial output — but
-        # repeating the same sharded run must be bit-identical.
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "1")
-        assert main(
-            ["--exp", "table3", "--scale", "smoke", "--shards", "2"]
-        ) == 0
-        first = [
-            line for line in capsys.readouterr().out.splitlines()
-            if not line.startswith("[")
-        ]
-        assert main(
-            ["--exp", "table3", "--scale", "smoke", "--shards", "2"]
-        ) == 0
-        second = [
-            line for line in capsys.readouterr().out.splitlines()
-            if not line.startswith("[")
-        ]
-        assert second == first
+class TestRetiredOptions:
+    def test_shards_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--exp", "fig02", "--shards", "2"])
+        assert exc.value.code == 2
 
 
 class TestBenchScalingFields:
-    def test_record_carries_machine_and_parallelism(self, capsys, tmp_path,
-                                                    monkeypatch):
+    def test_record_carries_machine_and_parallelism(self, capsys, tmp_path):
         import os
 
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "1")
         path = tmp_path / "bench.json"
         assert main(
             ["--exp", "fig02", "--scale", "smoke", "--bench-json", str(path)]
@@ -272,38 +235,30 @@ class TestBenchScalingFields:
         record = json.loads(path.read_text())[0]
         assert record["cpus"] == os.cpu_count()
         assert record["workers_effective"] == 1
-        assert record["shards"] is None
+        assert "shards" not in record
 
-    def test_speedup_vs_serial_baseline(self, capsys, tmp_path, monkeypatch):
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "1")
+    def test_speedup_vs_serial_baseline(self, capsys, tmp_path):
         path = tmp_path / "bench.json"
-        # First a serial baseline record, then a sharded run of the same
+        # First a serial baseline record, then a two-worker run of the same
         # configuration: the second record gains the scaling fields.
+        experiments = ["--exp", "fig02", "--exp", "table3", "--scale", "smoke"]
+        assert main([*experiments, "--bench-json", str(path)]) == 0
         assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--bench-json", str(path)]
-        ) == 0
-        assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--shards", "2",
-             "--bench-json", str(path)]
+            [*experiments, "--jobs", "2", "--bench-json", str(path)]
         ) == 0
         records = json.loads(path.read_text())
         assert "speedup_vs_serial" not in records[0]
+        assert records[1]["workers_effective"] == 2
         assert "speedup_vs_serial" in records[1]
         assert records[1]["scaling_efficiency"] == pytest.approx(
             records[1]["speedup_vs_serial"] / 2, abs=1e-3
         )
 
-    def test_no_speedup_without_matching_baseline(self, capsys, tmp_path,
-                                                  monkeypatch):
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "1")
+    def test_no_speedup_without_matching_baseline(self, capsys, tmp_path):
         path = tmp_path / "bench.json"
         assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--shards", "2",
-             "--bench-json", str(path)]
+            ["--exp", "fig02", "--exp", "table3", "--scale", "smoke",
+             "--jobs", "2", "--bench-json", str(path)]
         ) == 0
         assert "speedup_vs_serial" not in json.loads(path.read_text())[0]
 

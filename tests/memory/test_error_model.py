@@ -266,17 +266,12 @@ class TestDenseWalk:
         mean_iterations=np.array([2.0, 3.0, 3.0, 1.0]),
     )
 
-    @pytest.mark.parametrize("encoding", ["binary", "gray"])
     @pytest.mark.parametrize("t", [0.075, 0.1, 0.124, "spread"])
-    def test_walk_matches_column_loop(self, t, encoding, monkeypatch):
+    def test_walk_matches_column_loop(self, t, monkeypatch):
         if t == "spread":
-            model = WordErrorModel(
-                MLCParams(t=0.1), encoding=encoding, characteristics=self.SPREAD
-            )
+            model = WordErrorModel(MLCParams(t=0.1), characteristics=self.SPREAD)
         else:
-            model = get_model(
-                MLCParams(t=t), samples_per_level=FIT, encoding=encoding
-            )
+            model = get_model(MLCParams(t=t), samples_per_level=FIT)
         keys = np.random.default_rng(21).integers(
             0, 2**32, size=(DENSE_WALK_MAX_WORDS + 8) * 4, dtype=np.uint64
         ).astype(np.uint32)
@@ -296,19 +291,14 @@ class TestDenseWalk:
                 corrupted += int(np.count_nonzero(walked != values))
         assert corrupted > 100
 
-    @pytest.mark.parametrize("encoding", ["binary", "gray"])
     @pytest.mark.parametrize("t", [0.075, 0.1, "spread"])
-    def test_sweep_matches_column_loop(self, t, encoding, monkeypatch):
+    def test_sweep_matches_column_loop(self, t, monkeypatch):
         """The vectorised walk, 65 to 5,000 words, including all-ones
-        blocks (no cell errs under the binary encoding)."""
+        blocks (every cell at level 3, which no fitted cell leaves)."""
         if t == "spread":
-            model = WordErrorModel(
-                MLCParams(t=0.1), encoding=encoding, characteristics=self.SPREAD
-            )
+            model = WordErrorModel(MLCParams(t=0.1), characteristics=self.SPREAD)
         else:
-            model = get_model(
-                MLCParams(t=t), samples_per_level=FIT, encoding=encoding
-            )
+            model = get_model(MLCParams(t=t), samples_per_level=FIT)
         rng = np.random.default_rng(22)
         for m in (65, 97, 256, 1000, STREAM_CHUNK - 1, STREAM_CHUNK, 5000):
             for fill in (None, 0xFFFFFFFF):
@@ -439,7 +429,7 @@ LANE_T = (0.025, 0.055, 0.07, 0.075, 0.1, 0.124)
 class TestListLane:
     """``corrupt_list`` is ``block_cost_and_no_error`` plus
     ``corrupt_block`` on lists: same cost, stored words, corrupted count
-    and stream position, in both encodings."""
+    and stream position."""
 
     @pytest.mark.parametrize("terms", [7, 8, 9])
     def test_pairwise_order_matches_numpy(self, terms):
@@ -458,13 +448,9 @@ class TestListLane:
             x = rng.random(n) * rng.choice([1.0, 1e9, 1e-9], n)
             assert pairwise_sum(x.tolist()) == float(x.sum()), n
 
-    @pytest.mark.parametrize(
-        "t, encoding",
-        [pytest.param(t, "binary", id=str(t)) for t in LANE_T]
-        + [pytest.param(t, "gray", id=f"{t}-gray") for t in LANE_T],
-    )
-    def test_matches_block_path(self, t, encoding):
-        model = get_model(MLCParams(t=t), samples_per_level=FIT, encoding=encoding)
+    @pytest.mark.parametrize("t", LANE_T)
+    def test_matches_block_path(self, t):
+        model = get_model(MLCParams(t=t), samples_per_level=FIT)
         rng = np.random.default_rng(int(t * 1000))
         erred = 0
         for trial in range(120):

@@ -20,7 +20,7 @@ from repro.obs.io import read_traces
 from repro.obs.report import build_report, check_events
 from repro.parallel.pool import fork_available, shutdown_pools
 from repro.parallel.sharded import ShardedSorter
-from repro.sorting.registry import make_base_sorter
+from repro.sorting.registry import make_sorter
 from repro.workloads.generators import uniform_keys
 
 pytestmark = pytest.mark.skipif(
@@ -39,7 +39,7 @@ def _fresh_pools():
 def _pooled_sort(n: int = 400, seed: int = 9) -> None:
     keys = uniform_keys(n, seed=seed)
     sorter = ShardedSorter(
-        make_base_sorter("lsd3"), shards=3, workers=2, min_n=2,
+        make_sorter("lsd3"), shards=3, workers=2, min_n=2,
         kernels="numpy",
     )
     array = PreciseArray(list(keys), stats=MemoryStats())

@@ -25,7 +25,7 @@ from repro.memory.write_combining import WriteCombiningArray
 from repro.obs import Tracer, set_tracer
 from repro.parallel.pool import fork_available, usable_cpus
 from repro.parallel.sharded import ShardedSorter
-from repro.sorting.registry import make_base_sorter, with_kernels
+from repro.sorting.registry import make_sorter, with_kernels
 from repro.workloads.generators import uniform_keys
 
 needs_fork = pytest.mark.skipif(
@@ -36,7 +36,7 @@ needs_fork = pytest.mark.skipif(
 def sharded(algorithm, *, shards=3, workers=0, **kwargs):
     kwargs.setdefault("min_n", 2)
     return ShardedSorter(
-        make_base_sorter(algorithm), shards=shards, workers=workers, **kwargs
+        make_sorter(algorithm), shards=shards, workers=workers, **kwargs
     )
 
 
@@ -69,7 +69,7 @@ class TestPrecise:
     @pytest.mark.parametrize("algorithm", ["mergesort", "lsd3", "quicksort"])
     def test_matches_serial_base(self, algorithm):
         keys = uniform_keys(500, seed=11)
-        serial = run_precise(make_base_sorter(algorithm), list(keys))
+        serial = run_precise(make_sorter(algorithm), list(keys))
         result = run_precise(sharded(algorithm), list(keys))
         assert result[0] == serial[0] == sorted(keys)
         assert result[1] == serial[1]
@@ -95,7 +95,7 @@ class TestPrecise:
         # so the shards' summed stats are the serial sort's, key and id.
         keys = uniform_keys(300, seed=6)
         serial = run_precise(
-            make_base_sorter(algorithm, kernels=kernels), list(keys)
+            make_sorter(algorithm, kernels=kernels), list(keys)
         )
         for shards in (2, 4):
             result = run_precise(
@@ -226,7 +226,7 @@ class TestApproxAgreement:
     def test_sharded_means_inside_serial_range(self, algorithm):
         keys = uniform_keys(_GATE_N, seed=0)
         memory = PCMMemoryFactory(MLCParams(t=0.055), fit_samples=_GATE_FIT)
-        serial = gate_cells(keys, memory, lambda: make_base_sorter(algorithm))
+        serial = gate_cells(keys, memory, lambda: make_sorter(algorithm))
         for shards in (2, 4):
             cells = gate_cells(keys, memory, lambda: sharded(
                 algorithm, shards=shards, min_n=64
@@ -256,7 +256,7 @@ class TestEdgeCases:
         assert result[0] == sorted(keys)
 
     def test_below_min_n_delegates_to_base(self):
-        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=3,
+        sorter = ShardedSorter(make_sorter("mergesort"), shards=3,
                                workers=0, min_n=64)
         result = run_precise(sorter, uniform_keys(32, seed=0))
         assert result[0] == sorted(uniform_keys(32, seed=0))
@@ -291,8 +291,8 @@ class TestPlanIntrospection:
         assert shard_writes == result[2]["precise_writes"] > 0
 
     def test_expected_key_writes_sums_shards(self):
-        base = make_base_sorter("mergesort")
-        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=4,
+        base = make_sorter("mergesort")
+        sorter = ShardedSorter(make_sorter("mergesort"), shards=4,
                                workers=0, min_n=2)
         n = 1000
         per_shard = sum(base.expected_key_writes(250) for _ in range(4))
@@ -303,7 +303,7 @@ class TestPlanIntrospection:
             + 2 * base.expected_key_writes(250)
         )
         # Below min_n the estimate is the base's.
-        small = ShardedSorter(make_base_sorter("mergesort"), shards=4,
+        small = ShardedSorter(make_sorter("mergesort"), shards=4,
                               workers=0, min_n=64)
         assert small.expected_key_writes(10) == base.expected_key_writes(10)
 
@@ -316,9 +316,9 @@ class TestConfiguration:
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigError, match="shards"):
-            ShardedSorter(make_base_sorter("mergesort"), shards=0)
+            ShardedSorter(make_sorter("mergesort"), shards=0)
         with pytest.raises(ConfigError, match="workers"):
-            ShardedSorter(make_base_sorter("mergesort"), workers=-1)
+            ShardedSorter(make_sorter("mergesort"), workers=-1)
 
     def test_with_kernels_round_trip(self):
         sorter = sharded("lsd4", shards=5, workers=3, min_n=17)
@@ -334,7 +334,7 @@ class TestConfiguration:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert usable_cpus() == 1
-        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=4)
+        sorter = ShardedSorter(make_sorter("mergesort"), shards=4)
         assert sorter._effective_workers() == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)

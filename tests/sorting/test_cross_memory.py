@@ -15,10 +15,8 @@ ALGORITHMS = ("quicksort", "mergesort", "lsd6", "hmsd6", "natural_merge")
 FIT = 8_000
 
 
-def gray_array(n, seed=0):
-    model = get_model(
-        MLCParams(t=0.08), samples_per_level=FIT, encoding="gray"
-    )
+def pcm_array(n, seed=0):
+    model = get_model(MLCParams(t=0.08), samples_per_level=FIT)
     return ApproxArray(
         [0] * n, model=model, precise_iterations=3.0, seed=seed
     )
@@ -32,7 +30,7 @@ def spintronic_array(n, seed=0):
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
-@pytest.mark.parametrize("array_factory", [gray_array, spintronic_array])
+@pytest.mark.parametrize("array_factory", [pcm_array, spintronic_array])
 def test_sorter_terminates_and_stays_in_range(name, array_factory):
     keys = uniform_keys(400, seed=1)
     array = array_factory(len(keys), seed=2)
@@ -47,19 +45,9 @@ def test_sorter_terminates_and_stays_in_range(name, array_factory):
 def test_sorting_through_write_combining_on_approx_memory(name):
     """The buffer composes with approximate memory transparently."""
     keys = uniform_keys(300, seed=5)
-    backing = gray_array(len(keys), seed=6)
+    backing = pcm_array(len(keys), seed=6)
     backing.write_block(0, keys)
     buffered = WriteCombiningArray(backing, capacity=32)
     make_sorter(name).sort(buffered)
     buffered.flush()
     assert len(backing.to_list()) == len(keys)
-
-
-def test_approx_refine_on_gray_memory_is_exact():
-    from repro.core.approx_refine import run_approx_refine
-    from repro.experiments.ext_gray import _EncodedPCMFactory
-
-    keys = uniform_keys(600, seed=9)
-    factory = _EncodedPCMFactory(0.09, "gray", FIT)
-    result = run_approx_refine(keys, "msd6", factory, seed=10)
-    assert result.final_keys.tolist() == sorted(keys)

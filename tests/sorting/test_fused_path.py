@@ -18,7 +18,7 @@ from repro.memory.approx_array import PreciseArray
 from repro.memory.stats import MemoryStats
 from repro.memory.write_combining import WriteCombiningArray
 from repro.obs import Tracer, set_tracer
-from repro.sorting.registry import available_sorters, make_base_sorter
+from repro.sorting.registry import available_sorters, make_sorter
 from repro.verify import sanitize
 from repro.workloads.generators import uniform_keys
 
@@ -50,13 +50,13 @@ def _observed(keys_array, ids_array):
 
 def _sort(name, kernels, keys, with_ids, wrap=lambda array: array):
     keys_array, ids_array = _operands(keys, with_ids, wrap)
-    make_base_sorter(name, kernels=kernels).sort(keys_array, ids_array)
+    make_sorter(name, kernels=kernels).sort(keys_array, ids_array)
     return _observed(keys_array, ids_array)
 
 
 def _fused(name, keys, with_ids):
     keys_array, ids_array = _operands(keys, with_ids)
-    sorter = make_base_sorter(name, kernels="numpy")
+    sorter = make_sorter(name, kernels="numpy")
     assert sorter._fused_schedule(keys_array, ids_array) is not None
     sorter.sort(keys_array, ids_array)
     return _observed(keys_array, ids_array)
@@ -109,46 +109,46 @@ class TestFusedMatchesGeneric:
 class TestGating:
     def test_fused_exists_for_mergesort_and_lsd(self):
         for name in SCHEDULED:
-            sorter = make_base_sorter(name, kernels="numpy")
+            sorter = make_sorter(name, kernels="numpy")
             keys_array, ids_array = _operands(uniform_keys(64, seed=0), True)
             assert not _runs_sort(sorter, keys_array, ids_array)
             assert keys_array.to_list() == sorted(uniform_keys(64, seed=0))
 
     def test_no_fused_for_other_sorters(self):
         for name in ("msd6", "quicksort", "insertion", "natural_merge"):
-            sorter = make_base_sorter(name, kernels="numpy")
+            sorter = make_sorter(name, kernels="numpy")
             assert sorter.precise_schedule(64) is None
             operands = _operands(uniform_keys(64, seed=0), True)
             assert _runs_sort(sorter, *operands)
 
     def test_scalar_mode_disables_fusion(self):
-        sorter = make_base_sorter("mergesort", kernels="scalar")
+        sorter = make_sorter("mergesort", kernels="scalar")
         assert _runs_sort(sorter, *_operands(uniform_keys(64, seed=0), True))
 
     def test_approx_memory_disables_fusion(self, pcm_sweet):
-        sorter = make_base_sorter("lsd6", kernels="numpy")
+        sorter = make_sorter("lsd6", kernels="numpy")
         keys_array = pcm_sweet.make_array(uniform_keys(64, seed=0), seed=1)
         assert _runs_sort(sorter, keys_array)
 
     def test_trace_hook_disables_fusion(self):
-        sorter = make_base_sorter("mergesort", kernels="numpy")
+        sorter = make_sorter("mergesort", kernels="numpy")
         keys_array, _ = _operands(uniform_keys(64, seed=0), False)
         keys_array.trace = lambda *event: None
         assert _runs_sort(sorter, keys_array)
 
     def test_trace_hook_on_ids_disables_fusion(self):
-        sorter = make_base_sorter("lsd6", kernels="numpy")
+        sorter = make_sorter("lsd6", kernels="numpy")
         keys_array, ids_array = _operands(uniform_keys(64, seed=0), True)
         ids_array.trace = lambda *event: None
         assert _runs_sort(sorter, keys_array, ids_array)
 
     def test_sanitizer_disables_fusion(self):
-        sorter = make_base_sorter("mergesort", kernels="numpy")
+        sorter = make_sorter("mergesort", kernels="numpy")
         operands = _operands(uniform_keys(64, seed=0), True, wrap=sanitize)
         assert _runs_sort(sorter, *operands)
 
     def test_write_combining_front_disables_fusion(self):
-        sorter = make_base_sorter("lsd6", kernels="numpy")
+        sorter = make_sorter("lsd6", kernels="numpy")
         keys_array, _ = _operands(uniform_keys(64, seed=0), False)
         front = WriteCombiningArray(keys_array, capacity=8)
         assert _runs_sort(sorter, front)
@@ -160,7 +160,7 @@ class TestSchedule:
     def test_only_mergesort_and_lsd_publish_a_schedule(self):
         published = {
             name for name in available_sorters()
-            if make_base_sorter(name).precise_schedule(100) is not None
+            if make_sorter(name).precise_schedule(100) is not None
         }
         assert published == {
             "mergesort", "lsd3", "lsd4", "lsd5", "lsd6",
@@ -170,7 +170,7 @@ class TestSchedule:
     @pytest.mark.parametrize("name", ["mergesort", "lsd4", "hlsd3", "hlsd6"])
     @pytest.mark.parametrize("n", SHAPES)
     def test_cost_methods_read_the_schedule(self, name, n):
-        sorter = make_base_sorter(name)
+        sorter = make_sorter(name)
         reads, writes = sorter.precise_schedule(n)
         assert reads == writes
         assert sorter.expected_key_writes(n) == writes
@@ -178,11 +178,11 @@ class TestSchedule:
 
 @pytest.mark.parametrize("name", available_sorters())
 def test_alpha_of_fewer_than_two_keys_is_zero(name):
-    sorter = make_base_sorter(name)
+    sorter = make_sorter(name)
     assert sorter.expected_key_writes(0) == sorter.expected_key_writes(1) == 0
     for kernels in ("scalar", "numpy"):
         keys_array, ids_array = _operands([7], True)
-        make_base_sorter(name, kernels=kernels).sort(keys_array, ids_array)
+        make_sorter(name, kernels=kernels).sort(keys_array, ids_array)
         assert keys_array.stats.precise_writes == 0
         assert ids_array.stats.precise_writes == 0
 
@@ -193,7 +193,7 @@ class TestTraceSaysWhichPathRan:
         sink = io.StringIO()
         previous = set_tracer(Tracer(sink=sink))
         try:
-            make_base_sorter("mergesort", kernels="numpy").sort(keys_array)
+            make_sorter("mergesort", kernels="numpy").sort(keys_array)
         finally:
             set_tracer(previous)
         (start,) = [

@@ -7,7 +7,6 @@ from repro.sorting.quicksort import Quicksort
 from repro.sorting.radix import LSDRadixSort
 from repro.sorting.registry import (
     available_sorters,
-    make_base_sorter,
     make_sorter,
     with_kernels,
 )
@@ -60,7 +59,7 @@ class TestRegistry:
             kwargs["bits"] = 3 if name.endswith("6") else 6
         if name == "quicksort":
             kwargs["seed"] = 99
-        sorter = make_base_sorter(name, **kwargs)
+        sorter = make_sorter(name, **kwargs)
         for kernels in ("numpy", "scalar", None):
             copy = with_kernels(sorter, kernels)
             assert type(copy) is type(sorter)
@@ -109,37 +108,6 @@ class TestShardedSpecs:
             make_sorter("sharded:mergesort:4:extra")
         with pytest.raises(ValueError, match="unknown sorter"):
             make_sorter("sharded:bogosort")
-
-    def test_env_wraps_plain_names(self, monkeypatch):
-        from repro.parallel.sharded import ShardedSorter
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "3")
-        sorter = make_sorter("mergesort")
-        assert isinstance(sorter, ShardedSorter)
-        assert sorter.shards == 3
-
-    def test_env_of_one_is_a_noop(self, monkeypatch):
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "1")
-        assert isinstance(make_sorter("mergesort"), Mergesort)
-
-    def test_env_validated(self, monkeypatch):
-        from repro.sorting.registry import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "zero")
-        with pytest.raises(ValueError, match=SHARDS_ENV):
-            make_sorter("mergesort")
-        monkeypatch.setenv(SHARDS_ENV, "0")
-        with pytest.raises(ValueError, match=SHARDS_ENV):
-            make_sorter("mergesort")
-
-    def test_make_base_sorter_ignores_env(self, monkeypatch):
-        from repro.sorting.registry import SHARDS_ENV, make_base_sorter
-
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert isinstance(make_base_sorter("mergesort"), Mergesort)
 
     def test_available_sorters_lists_base_names_only(self):
         assert not any(

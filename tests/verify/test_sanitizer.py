@@ -21,7 +21,7 @@ from repro.errors import SanitizerError
 from repro.memory.approx_array import PreciseArray, WORD_LIMIT
 from repro.memory.stats import MemoryStats
 from repro.memory.write_combining import WriteCombiningArray
-from repro.sorting.registry import make_base_sorter
+from repro.sorting.registry import make_sorter
 from repro.verify import (
     SANITIZE_ENV,
     SanitizedArray,
@@ -302,7 +302,7 @@ class TestWriteCombining:
         backing = sanitize(PreciseArray(keys))
         front = WriteCombiningArray(backing, capacity=8)
         before = checks_performed()
-        make_base_sorter("insertion").sort(front)
+        make_sorter("insertion").sort(front)
         front.flush()
         assert checks_performed() > before
         assert backing.to_list() == sorted(keys.tolist())

@@ -77,22 +77,21 @@ SPEEDUP_FIELDS = ("speedup_vs_loop", "speedup_vs_serial", "speedup")
 
 
 def series_key(record: dict) -> tuple:
-    """The identifying fields of a record, as a hashable sorted tuple."""
+    """The identifying fields of a record, as a hashable sorted tuple.
+
+    A null-valued field identifies nothing, so a record that carries it and
+    one that omits it belong to the same series.
+    """
     return tuple(sorted(
         (key, json.dumps(value, sort_keys=True))
         for key, value in record.items()
-        if key not in MEASURED_FIELDS
+        if key not in MEASURED_FIELDS and value is not None
     ))
 
 
 def series_label(key: tuple) -> str:
     """Compact ``k=v`` rendering of a series key for the table."""
-    parts = []
-    for name, encoded in key:
-        value = json.loads(encoded)
-        if value is None:
-            continue
-        parts.append(f"{name}={value}")
+    parts = [f"{name}={json.loads(encoded)}" for name, encoded in key]
     return " ".join(parts) or "-"
 
 
