@@ -34,8 +34,8 @@ def test_corrupt_word_scalar_path(benchmark, model):
     values = [rng.getrandbits(32) for _ in range(512)]
 
     def run():
-        for value in values:
-            model.corrupt_word(value, rng)
+        for address, value in enumerate(values):
+            model.corrupt_word(value, 0, address, 0)
 
     benchmark(run)
 
@@ -44,9 +44,9 @@ def test_word_write_cost_lookup(benchmark, model):
     values = [i * 2654435761 % 2**32 for i in range(512)]
 
     def run():
-        total = 0.0
+        total = 0
         for value in values:
-            total += model.word_write_cost(value)
+            total += model.word_write_cost(value)[3]
         return total
 
     benchmark(run)
@@ -57,8 +57,11 @@ def test_corrupt_block_vectorized(benchmark, model):
     values = np_rng.integers(0, 2**32, size=8_192, dtype=np.uint64).astype(
         np.uint32
     )
+    versions = np.zeros(values.size, dtype=np.uint32)
 
-    benchmark(lambda: model.corrupt_block(values, np_rng))
+    benchmark(lambda: model.corrupt_block(
+        values, 1, slice(0, values.size), versions
+    ))
 
 
 def test_rem_metric(benchmark):
@@ -87,9 +90,8 @@ def test_quicksort_on_instrumented_array(benchmark):
 
 
 def test_approx_scalar_write_batched(benchmark, model):
-    """The batched-uniform scalar write path of ApproxArray: the RNG call
-    is amortized over SCALAR_RNG_BATCH writes, so this should sit close to
-    the bare corrupt_word timing plus accounting."""
+    """The scalar write path of ApproxArray: one keyed hash per write in
+    Python, plus the cell counts and the accounting."""
     keys = uniform_keys(512, seed=6)
     array = ApproxArray(
         [0] * len(keys), model=model, precise_iterations=3.0, seed=7
@@ -114,9 +116,9 @@ def test_approx_write_block(benchmark, model):
 
 def test_approx_write_block_2p20(benchmark, model):
     """One 2^20-word block write at T = 0.055, the grain of an LSD pass in
-    approx-refine at n = 2^20: the summed cost lookup, one uniform per
-    word, and the exact per-word probability only for the words whose
-    uniform reaches the model's no-error floor."""
+    approx-refine at n = 2^20: the popcount level counts, one keyed
+    uniform per word, and the exact per-word probability only for the
+    words whose uniform reaches the model's no-error floor."""
     keys = np.random.default_rng(10).integers(
         0, 2**32, size=1 << 20, dtype=np.uint64
     ).astype(np.uint32)
@@ -128,27 +130,16 @@ def test_approx_write_block_2p20(benchmark, model):
     benchmark(lambda: array.write_block(0, keys))
 
 
-def test_approx_write_block_small_dense(benchmark):
-    """One 10-word block write at T = 0.1, the grain of an MSD bucket
-    write in fig09: the block takes the dense path, which a block this
-    small walks over a peeked window of the array's stream."""
+@pytest.mark.parametrize("words", [2048, 1 << 20])
+def test_keyed_block_write(benchmark, words):
+    """A block write at T = 0.1, where about half the uniforms reach the
+    no-error floor and a third of the words err: the keyed hash, the
+    per-word probabilities and the erring-word resolution of the numpy
+    forms."""
     model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
-    keys = uniform_keys(10, seed=17)
-    array = ApproxArray(
-        np.zeros(len(keys), dtype=np.uint32), model=model,
-        precise_iterations=3.0, seed=18,
-    )
-
-    benchmark(lambda: array.write_block(0, keys))
-
-
-@pytest.mark.parametrize("words", [256, 2048])
-def test_approx_write_block_dense(benchmark, words):
-    """A dense block write at T = 0.1 above the small-block walk: fig09's
-    top MSD segments and every LSD pass at n = 2048 take the vectorised
-    walk."""
-    model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
-    keys = uniform_keys(words, seed=23)
+    keys = np.random.default_rng(23).integers(
+        0, 2**32, size=words, dtype=np.uint64
+    ).astype(np.uint32)
     array = ApproxArray(
         np.zeros(words, dtype=np.uint32), model=model,
         precise_iterations=3.0, seed=24,
@@ -157,20 +148,42 @@ def test_approx_write_block_dense(benchmark, words):
     benchmark(lambda: array.write_block(0, keys))
 
 
-@pytest.mark.parametrize("t", [0.025, 0.1])
-def test_msd_segment_lane(benchmark, t):
-    """One 16-key MSD segment, fig09's MSD grain, sorted by msd3 under
-    numpy kernels: the scalar pass finishes it and its subtree on lists,
-    and its block writes take the list lane."""
-    model = get_model(MLCParams(t=t), samples_per_level=FIT)
-    keys = uniform_keys(16, seed=25)
+def test_keyed_list_write(benchmark):
+    """A 16-word list block write at T = 0.1: the list lane, which
+    resolves the words with the Python forms of the keyed sampler."""
+    model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
+    keys = uniform_keys(16, seed=17).tolist()
+    array = ApproxArray(
+        np.zeros(len(keys), dtype=np.uint32), model=model,
+        precise_iterations=3.0, seed=18,
+    )
+
+    benchmark(lambda: array.write_block(0, keys))
+
+
+def test_keyed_scalar_write(benchmark):
+    """One scalar write at T = 0.1 (quicksort's swaps write this way)."""
+    model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
+    array = ApproxArray(
+        np.zeros(1, dtype=np.uint32), model=model, precise_iterations=3.0,
+        seed=25,
+    )
+
+    benchmark(lambda: array.write(0, 0x12345678))
+
+
+def test_msd3_level_pass(benchmark):
+    """msd3 under numpy kernels at n = 2048 and T = 0.1, fig09's MSD
+    grain: one level pass per digit over every segment of that depth."""
+    model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
+    keys = uniform_keys(2048, seed=26)
     sorter = make_sorter("msd3", kernels="numpy")
 
     def run():
         array = ApproxArray(
-            keys, model=model, precise_iterations=3.0, seed=26
+            keys, model=model, precise_iterations=3.0, seed=27
         )
-        sorter.sort(array, PreciseArray(range(16), stats=array.stats))
+        sorter.sort(array, PreciseArray(range(len(keys)), stats=array.stats))
 
     benchmark(run)
 
@@ -193,8 +206,8 @@ def test_quicksort_partition_lane_approx(benchmark, model):
 
 
 def test_approx_refine_msd3_fig09_cell(benchmark):
-    """One fig09 cell: approx-refine with msd3 at n = 2048, T = 0.1, whose
-    thousands of few-word block writes mostly take the dense path."""
+    """One fig09 cell: approx-refine with msd3 at n = 2048, T = 0.1, its
+    sort one level pass per digit."""
     from repro.core.approx_refine import run_approx_refine
     from repro.memory.factories import PCMMemoryFactory
 

@@ -26,20 +26,23 @@ the sorters' arithmetic).
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .error_model import LIST_LANE_MAX_WORDS, UniformStream, WordErrorModel
+from . import keyed
+from .error_model import WordErrorModel
 from .stats import MemoryStats
 
 #: Exclusive upper bound of representable key values.
 WORD_LIMIT = 1 << 32
 
-#: Uniform variates drawn per batch for the scalar approximate-write fast
-#: path (amortizes the per-write RNG call across a chunk).
-SCALAR_RNG_BATCH = 512
+#: Largest block, in words, that ``write_block`` takes as a Python list
+#: (the list lane): an approximate array then resolves it word by word with
+#: the Python forms of its keyed sampler, which beat the numpy forms' fixed
+#: per-call cost on such short lists.  Measured, not tuned per run
+#: (DESIGN.md section 7).
+LIST_LANE_MAX_WORDS = 16
 
 #: Type of the optional trace hook: ``(op, region, index)`` with ``op`` one of
 #: ``"R"``/``"W"`` and ``region`` one of ``"precise"``/``"approx"``.
@@ -108,9 +111,9 @@ def _as_words(values) -> np.ndarray:
 
 def _is_word_list(values) -> bool:
     """Whether ``values`` takes the list lane of a block write: a list of
-    at most :data:`~repro.memory.error_model.LIST_LANE_MAX_WORDS` valid
-    words (Python ints in range).  Anything else goes through
-    :func:`_as_words`, which converts it or raises."""
+    at most :data:`LIST_LANE_MAX_WORDS` valid words (Python ints in
+    range).  Anything else goes through :func:`_as_words`, which converts
+    it or raises."""
     if type(values) is not list or len(values) > LIST_LANE_MAX_WORDS:
         return False
     for value in values:
@@ -127,8 +130,8 @@ class InstrumentedArray:
     unaccounted views and :meth:`clone_empty`.  A memory kind supplies what
     differs: its ``region`` (the counter its reads charge, and its trace
     label), its scalar :meth:`write`, :meth:`_write_words` (the store of a
-    checked block or scatter), and its constructor with its RNG streams
-    and :meth:`_clone_args`.
+    checked block or scatter), and its constructor with
+    :meth:`_clone_args`.
 
     The batch primitives (:meth:`read_block_np`, :meth:`write_block`,
     :meth:`gather_np`, :meth:`scatter_np`) move numpy arrays without
@@ -217,8 +220,8 @@ class InstrumentedArray:
         """Unaccounted read of arbitrary indices — for test/sanitizer oracles.
 
         The shadow bookkeeping of :mod:`repro.verify` uses this to inspect
-        scattered-to positions without touching the accounting or any RNG
-        stream (peeks must stay observationally invisible).
+        scattered-to positions without touching the accounting or the write
+        counts (peeks must stay observationally invisible).
         """
         return self._data[np.asarray(indices, dtype=np.int64)]
 
@@ -226,7 +229,7 @@ class InstrumentedArray:
         """Unaccounted raw store — the write-side dual of :meth:`peek_block_np`.
 
         Only where the accounting happens elsewhere, so the store itself
-        must not touch the counters, any RNG stream, or tracing.  Two
+        must not touch the counters, the write counts, or tracing.  Two
         callers: the fused precise path of
         :meth:`repro.sorting.base.BaseSorter.sort` computes a whole sort's
         result in one vectorized step and charges the sorter's
@@ -302,10 +305,9 @@ class InstrumentedArray:
     def write_block(self, start: int, values: Sequence[int]) -> None:
         """Accounted sequential write of ``values`` starting at ``start``.
 
-        A list of at most
-        :data:`~repro.memory.error_model.LIST_LANE_MAX_WORDS` valid words
-        reaches :meth:`_write_words` as it is (the list lane); anything
-        else is converted and checked by :func:`_as_words` first.
+        A list of at most :data:`LIST_LANE_MAX_WORDS` valid words reaches
+        :meth:`_write_words` as it is (the list lane); anything else is
+        converted and checked by :func:`_as_words` first.
         """
         if not _is_word_list(values):
             values = _as_words(values)
@@ -367,11 +369,12 @@ class InstrumentedArray:
     def _block_slots(self, start: int, count: int) -> slice:
         """The checked destination of a ``count``-word block write at ``start``.
 
-        Block writes check their destination before any counter, RNG draw
-        or trace event moves, so a write that does not fit the array raises
-        and leaves it, its accounting and its corruption streams unchanged.
+        Block writes check their destination before any counter, write
+        count or trace event moves, so a write that does not fit the array
+        raises and leaves it and its accounting unchanged.
         """
         size = self._data.size
+        start = int(start)
         if start < 0 or start + count > size:
             raise ValueError(
                 f"block [{start}, {start + count}) outside [0, {size})"
@@ -450,13 +453,152 @@ class PreciseArray(InstrumentedArray):
         self._data[slots] = vals
 
 
-class ApproxArray(InstrumentedArray):
+class KeyedArray(InstrumentedArray):
+    """The write body of every approximate memory (DESIGN.md section 7).
+
+    Each word keeps a ``uint32`` count of its accounted writes (scalar,
+    block and scatter; not construction or :meth:`poke_block_np`), and the
+    ``k``-th write of address ``a`` draws from ``(s, a, k)``
+    (:mod:`repro.memory.keyed`).  The stream id ``s`` hashes the seed, or
+    for a :meth:`clone_empty` scratch array the parent's id and the clone's
+    ordinal.  So the same values written to the same addresses the same
+    number of times store the same words and charge the same counts,
+    whatever the order.  A memory kind supplies ``model`` (a
+    :class:`~repro.memory.keyed.KeyedWordModel`), ``_weights`` (the cost
+    weight of each count the model returns) and :meth:`_clone_args`.
+    """
+
+    region = "approx"
+
+    def __init__(
+        self,
+        data: Iterable[int],
+        stats: Optional[MemoryStats] = None,
+        seed: int = 0,
+        trace: Optional[TraceHook] = None,
+        name: str = "",
+        copy: bool = True,
+    ) -> None:
+        super().__init__(data, stats=stats, trace=trace, name=name, copy=copy)
+        self._stream = keyed.stream_id(seed)
+        self._clones = 0
+        self._versions = np.zeros(self._data.size, dtype=np.uint32)
+        self._version_mv = memoryview(self._versions)
+
+    def _clone_seed(self) -> int:
+        """The seed of the next scratch clone."""
+        self._clones += 1
+        return keyed.clone_seed(self._stream, self._clones)
+
+    def write(self, index: int, value: int) -> None:
+        # Checked before the cost, the write count and the store move.
+        if not 0 <= index < len(self._mv):
+            raise _index_error(index, len(self._mv))
+        self._store(int(index), _check_word(value))
+
+    def _store(self, index: int, value: int) -> int:
+        """Cost, corrupt, account, trace and store one checked word at a
+        checked ``index``; returns the stored word.  The one body of
+        :meth:`write` and :meth:`swap`."""
+        versions = self._version_mv
+        version = versions[index]
+        versions[index] = version + 1
+        model = self.model
+        stored = model.corrupt_word(value, self._stream, index, version)
+        self.stats.charge_approx_writes(
+            1, self._weights, model.word_write_cost(value), stored != value
+        )
+        if self.trace is not None:
+            self.trace("W", self.region, index)
+        self._mv[index] = stored
+        return stored
+
+    def swap(self, i: int, j: int) -> "tuple[int, int]":
+        """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
+        ``write(j, old_i)`` as one call; returns the stored pair.  The
+        writes are :meth:`write`'s own.  Only quicksort's small-partition
+        lane calls it, on untraced arrays, so it emits no read trace
+        events."""
+        mv = self._mv
+        a, b = mv[i], mv[j]
+        self.stats.record_approx_read(2)
+        return self._store(i, b), self._store(j, a)
+
+    def _write_words(
+        self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
+    ) -> None:
+        if type(vals) is list:
+            self._write_list(slots, vals)
+            return
+        if vals.size == 0:
+            return
+        model = self.model
+        versions = self._bump(slots)
+        counts, p_ok = model.block_cost_and_no_error(vals)
+        stored = model.corrupt_block(vals, self._stream, slots, versions, p_ok)
+        corrupted = (
+            0 if stored is vals else int(np.count_nonzero(stored != vals))
+        )
+        self.stats.charge_approx_writes(
+            vals.size, self._weights, counts, corrupted
+        )
+        if self.trace is not None:
+            self._trace_indices("W", slots)
+        self._data[slots] = stored
+
+    def _write_list(self, slots: slice, words: "list[int]") -> None:
+        """The list lane: a short block resolved word by word with the
+        Python forms, which store and charge what the numpy forms would."""
+        model, stream, versions = self.model, self._stream, self._version_mv
+        stored = []
+        for index, value in enumerate(words, slots.start):
+            version = versions[index]
+            versions[index] = version + 1
+            stored.append(model.corrupt_word(value, stream, index, version))
+        self.stats.charge_approx_writes(
+            len(words), self._weights,
+            [sum(level) for level in zip(*map(model.word_write_cost, words))],
+            sum(map(int.__ne__, stored, words)),
+        )
+        if self.trace is not None:
+            self._trace_indices("W", slots)
+        self._data[slots] = stored
+
+    def _bump(self, slots: "slice | np.ndarray") -> np.ndarray:
+        """The write count each write of a block or scatter uses, counted.
+
+        A scatter's repeated index takes consecutive counts in scatter
+        order, as the scalar loop it replaces would, and its last write
+        leaves the count past all of them (last write wins).
+        """
+        versions = self._versions
+        if isinstance(slots, slice):
+            used = versions[slots].copy()
+            versions[slots] += np.uint32(1)
+            return used
+        used = versions[slots]
+        tags = np.arange(slots.size, dtype=np.uint32)
+        versions[slots] = tags
+        if not np.array_equal(versions[slots], tags):
+            # Repeated indices: each occurrence adds its rank among them.
+            order = np.argsort(slots, kind="stable")
+            ranked = slots[order]
+            first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            sizes = np.diff(np.r_[first, ranked.size])
+            rank = np.arange(ranked.size) - np.repeat(first, sizes)
+            used[order] += rank.astype(np.uint32)
+        versions[slots] = used + np.uint32(1)
+        return used
+
+
+class ApproxArray(KeyedArray):
     """Array in approximate MLC-PCM memory.
 
     Each write stores the *observed* digital value sampled once from the
     error model (the value all later reads will recover — see DESIGN.md
     section 3 on the error application point) and accrues a cost of
-    ``E[#P(value)] / #P_precise`` precise-write units.
+    ``E[#P(value)] / #P_precise`` precise-write units, charged as the
+    integer counts of cells written at each level.
 
     Parameters
     ----------
@@ -470,18 +612,13 @@ class ApproxArray(InstrumentedArray):
         Average #P of the matching precise configuration (the denominator of
         ``p(t)``); measured, not the paper's approximate constant 3.
     seed:
-        Seed of the run-time corruption randomness.  Three independent,
-        deterministically derived streams: a numpy generator drawing the
-        scalar fast-path uniforms in batches of :data:`SCALAR_RNG_BATCH`, a
-        Python ``random.Random`` feeding the rare scalar slow path (and
-        clone-seed derivation), and a numpy generator for vectorized block
-        writes.
+        Seed of the array's stream id: every corruption draw is keyed by
+        it, the address and the address's write count.
     """
-
-    region = "approx"
 
     # benchmarks/e2e/ledger.py times these by ``cls.__dict__[name]``, so
     # this class body names them too.
+    write = KeyedArray.write
     read = InstrumentedArray.read
     read_block = InstrumentedArray.read_block
     read_block_np = InstrumentedArray.read_block_np
@@ -500,88 +637,18 @@ class ApproxArray(InstrumentedArray):
         name: str = "",
         copy: bool = True,
     ) -> None:
-        super().__init__(data, stats=stats, trace=trace, name=name, copy=copy)
         if precise_iterations <= 0:
             raise ValueError("precise_iterations must be positive")
+        super().__init__(
+            data, stats=stats, seed=seed, trace=trace, name=name, copy=copy
+        )
         self.model = model
         self.precise_iterations = precise_iterations
-        self._rng = random.Random(seed)
-        self._stream = UniformStream(np.random.default_rng((seed, 0x5EED)))
-        self._scalar_rng = np.random.default_rng((seed, 0xFA57))
-        self._u_buffer: list[float] = []
-        self._u_pos = 0
+        self._weights = model.level_weights(precise_iterations)
 
     def _clone_args(self) -> dict:
-        # Derive the scratch array's corruption stream from this array's so
-        # clones stay deterministic under the parent's seed yet independent.
         return {
             "model": self.model,
             "precise_iterations": self.precise_iterations,
-            "seed": self._rng.getrandbits(32),
+            "seed": self._clone_seed(),
         }
-
-    def _next_uniform(self) -> float:
-        """One fast-path uniform from the batched scalar stream."""
-        pos = self._u_pos
-        if pos >= len(self._u_buffer):
-            self._u_buffer = self._scalar_rng.random(SCALAR_RNG_BATCH).tolist()
-            pos = 0
-        self._u_pos = pos + 1
-        return self._u_buffer[pos]
-
-    def write(self, index: int, value: int) -> None:
-        # Checked before the cost, the draws and the store move.
-        if not 0 <= index < len(self._mv):
-            raise _index_error(index, len(self._mv))
-        self._store(index, _check_word(value))
-
-    def _store(self, index: int, value: int) -> int:
-        """Cost, corrupt, account, trace and store one checked word at a
-        checked ``index``; returns the stored word.
-
-        The one body of :meth:`write` and :meth:`swap`: the fast-path
-        uniform comes from the batched scalar stream, the slow path from
-        ``_rng``.
-        """
-        model = self.model
-        units = model.word_write_cost(value) / self.precise_iterations
-        stored = model.corrupt_word_given_u(value, self._next_uniform(), self._rng)
-        self.stats.record_approx_write(units, corrupted=stored != value)
-        if self.trace is not None:
-            self.trace("W", self.region, index)
-        self._mv[index] = stored
-        return stored
-
-    def swap(self, i: int, j: int) -> "tuple[int, int]":
-        """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
-        ``write(j, old_i)`` as one call; returns the stored pair.  The
-        writes are :meth:`write`'s own, drawing from the scalar streams in
-        the same order.  Only quicksort's small-partition lane calls it,
-        on untraced arrays, so it emits no read trace events."""
-        mv = self._mv
-        a, b = mv[i], mv[j]
-        self.stats.record_approx_read(2)
-        return self._store(i, b), self._store(j, a)
-
-    def _write_words(
-        self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
-    ) -> None:
-        # A list-lane list takes the model's list lane (``corrupt_list``):
-        # the numpy path's draws, stored words and cost sum, without its
-        # per-call overhead.
-        count = len(vals)
-        if count == 0:
-            return
-        model = self.model
-        if type(vals) is list:
-            cost, stored, corrupted = model.corrupt_list(vals, self._stream)
-        else:
-            cost, p_ok = model.block_cost_and_no_error(vals)
-            stored = model.corrupt_block(vals, self._stream, p_ok=p_ok)
-            corrupted = int(np.count_nonzero(stored != vals))
-        self.stats.record_approx_write_block(
-            count, cost / self.precise_iterations, corrupted
-        )
-        if self.trace is not None:
-            self._trace_indices("W", slots)
-        self._data[slots] = stored

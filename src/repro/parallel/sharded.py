@@ -75,7 +75,8 @@ def _memory_spec(array: InstrumentedArray) -> tuple:
 def _build_shard_array(
     spec: tuple, segment: np.ndarray, stats: MemoryStats, seed: int, name: str
 ) -> InstrumentedArray:
-    """Array of kind ``spec`` adopting ``segment`` (no copy, fresh streams)."""
+    """Array of kind ``spec`` adopting ``segment`` (no copy, fresh write
+    counts)."""
     kind = spec[0]
     if kind == "precise":
         return PreciseArray(segment, stats=stats, name=name, copy=False)
@@ -331,14 +332,14 @@ class ShardedSorter(BaseSorter):
         offsets = np.zeros(self.shards, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
 
-        # Parent-side RNG derivation, in fixed order, *before* any
-        # execution-mode branch: every shard's corruption stream comes from
-        # the operand's clone-seed stream exactly as clone_empty would draw
+        # Parent-side seed derivation, in fixed order, *before* any
+        # execution-mode branch: every shard's corruption stream is the
+        # operand's next clone stream, exactly as clone_empty would derive
         # it, so pooled and in-process runs (and repeated runs under one
         # seed) see identical streams.
-        rng = getattr(keys, "_rng", None)
+        clone_seed = getattr(keys, "_clone_seed", None)
         shard_seeds = [
-            rng.getrandbits(32) if rng is not None else 0
+            clone_seed() if clone_seed is not None else 0
             for _ in range(self.shards)
         ]
 
@@ -391,7 +392,8 @@ class ShardedSorter(BaseSorter):
                 "counts": counts.tolist(),
                 "workers": workers,
                 "pooled": pooled,
-                "shard_stats": [pair[0].as_dict() for pair in shard_stats],
+                # Each shard's keys stats; merged, they are the operand's.
+                "shard_stats": [pair[0] for pair in shard_stats],
             }
         finally:
             if shm is not None:

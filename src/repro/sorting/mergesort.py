@@ -101,11 +101,11 @@ class Mergesort(BaseSorter):
         element is read once and rewritten once across its pair merges), so
         reading the whole array with one ``read_block_np`` and writing the
         merged level with one ``write_block`` charges identical counts —
-        ``MemoryStats`` accounting is grouping-invariant.  On precise memory
-        the level output is bit-identical to the scalar pass; on approximate
-        memory the corruption stream regroups (one block draw per level
-        instead of one per pair merge), so runs agree statistically, not bit
-        for bit.
+        ``MemoryStats`` accounting is grouping-invariant.  Pairs that
+        corruption left unsorted replay the scalar walk, so the level
+        writes the scalar pass's values to the same addresses, and under
+        the arrays' keyed corruption the two paths are bit-identical on
+        approximate memory too.
         """
         values = src_keys.read_block_np(0, n)
         id_values = (

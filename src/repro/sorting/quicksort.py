@@ -154,8 +154,7 @@ class Quicksort(BaseSorter):
         runs the scalar :meth:`_partition`; this runs the same partition
         on a peeked list instead.  The pivot draw, the split and every swap
         are the scalar ones, and each swap is one array call (``swap``)
-        that corrupts from the scalar streams as :meth:`_partition`'s two
-        writes do.  The scan's reads, which the scalar partition makes one
+        that stores what :meth:`_partition`'s two writes would.  The scan's reads, which the scalar partition makes one
         accounted call each, are counted on the list and charged once.
         """
         count = hi - lo + 1
@@ -212,10 +211,10 @@ class Quicksort(BaseSorter):
         R[k])`` for ``k < s``.  Reads/writes are re-issued as accounted
         batch operations with exactly the scalar counts, so on precise
         memory output, split and stats are bit-identical.  On approximate
-        memory the swap corruption comes from the block sampler instead of
-        the per-word stream, and a crossing-iteration stop on a
-        corrupted swapped-in value is not replayed — both only perturb
-        which rare corruption pattern occurs, not its statistics.
+        memory the swaps draw the keyed uniforms the scalar swaps would,
+        but a crossing-iteration stop on a corrupted swapped-in value is
+        not replayed, so the two kernel modes agree only statistically
+        (quicksort is not in ``APPROX_KERNEL_EXACT``).
 
         A segment below :data:`_NUMPY_SEGMENT_CUTOFF` keys runs the scalar
         :meth:`_partition` instead; on bare arrays :meth:`_partition_lane`

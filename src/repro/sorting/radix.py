@@ -35,12 +35,6 @@ from .base import BaseSorter, copy_block
 #: Key width the digit plans cover (the paper's 32-bit integer keys).
 KEY_BITS = 32
 
-#: Largest MSD/HMSD segment, in keys, that the numpy kernels partition (and
-#: so, with its whole subtree) by the scalar pass on Python lists, whose
-#: small block writes take the arrays' list lane (DESIGN.md section 8).
-#: Measured, not tuned per run.
-SEGMENT_LANE_MAX_KEYS = 64
-
 
 def lsd_digit_plan(bits: int) -> list[tuple[int, int]]:
     """Digit schedule for LSD: ``(shift, mask)`` pairs from least significant.
@@ -270,11 +264,29 @@ class MSDRadixSort(BaseSorter):
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
     ) -> None:
         buckets = _scratch(keys, ids, "buckets") if self.queues else (keys, ids)
-        numpy = self._use_numpy_kernels(keys, ids)
+        walk = (
+            self._level_pass if self._use_numpy_kernels(keys, ids)
+            else self._segment_walk
+        )
         tracer = get_tracer()
-        # Per-depth rollup (segments partitioned, elements moved) emitted as
-        # counters after the walk; only accumulated when tracing is on.
+        # Per-depth rollup (segments partitioned, elements moved), emitted
+        # as counters after the sort; only accumulated when tracing is on.
         by_depth: dict[int, list[int]] = {}
+        walk(keys, ids, buckets, by_depth if tracer.enabled else None)
+        for depth in sorted(by_depth):
+            segments, elements = by_depth[depth]
+            depth_attrs = {"algo": self.name, "depth": depth}
+            tracer.counter("msd.depth.segments", segments, attrs=depth_attrs)
+            tracer.counter("msd.depth.elements", elements, attrs=depth_attrs)
+
+    def _segment_walk(
+        self,
+        keys: InstrumentedArray,
+        ids: Optional[InstrumentedArray],
+        buckets: tuple,
+        by_depth: "dict[int, list[int]] | None",
+    ) -> None:
+        """The scalar reference: segments depth first, one pass each."""
         # Explicit work stack instead of recursion: segments can be numerous
         # (64-way fan-out) and Python's recursion limit is easy to trip.
         stack = [(0, len(keys), 0)]
@@ -282,28 +294,85 @@ class MSDRadixSort(BaseSorter):
             lo, hi, depth = stack.pop()
             if hi - lo <= 1 or depth >= len(self._plan):
                 continue
-            if tracer.enabled:
+            if by_depth is not None:
                 rollup = by_depth.setdefault(depth, [0, 0])
                 rollup[0] += 1
                 rollup[1] += hi - lo
             shift, mask = self._plan[depth]
-            # Small segments take the scalar pass in either kernel mode: it
-            # is bit-identical to the vectorized one, and cheaper there.
-            vector = numpy and hi - lo > SEGMENT_LANE_MAX_KEYS
             sizes = _distribute(
-                keys, ids, *buckets, lo, hi - lo, shift, mask, vector,
+                keys, ids, *buckets, lo, hi - lo, shift, mask, False,
                 sizes=True,
             )
             if self.queues:
-                copy_block(*buckets, keys, ids, lo, hi - lo, vector)
+                copy_block(*buckets, keys, ids, lo, hi - lo, False)
             for sub_lo, sub_hi in _bucket_bounds(lo, sizes):
                 if sub_hi - sub_lo > 1:
                     stack.append((sub_lo, sub_hi, depth + 1))
-        for depth in sorted(by_depth):
-            segments, elements = by_depth[depth]
-            depth_attrs = {"algo": self.name, "depth": depth}
-            tracer.counter("msd.depth.segments", segments, attrs=depth_attrs)
-            tracer.counter("msd.depth.elements", elements, attrs=depth_attrs)
+
+    def _level_pass(
+        self,
+        keys: InstrumentedArray,
+        ids: Optional[InstrumentedArray],
+        buckets: tuple,
+        by_depth: "dict[int, list[int]] | None",
+    ) -> None:
+        """Every segment of one depth in one vectorized pass.
+
+        At each depth, over the segments of at least 2 keys, it gathers the
+        keys and ids (the walk's reads), orders them by (segment, digit)
+        with one packed ``uint64`` sort, scatters them to the bucket region
+        and back (MSD) or in place (HMSD), and splits each segment by the
+        digits it read.  This is the level-per-pass radix sort of
+        Wassenberg & Sanders, "Faster Radix Sort via Virtual Memory and
+        Write-Combining".  Each position is written the same number of
+        times with the same values as by :meth:`_segment_walk`, only in
+        another order, so under the arrays' keyed corruption the two are
+        bit-identical in stored words and stats.
+        """
+        los = np.zeros(1, dtype=np.int64)
+        sizes = np.array([len(keys)], dtype=np.int64)
+        for depth, (shift, mask) in enumerate(self._plan):
+            if not los.size:
+                break
+            total = int(sizes.sum())
+            if by_depth is not None:
+                by_depth[depth] = [int(los.size), total]
+            offsets = np.cumsum(sizes) - sizes
+            order = np.arange(total, dtype=np.int64)
+            positions = np.repeat(los - offsets, sizes) + order
+            values = keys.gather_np(positions)
+            id_values = ids.gather_np(positions) if ids is not None else None
+            # (segment rank, digit) << 32 | rank in the pass: distinct, so
+            # any sort of them is the stable sort by (segment, digit).
+            width = mask.bit_length()
+            if (los.size - 1) >> (32 - width):
+                raise ValueError(f"{total} keys exceed the level pass's range")
+            packed = np.repeat(
+                np.arange(los.size, dtype=np.uint64) << np.uint64(width),
+                sizes,
+            )
+            packed |= (values >> np.uint32(shift) & np.uint32(mask)).astype(
+                np.uint64
+            )
+            packed <<= np.uint64(32)
+            packed |= order.view(np.uint64)
+            packed.sort()
+            order = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
+            bucket_keys, bucket_ids = buckets
+            bucket_keys.scatter_np(positions, values[order])
+            if ids is not None:
+                bucket_ids.scatter_np(positions, id_values[order])
+            if self.queues:
+                keys.scatter_np(positions, bucket_keys.gather_np(positions))
+                if ids is not None:
+                    ids.scatter_np(positions, bucket_ids.gather_np(positions))
+            # Children: runs of equal (segment, digit), of at least 2 keys.
+            packed >>= np.uint64(32)
+            starts = np.flatnonzero(np.r_[True, packed[1:] != packed[:-1]])
+            runs = np.diff(np.r_[starts, total])
+            keep = runs >= 2
+            los = positions[starts[keep]]
+            sizes = runs[keep]
 
     def _levels(self, n: int) -> int:
         """Levels a sort of ``n`` uniform keys touches.

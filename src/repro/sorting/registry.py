@@ -37,20 +37,22 @@ for _bits in (3, 4, 5, 6):
     )(_bits)
 
 
-#: Sorters whose scalar and numpy kernel paths consume the corruption RNG
-#: streams identically on *approximate* memory, making whole approx-refine
-#: runs bit-identical across kernel modes.  These are the per-pair/block
-#: writers: their scalar path already moves keys through the same
-#: ``write_block``-shaped accesses the kernels batch.  Quicksort (swap
-#: scatters) and mergesort (level-grouped block writes) draw the same
-#: distribution through differently-shaped sampler calls, so they agree
-#: only statistically (DESIGN.md section 8).  The differential oracle in
-#: :mod:`repro.verify` keys its exact-vs-statistical equivalence classes
-#: off this set.
+#: Sorters whose scalar and numpy kernel paths write the same values to the
+#: same addresses the same number of times on *approximate* memory.  Under
+#: the arrays' keyed corruption (DESIGN.md section 3) that makes whole
+#: approx-refine runs bit-identical across kernel modes, whatever the order
+#: or blocking of the writes: the radix family (MSD and HMSD by their level
+#: pass), and mergesort, whose numpy level replays the scalar walk on every
+#: run pair that corruption left unsorted.  Quicksort is not here: its numpy
+#: partition does not replay a crossing stop on a corrupted swapped-in
+#: value, so it agrees only statistically (DESIGN.md section 8).  The
+#: differential oracle in :mod:`repro.verify` keys its exact-vs-statistical
+#: equivalence classes off this set.
 APPROX_KERNEL_EXACT = frozenset(
     name
     for name in (
         "insertion",
+        "mergesort",
         "natural_merge",
         *(f"{fam}{bits}" for fam in ("lsd", "msd", "hlsd", "hmsd")
           for bits in (3, 4, 5, 6)),

@@ -9,17 +9,26 @@ and compares everything observable:
     Scalar vs numpy kernels on precise memory — bit-identical final keys,
     final IDs, and :class:`MemoryStats` (DESIGN.md section 8's contract).
 ``scalar_numpy_approx``
-    Scalar vs numpy kernels on approximate PCM.  Bit-identical for the
-    block-writing sorters (:data:`repro.sorting.registry.
-    APPROX_KERNEL_EXACT`); distributional for quicksort/mergesort, whose
-    kernels consume the corruption streams through differently-shaped
-    sampler calls — compared over several seeds with a two-sample
-    Kolmogorov–Smirnov test on per-run corruption rates (scipy when
-    available, with a conservative built-in fallback).
+    Scalar vs numpy kernels on approximate PCM.  Bit-identical for every
+    sorter whose two paths write the same values to the same addresses
+    (:data:`repro.sorting.registry.APPROX_KERNEL_EXACT`: the radix family
+    and mergesort), because corruption is keyed by write, not by draw
+    order; distributional for quicksort, whose numpy partition does not
+    replay a crossing stop on a corrupted swapped-in value — compared over
+    several seeds with a two-sample Kolmogorov–Smirnov test on per-run
+    corruption rates (scipy when available, with a conservative built-in
+    fallback).
 ``traced_untraced``
     The same run with a live file tracer vs the NullTracer default —
     bit-identical results *and* per-stage stats, plus the tiling law: the
     seven Listing-1 stage deltas must sum exactly to the run totals.
+``write_order``
+    The case's keys written twice each way to a fresh PCM array at the
+    case's T and to a fresh spintronic array: as one block, as a random
+    permutation through ``scatter_np``, as random re-splits into blocks
+    and as scalar writes in random order.  Every way must store the same
+    words and charge the same stats: a write's corruption depends on its
+    value, its address and the address's write count alone.
 ``resumed_uninterrupted``
     A multi-cell computation journaled through
     :class:`repro.experiments.checkpoint.CellJournal`, interrupted halfway
@@ -353,11 +362,9 @@ def check_traced_untraced(case: OracleCase) -> list[Divergence]:
         )
         if out:
             return out
-    # Conservation: the per-stage deltas must tile the run totals.  Integer
-    # counters are compared exactly; ``approx_write_units`` is a float whose
-    # stage deltas come from snapshot subtraction, so re-summing them is
-    # only ULP-accurate (the tracer emits cum_start/cum chains precisely to
-    # avoid float re-summation) — compare within a tight relative tolerance.
+    # Conservation: the per-stage deltas must tile the run totals exactly.
+    # ``approx_write_units`` too: a delta merges back as integer cost
+    # counts, from which the total is derived.
     for result, label in ((untraced, "untraced"), (traced, "traced")):
         tiled = MemoryStats()
         for stage_delta in result.stage_stats.values():
@@ -365,18 +372,82 @@ def check_traced_untraced(case: OracleCase) -> list[Divergence]:
         want = result.stats.as_dict()
         got = tiled.as_dict()
         for counter in want:
-            if counter == "approx_write_units":
-                agree = math.isclose(
-                    want[counter], got[counter],
-                    rel_tol=1e-9, abs_tol=1e-6,
-                )
-            else:
-                agree = want[counter] == got[counter]
-            if not agree:
+            if want[counter] != got[counter]:
                 out.append(Divergence(
                     name, f"stage_tiling[{label}].{counter}", None,
                     want[counter], got[counter],
                 ))
+                return out
+    return out
+
+
+def _write_ways(
+    keys: np.ndarray, rng: np.random.Generator
+) -> "dict[str, Callable]":
+    """The four ways ``write_order`` writes ``keys`` to an array."""
+    n = keys.size
+
+    def scatter(array) -> None:
+        order = rng.permutation(n)
+        array.scatter_np(order, keys[order])
+
+    def resplit(array) -> None:
+        cuts = (
+            sorted(rng.choice(n - 1, size=n // 8, replace=False) + 1)
+            if n > 1 else []
+        )
+        bounds = list(zip([0, *cuts], [*cuts, n]))
+        for index in rng.permutation(len(bounds)).tolist():
+            lo, hi = bounds[index]
+            # Odd pieces go as lists: short ones take the list lane.
+            block = keys[lo:hi]
+            array.write_block(lo, block.tolist() if index % 2 else block)
+
+    def scalar(array) -> None:
+        for index in rng.permutation(n).tolist():
+            array.write(index, int(keys[index]))
+
+    return {
+        "block": lambda array: array.write_block(0, keys),
+        "scatter": scatter,
+        "resplit": resplit,
+        "scalar": scalar,
+    }
+
+
+def check_write_order(case: OracleCase) -> list[Divergence]:
+    """Writing the same values to the same addresses the same number of
+    times stores the same words and charges the same stats, whatever the
+    order and the blocking of the writes."""
+    from repro.memory.config import SPINTRONIC_CONFIGS
+    from repro.memory.factories import SpintronicMemoryFactory
+
+    out: list[Divergence] = []
+    name = "write_order"
+    keys = case.keys()
+    memories = {
+        f"pcm[T={case.t}]": memory_for(case.t),
+        "spintronic": SpintronicMemoryFactory(SPINTRONIC_CONFIGS[-1]),
+    }
+    rng = np.random.default_rng(case.seed)
+    for label, memory in memories.items():
+        reference = None
+        for way, write in _write_ways(keys, rng).items():
+            array = memory.make_array(
+                np.zeros(keys.size, dtype=np.uint32), seed=case.seed
+            )
+            write(array)
+            write(array)
+            if reference is None:
+                reference = (way, array)
+                continue
+            first, stored = reference
+            where = f"{label}.{way} vs {first}"
+            _first_mismatch(out, name, f"{where}.stored", stored.to_numpy(),
+                            array.to_numpy())
+            _compare_stats(out, name, f"{where}.stats", stored.stats,
+                           array.stats)
+            if out:
                 return out
     return out
 
@@ -551,6 +622,7 @@ EQUIVALENCE_CLASSES: dict[str, Callable[[OracleCase], list[Divergence]]] = {
     "resumed_uninterrupted": check_resumed_uninterrupted,
     "sharded_serial": check_sharded_serial,
     "write_budget": check_write_budget,
+    "write_order": check_write_order,
 }
 
 #: The deterministic subset (safe for tight CI gates and fuzz smoke).
@@ -560,6 +632,7 @@ BIT_CLASSES = (
     "resumed_uninterrupted",
     "sharded_serial",
     "write_budget",
+    "write_order",
 )
 
 

@@ -183,9 +183,10 @@ class TestBaselineAndReduction:
 
     def test_mergesort_loses_at_scale(self, pcm_sweet):
         """Mergesort's Rem~ amplification grows with n (spikes displace
-        whole run suffixes); by n = 16000 the hybrid clearly loses, and the
-        loss deepens toward the paper's 16M regime."""
-        keys = uniform_keys(16_000, seed=17)
+        whole run suffixes); by n = 64000 the hybrid clearly loses, and the
+        loss deepens toward the paper's 16M regime.  (At n = 16000 the
+        write reduction still straddles 0 across corruption seeds.)"""
+        keys = uniform_keys(64_000, seed=17)
         baseline = run_precise_baseline(keys, "mergesort")
         result = run_approx_refine(keys, "mergesort", pcm_sweet, seed=18)
         assert result.write_reduction_vs(baseline) < 0
@@ -256,18 +257,18 @@ class TestGridDigest:
 
     The ten fig09 sorters x T in {0.025, 0.055, 0.1} at n = 512 under both
     kernel modes: the sha256 of each run's ``(stats.as_dict(), rem_tilde,
-    approx_rem_ratio)``, floats included.  T = 0.025 takes the block
+    approx_rem_ratio)``, floats included.  T = 0.025 takes the keyed
     sampler's floor-1.0 path, T = 0.055 its floor-sparse path and T = 0.1
     the full-probability check, so a change to any of them that moves one
     draw, one cost unit or one Rem~ changes the digest.  Regenerate it only
-    for an intentional stream change, and say so.
+    for an intentional change to the draws, and say so.
     """
 
     SORTERS = (
         "lsd3", "lsd4", "lsd5", "lsd6", "msd3", "msd4", "msd5", "msd6",
         "quicksort", "mergesort",
     )
-    DIGEST = "636b855cc1565f6d10192eb66b7d042631cb3810d4f5adc900fc1cf7239ade11"
+    DIGEST = "6ad14ccd40c01ec0bcf650d736e64a1c741a559f241e2d7f588da374262f638a"
 
     def test_grid_digest_pinned(self):
         keys = uniform_keys(512, seed=0)

@@ -95,9 +95,11 @@ class TestApproxArray:
         array, stats = make_approx(pcm_sweet, [0] * 100)
         values = list(range(100))
         array.write_block(0, values)
+        weights = pcm_sweet.model.level_weights(pcm_sweet.precise_iterations)
         expected = sum(
-            pcm_sweet.model.word_write_cost(v) / pcm_sweet.precise_iterations
+            w * n
             for v in values
+            for w, n in zip(weights, pcm_sweet.model.word_write_cost(v))
         )
         assert stats.approx_write_units == pytest.approx(expected)
         assert stats.approx_writes == 100

@@ -153,7 +153,7 @@ class TestSpintronicArray:
 
 class TestRejectedBlockWrites:
     """A block write whose destination does not fit raises before it moves
-    any counter, RNG stream or trace event, like a rejected scalar write
+    any counter, write count or trace event, like a rejected scalar write
     (tests/verify/test_sanitizer.py)."""
 
     REJECTED = {
@@ -246,8 +246,7 @@ class TestRejectedBlockWrites:
         assert events == []
         assert arr.to_list() == [0, 0, 0, 0]
         if kind != "precise":
-            assert block_stream_state(arr) == block_stream_state(twin)
-            assert scalar_stream_state(arr) == scalar_stream_state(twin)
+            assert write_counts(arr) == write_counts(twin)
         # The next accepted write behaves as on an array that never saw
         # the rejected one.
         for target in (arr, twin):
@@ -275,7 +274,7 @@ class TestIntegralWords:
         assert arr.to_list() == twin.to_list()
         assert arr.stats.as_dict() == twin.stats.as_dict()
         if kind != "precise":
-            assert scalar_stream_state(arr) == scalar_stream_state(twin)
+            assert write_counts(arr) == write_counts(twin)
 
     def test_construction_refuses_non_integral_words(self):
         with pytest.raises(ValueError, match="not an integer"):
@@ -283,40 +282,15 @@ class TestIntegralWords:
         assert PreciseArray([1.0, 2**32 - 1.0]).to_list() == [1, 2**32 - 1]
 
 
-def scalar_stream_state(arr):
-    """Where the generators an array's scalar writes draw from stand."""
-    batched = getattr(arr, "_scalar_rng", None)
-    return (
-        arr._rng.getstate(),
-        getattr(arr, "_u_pos", None),
-        None if batched is None else repr(batched.bit_generator.state),
-    )
-
-
-def block_stream_state(arr):
-    """Where ``arr``'s block corruption stream stands: an approximate
-    array's stream by its logical position (a buffered read-ahead is not
-    a draw), a spintronic array's generator by its state."""
-    if hasattr(arr, "_stream"):
-        return arr._stream.position
-    return arr._np_rng.bit_generator.state
-
-
-def scalar_rng_state(arr):
-    """Both scalar corruption streams of ``arr``: the batched fast-path
-    uniforms (generator state and buffer position) and the slow path's
-    ``random.Random``."""
-    state = {"slow": arr._rng.getstate()}
-    if hasattr(arr, "_scalar_rng"):
-        state["fast"] = (
-            arr._scalar_rng.bit_generator.state, arr._u_pos, len(arr._u_buffer)
-        )
-    return state
+def write_counts(arr):
+    """Where ``arr``'s keyed corruption stands: its stream id and the
+    accounted write count of every word (the only state its draws read)."""
+    return arr._stream, arr._versions.tolist()
 
 
 class TestRejectedScalarWrites:
     """A scalar write to an index outside [0, n) raises IndexError before
-    any counter, RNG draw, trace event or store moves; without the check
+    any counter, write count, trace event or store moves; without the check
     the memoryview wraps -1 to the last slot and refuses n only after the
     write was charged."""
 
@@ -335,7 +309,7 @@ class TestRejectedScalarWrites:
         assert events == []
         assert arr.to_list() == [0, 0, 0, 0]
         if kind != "precise":
-            assert scalar_rng_state(arr) == scalar_rng_state(twin)
+            assert write_counts(arr) == write_counts(twin)
         # The next accepted write behaves as on an array that never saw
         # the rejected one.
         for target in (arr, twin):
@@ -344,4 +318,4 @@ class TestRejectedScalarWrites:
         assert arr.stats.as_dict() == twin.stats.as_dict()
         assert events == twin_events
         if kind != "precise":
-            assert scalar_rng_state(arr) == scalar_rng_state(twin)
+            assert write_counts(arr) == write_counts(twin)

@@ -131,8 +131,8 @@ class TestGetModelIntegration:
         warm = get_model(PARAMS, samples_per_level=FIT)
         assert warm.word_error_rate == cold.word_error_rate
         values = [random.Random(5).getrandbits(32) for _ in range(32)]
-        for value in values:
+        for address, value in enumerate(values):
             assert warm.word_write_cost(value) == cold.word_write_cost(value)
             assert warm.corrupt_word_given_u(
-                value, 0.999999, random.Random(7)
-            ) == cold.corrupt_word_given_u(value, 0.999999, random.Random(7))
+                value, 0.999999, 7, address, 0
+            ) == cold.corrupt_word_given_u(value, 0.999999, 7, address, 0)

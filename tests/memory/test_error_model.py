@@ -1,25 +1,22 @@
-"""Tests for the compiled per-T word error model."""
+"""Tests for the compiled per-T word error model and its keyed sampler."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.memory.approx_array import ApproxArray
-from repro.memory.config import CELLS_PER_WORD, MLCParams
+from repro.memory import keyed
+from repro.memory.approx_array import LIST_LANE_MAX_WORDS, ApproxArray
+from repro.memory.config import CELLS_PER_WORD, MLCParams, SpintronicParams
 from repro.memory.error_model import (
-    DENSE_WALK_MAX_WORDS,
-    LIST_LANE_MAX_WORDS,
     MODEL_CACHE,
-    STREAM_CHUNK,
     CellCharacteristics,
-    UniformStream,
     WordErrorModel,
     characterize_cells,
     get_model,
-    pairwise_sum,
     precise_reference_model,
 )
+from repro.memory.spintronic import SpintronicErrorModel
 
 FIT = 8_000
 
@@ -89,26 +86,67 @@ class TestWordErrorModelBasics:
         assert precise_model.word_error_rate < 1e-3
 
 
+def word_cost(model, value):
+    """Expected #P of writing ``value`` (averaged over its cells)."""
+    return sum(
+        w * n for w, n in zip(model.level_weights(1.0), model.word_write_cost(value))
+    )
+
+
+def random_words(seed, size):
+    return np.random.default_rng(seed).integers(
+        0, 2**32, size=size, dtype=np.uint64
+    ).astype(np.uint32)
+
+
+def keyed_block(model, values, stream, p_ok=None):
+    """``corrupt_block`` of ``values`` written once each at addresses
+    ``0..n-1`` of stream ``stream``."""
+    return model.corrupt_block(
+        values, stream, slice(0, values.size),
+        np.zeros(values.size, np.uint32), p_ok,
+    )
+
+
 class TestWordCost:
     def test_write_cost_positive_and_bounded(self, sweet_model):
         for value in (0, 1, 0xFFFFFFFF, 0xDEADBEEF):
-            cost = sweet_model.word_write_cost(value)
-            assert 1.0 <= cost <= 10.0
+            assert sum(sweet_model.word_write_cost(value)) == CELLS_PER_WORD
+            assert 1.0 <= word_cost(sweet_model, value) <= 10.0
 
     def test_write_cost_matches_mean_iterations(self, sweet_model):
         """Cost of a word of identical cells equals that level's mean #P."""
         iters = sweet_model.characteristics.mean_iterations
         for level in range(4):
             word = int(sum(level << (2 * k) for k in range(CELLS_PER_WORD)))
-            assert sweet_model.word_write_cost(word) == pytest.approx(
-                iters[level]
-            )
+            counts = [0] * 4
+            counts[level] = CELLS_PER_WORD
+            assert sweet_model.word_write_cost(word) == tuple(counts)
+            assert word_cost(sweet_model, word) == pytest.approx(iters[level])
 
     def test_block_cost_matches_scalar(self, sweet_model):
         values = np.array([0, 123456, 0xFFFFFFFF, 987654321], dtype=np.uint32)
-        block = sweet_model.block_write_cost(values)
+        block, _ = sweet_model.block_cost_and_no_error(values)
         scalar = [sweet_model.word_write_cost(int(v)) for v in values]
-        assert np.allclose(block, scalar)
+        assert block == tuple(map(sum, zip(*scalar)))
+
+
+class TestLevelCounts:
+    """The popcount level counts equal the per-cell definition."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 1000, 70_001])
+    def test_popcounts_equal_cell_by_cell(self, sweet_model, size):
+        values = random_words(size, size)
+        values[: size // 5] = 0xFFFFFFFF
+        cells = (values[:, None] >> (2 * np.arange(16, dtype=np.uint32))) & 3
+        expected = tuple(int((cells == level).sum()) for level in range(4))
+        counts, _ = sweet_model.block_cost_and_no_error(values)
+        assert counts == expected
+        for value in values[:200].tolist():
+            levels = [(value >> (2 * k)) & 3 for k in range(16)]
+            assert sweet_model.word_write_cost(value) == tuple(
+                levels.count(level) for level in range(4)
+            )
 
 
 class TestCorruption:
@@ -119,52 +157,46 @@ class TestCorruption:
 
     def test_all_threes_word_never_corrupts(self, heavy_model):
         word = 0xFFFFFFFF  # every cell at level 3 (drift-safe)
-        rng = random.Random(0)
         assert all(
-            heavy_model.corrupt_word(word, rng) == word for _ in range(2_000)
+            heavy_model.corrupt_word(word, 0, address, 0) == word
+            for address in range(2_000)
         )
 
     def test_corruption_only_increases_cell_levels(self, heavy_model):
         rng = random.Random(1)
-        for _ in range(2_000):
+        for address in range(2_000):
             value = rng.getrandbits(32)
-            out = heavy_model.corrupt_word(value, random.Random(rng.random()))
+            out = heavy_model.corrupt_word(value, 1, address, 0)
             for k in range(CELLS_PER_WORD):
                 assert (out >> (2 * k)) & 3 >= (value >> (2 * k)) & 3
 
     def test_corrupt_word_stays_in_range(self, heavy_model):
         rng = random.Random(2)
-        for _ in range(2_000):
+        for address in range(2_000):
             value = rng.getrandbits(32)
-            assert 0 <= heavy_model.corrupt_word(value, rng) < 2**32
+            assert 0 <= heavy_model.corrupt_word(value, 2, address, 0) < 2**32
 
     def test_empirical_rate_matches_model(self, heavy_model):
         rng = random.Random(3)
         trials = 20_000
         errors = 0
         expected = 0.0
-        for _ in range(trials):
+        for address in range(trials):
             value = rng.getrandbits(32)
             expected += 1.0 - heavy_model.word_no_error_probability(value)
-            if heavy_model.corrupt_word(value, rng) != value:
+            if heavy_model.corrupt_word(value, 3, address, 0) != value:
                 errors += 1
         assert errors / trials == pytest.approx(expected / trials, rel=0.15)
 
     def test_block_corruption_rate_matches_scalar(self, heavy_model):
-        np_rng = np.random.default_rng(4)
-        values = np_rng.integers(0, 2**32, size=20_000, dtype=np.uint64).astype(
-            np.uint32
-        )
-        out = heavy_model.corrupt_block(values, np_rng)
+        values = random_words(4, 20_000)
+        out = keyed_block(heavy_model, values, 4)
         block_rate = np.mean(out != values)
         assert block_rate == pytest.approx(heavy_model.word_error_rate, rel=0.2)
 
     def test_block_corruption_only_increases_levels(self, heavy_model):
-        np_rng = np.random.default_rng(5)
-        values = np_rng.integers(0, 2**32, size=5_000, dtype=np.uint64).astype(
-            np.uint32
-        )
-        out = heavy_model.corrupt_block(values, np_rng)
+        values = random_words(5, 5_000)
+        out = keyed_block(heavy_model, values, 5)
         for k in range(CELLS_PER_WORD):
             before = (values >> np.uint32(2 * k)) & np.uint32(3)
             after = (out >> np.uint32(2 * k)) & np.uint32(3)
@@ -173,17 +205,17 @@ class TestCorruption:
     def test_precise_model_rarely_corrupts(self, precise_model):
         rng = random.Random(6)
         count = 0
-        for _ in range(5_000):
+        for address in range(5_000):
             value = rng.getrandbits(32)
-            if precise_model.corrupt_word(value, rng) != value:
+            if precise_model.corrupt_word(value, 6, address, 0) != value:
                 count += 1
         assert count <= 25
 
 
 class TestNoErrorFloor:
-    """The block sampler's floor: ``_half_p_ok.min() ** 2`` bounds every
-    word's no-error probability, and comparing uniforms against it first
-    changes no draw and no outcome."""
+    """The sampler's floor: ``_half_p_ok.min() ** 2`` bounds every word's
+    no-error probability, and comparing uniforms against it first changes
+    no outcome."""
 
     @pytest.mark.parametrize(
         "t,floor_sparse",
@@ -192,299 +224,196 @@ class TestNoErrorFloor:
     def test_which_t_the_floor_proves_sparse(self, t, floor_sparse):
         model = get_model(MLCParams(t=t), samples_per_level=FIT)
         assert model._floor_sparse is floor_sparse
-        cost, p_ok = model.block_cost_and_no_error(np.arange(8, dtype=np.uint32))
-        assert isinstance(cost, float)
+        counts, p_ok = model.block_cost_and_no_error(
+            np.arange(8, dtype=np.uint32)
+        )
+        assert sum(counts) == 8 * CELLS_PER_WORD
         assert (p_ok is None) is floor_sparse
 
     def test_floor_bounds_every_word(self, sweet_model):
-        values = np.random.default_rng(7).integers(
-            0, 2**32, size=50_000, dtype=np.uint64
-        ).astype(np.uint32)
-        floor = sweet_model._no_error_floor
+        values = random_words(7, 50_000)
+        floor = sweet_model._floor
         assert sweet_model.block_no_error_probability(values).min() >= floor
         lowest = int(np.argmin(sweet_model._half_p_ok))
         word = np.array([lowest | (lowest << 16)], dtype=np.uint32)
         assert sweet_model.block_no_error_probability(word)[0] == floor
 
     def test_summed_cost_equals_per_word_costs_exactly(self, sweet_model):
-        values = np.random.default_rng(8).integers(
-            0, 2**32, size=100_003, dtype=np.uint64
-        ).astype(np.uint32)
-        cost, _ = sweet_model.block_cost_and_no_error(values)
-        assert cost == float(sweet_model.block_write_cost(values).sum())
+        values = random_words(8, 100_003)
+        counts, _ = sweet_model.block_cost_and_no_error(values)
+        per_word = [sweet_model.word_write_cost(v) for v in values.tolist()]
+        assert counts == tuple(map(sum, zip(*per_word)))
 
     @pytest.mark.parametrize("t", [0.055, 0.065, 0.07])
     def test_floor_path_matches_full_comparison(self, t):
         model = get_model(MLCParams(t=t), samples_per_level=FIT)
-        values = np.random.default_rng(9).integers(
-            0, 2**32, size=30_000, dtype=np.uint64
-        ).astype(np.uint32)
-        floor_rng, full_rng = (np.random.default_rng(10) for _ in range(2))
-        by_floor = model.corrupt_block(values, floor_rng)
-        by_full = model.corrupt_block(
-            values, full_rng, p_ok=model.block_no_error_probability(values)
+        values = random_words(9, 30_000)
+        by_floor = keyed_block(model, values, 10)
+        by_full = keyed_block(
+            model, values, 10, p_ok=model.block_no_error_probability(values)
         )
         assert np.count_nonzero(by_floor != values) > 4
         assert np.array_equal(by_floor, by_full)
-        assert floor_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+#: A fitted cell errs only one level up, so which misread level a target
+#: uniform picks never varies there; these rows spread it.
+SPREAD = CellCharacteristics(
+    transition=np.array([
+        [0.96, 0.02, 0.01, 0.01],
+        [0.01, 0.95, 0.03, 0.01],
+        [0.005, 0.015, 0.95, 0.03],
+        [0.01, 0.01, 0.03, 0.95],
+    ]),
+    mean_iterations=np.array([2.0, 3.0, 3.0, 1.0]),
+)
+
+
+def keyed_model(kind):
+    """A PCM model at ``T = kind``, the spread-target PCM model, or the
+    spintronic model at its highest bit error rate."""
+    if kind == "spread":
+        return WordErrorModel(MLCParams(t=0.1), characteristics=SPREAD)
+    if kind == "spintronic":
+        return SpintronicErrorModel(
+            SpintronicParams(energy_saving=0.5, bit_error_rate=1e-4)
+        )
+    return get_model(MLCParams(t=kind), samples_per_level=FIT)
+
+
+class TestKeyedForms:
+    """The numpy and Python forms of the keyed sampler agree bit for bit
+    on 10^5 random (word, address, version) triples."""
+
+    TRIPLES = 100_000
+
+    @staticmethod
+    def triples(seed, size):
+        rng = np.random.default_rng(seed)
+        words = random_words(seed, size)
+        addresses = rng.integers(0, 1 << 40, size=size, dtype=np.int64)
+        versions = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+        return words, addresses, versions.astype(np.uint32)
+
+    def test_uniforms(self):
+        _, addresses, versions = self.triples(0, self.TRIPLES)
+        near, mantissas = keyed.reaching(77, addresses, versions, 0)
+        assert near.tolist() == list(range(self.TRIPLES))
+        assert int(mantissas.max()) < keyed.MANTISSA_LIMIT
+        python = [
+            keyed.uniform(77, a, k)
+            for a, k in zip(addresses.tolist(), versions.tolist())
+        ]
+        assert (mantissas.astype(np.float64) * keyed.UNIT).tolist() == python
+        # The block form hashes a slice's addresses as the index form.
+        block = keyed.reaching(77, slice(5, 5 + 3000), versions[:3000], 0)[1]
+        index = keyed.reaching(77, np.arange(5, 3005), versions[:3000], 0)[1]
+        assert np.array_equal(block, index)
+
+    @pytest.mark.parametrize("kind", [0.055, 0.075, 0.1, "spintronic"])
+    def test_words(self, kind):
+        """A block and the same writes made word by word store the same."""
+        model = keyed_model(kind)
+        words, addresses, versions = self.triples(1, self.TRIPLES)
+        block = model.corrupt_block(words, 3, addresses, versions)
+        scalar = [
+            model.corrupt_word(w, 3, a, k)
+            for w, a, k in zip(
+                words.tolist(), addresses.tolist(), versions.tolist()
+            )
+        ]
+        assert block.tolist() == scalar
+        if kind != "spintronic":
+            assert np.count_nonzero(block != words) > 50
+
+    @pytest.mark.parametrize(
+        "kind", [0.055, 0.075, 0.1, "spread", "spintronic"]
+    )
+    def test_erring_word_resolution(self, kind):
+        """Forced to err, every triple resolves alike in both forms."""
+        law = keyed_model(kind).law
+        words, addresses, versions = self.triples(2, self.TRIPLES)
+        targets = np.random.default_rng(3).random(self.TRIPLES) * 0.5
+        stored = law.resolve_np(words, targets, 9, addresses, versions)
+        python = [
+            law.resolve(w, t, 9, a, k)
+            for w, t, a, k in zip(
+                words.tolist(), targets.tolist(), addresses.tolist(),
+                versions.tolist(),
+            )
+        ]
+        assert stored.tolist() == python
+        assert np.count_nonzero(stored != words) > self.TRIPLES // 2
 
 
 class TestDenseWalk:
-    """On an array's :class:`UniformStream`, dense blocks of at most
-    ``DENSE_WALK_MAX_WORDS`` words are walked in Python over a peeked
-    window and larger ones take the vectorised walk; stored words and the
-    stream's next uniform equal the per-column loop's on a bare generator."""
-
-    @staticmethod
-    def dense_both_ways(model, values, make_rng, monkeypatch):
-        """``_corrupt_block_dense`` on a stream over ``make_rng()``, then
-        on a bare ``make_rng()`` (the column loop); with the path taken."""
-        taken = []
-        for name in ("_walk", "_sweep"):
-            method = getattr(type(model), name)
-
-            def counted(self, vals, stream, name=name, method=method):
-                taken.append(name)
-                return method(self, vals, stream)
-
-            monkeypatch.setattr(type(model), name, counted)
-        stream = UniformStream(make_rng())
-        dispatched = model._corrupt_block_dense(values, stream)
-        loop_rng = make_rng()
-        loop = model._corrupt_block_dense(values, loop_rng)
-        return dispatched, stream, loop, loop_rng, taken
-
-    #: A fitted cell errs only one level up, so which misread level a
-    #: target uniform picks never varies there; these rows spread it.
-    SPREAD = CellCharacteristics(
-        transition=np.array([
-            [0.96, 0.02, 0.01, 0.01],
-            [0.01, 0.95, 0.03, 0.01],
-            [0.005, 0.015, 0.95, 0.03],
-            [0.01, 0.01, 0.03, 0.95],
-        ]),
-        mean_iterations=np.array([2.0, 3.0, 3.0, 1.0]),
-    )
+    """At high T most words err: the Python walk over an erring word's
+    cells (``CellLaw.resolve``) stores what the numpy column loop over a
+    block of them (``CellLaw.resolve_np``) stores, first erring cell,
+    later cells and misread targets alike."""
 
     @pytest.mark.parametrize("t", [0.075, 0.1, 0.124, "spread"])
-    def test_walk_matches_column_loop(self, t, monkeypatch):
+    def test_walk_matches_column_loop(self, t):
+        model = keyed_model(t)
+        keys = random_words(21, 4_000)
         if t == "spread":
-            model = WordErrorModel(MLCParams(t=0.1), characteristics=self.SPREAD)
-        else:
-            model = get_model(MLCParams(t=t), samples_per_level=FIT)
-        keys = np.random.default_rng(21).integers(
-            0, 2**32, size=(DENSE_WALK_MAX_WORDS + 8) * 4, dtype=np.uint64
-        ).astype(np.uint32)
-        corrupted = 0
-        for m in range(1, DENSE_WALK_MAX_WORDS + 9):
-            for seed in range(4):
-                values = keys[seed * m : (seed + 1) * m]
-                walked, stream, loop, loop_rng, taken = self.dense_both_ways(
-                    model, values, lambda: np.random.default_rng((seed, m)),
-                    monkeypatch,
-                )
-                expect = "_walk" if m <= DENSE_WALK_MAX_WORDS else "_sweep"
-                assert taken == [expect]
-                assert walked.dtype == np.uint32
-                assert np.array_equal(walked, loop), (m, seed)
-                assert stream.random() == loop_rng.random(), (m, seed)
-                corrupted += int(np.count_nonzero(walked != values))
-        assert corrupted > 100
-
-    @pytest.mark.parametrize("t", [0.075, 0.1, "spread"])
-    def test_sweep_matches_column_loop(self, t, monkeypatch):
-        """The vectorised walk, 65 to 5,000 words, including all-ones
-        blocks (every cell at level 3, which no fitted cell leaves)."""
-        if t == "spread":
-            model = WordErrorModel(MLCParams(t=0.1), characteristics=self.SPREAD)
-        else:
-            model = get_model(MLCParams(t=t), samples_per_level=FIT)
-        rng = np.random.default_rng(22)
-        for m in (65, 97, 256, 1000, STREAM_CHUNK - 1, STREAM_CHUNK, 5000):
-            for fill in (None, 0xFFFFFFFF):
-                values = rng.integers(0, 2**32, m, dtype=np.uint64).astype(
-                    np.uint32
-                )
-                if fill is not None:
-                    values[:] = fill
-                swept, stream, loop, loop_rng, taken = self.dense_both_ways(
-                    model, values, lambda: np.random.default_rng(m),
-                    monkeypatch,
-                )
-                assert taken == ["_sweep"]
-                assert swept.dtype == np.uint32
-                assert np.array_equal(swept, loop), (m, fill)
-                assert stream.random() == loop_rng.random(), (m, fill)
-
-    def test_other_generators_keep_the_column_loop(self, monkeypatch):
-        """A bare generator, PCG64 or not, runs the column loop; a stream
-        over any bit generator walks to the same words."""
-        model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
-        values = np.random.default_rng(3).integers(
-            0, 2**32, size=10, dtype=np.uint64
-        ).astype(np.uint32)
-        make = lambda: np.random.Generator(np.random.MT19937(4))  # noqa: E731
-        walked, stream, loop, loop_rng, taken = self.dense_both_ways(
-            model, values, make, monkeypatch
+            keys[::7] = 0xFFFFFFFF
+        versions = np.arange(keys.size, dtype=np.uint32) % 5
+        addresses = np.arange(keys.size, dtype=np.int64)
+        u = keyed.reaching(4, addresses, versions, 0)[1] * keyed.UNIT
+        p_ok = model.block_no_error_probability(keys)
+        err = np.flatnonzero(u >= p_ok)
+        loop = model.law.resolve_np(
+            keys[err], u[err] - p_ok[err], 4, addresses[err], versions[err]
         )
-        assert taken == ["_walk"]  # the stream's call; the bare one looped
-        assert np.array_equal(walked, loop)
-        assert np.count_nonzero(walked != values) > 0
-        assert stream.random() == loop_rng.random()
-
-    def test_block_generator_draws_only_float64_uniforms(self):
-        """Every draw an array's block writes make is a float64 ``random``
-        through its stream, and the stream's logical position is a bare
-        generator's after the same ``corrupt_block`` calls, on every path."""
-
-        class Recording:
-            def __init__(self, inner):
-                self.inner, self.calls = inner, []
-
-            def random(self, *args, **kwargs):
-                self.calls.append(("random", len(args), tuple(kwargs)))
-                return self.inner.random(*args, **kwargs)
-
-        keys = np.random.default_rng(5).integers(
-            0, 2**32, size=4096, dtype=np.uint64
-        ).astype(np.uint32)
-        calls = []
-        for t in (0.025, 0.055, 0.07, 0.075, 0.1, 0.124):
-            model = get_model(MLCParams(t=t), samples_per_level=FIT)
-            arr = ApproxArray(
-                np.zeros(keys.size, np.uint32), model=model,
-                precise_iterations=3.0, seed=6,
-            )
-            recording = Recording(arr._stream._rng)
-            arr._stream._rng = recording
-            twin = np.random.default_rng((6, 0x5EED))
-            for m in (1, 10, DENSE_WALK_MAX_WORDS, DENSE_WALK_MAX_WORDS + 1, 4096):
-                arr.write_block(0, keys[:m])
-                assert np.array_equal(
-                    arr.to_numpy()[:m], model.corrupt_block(keys[:m], twin)
-                )
-                arr.scatter_np(np.arange(m)[::-1], keys[-m:])
-                assert np.array_equal(
-                    arr.to_numpy()[:m][::-1],
-                    model.corrupt_block(keys[-m:], twin),
-                )
-                assert arr._stream.random() == twin.random()
-            assert recording.inner.bit_generator.state["has_uint32"] == 0
-            calls += recording.calls
-        assert calls and set(calls) <= {
-            ("random", 1, ()), ("random", 1, ("out",)),
-        }
-
-
-class TestUniformStream:
-    """The buffered stream yields the generator's float64 sequence."""
-
-    @staticmethod
-    def pair(seed=7):
-        return (
-            UniformStream(np.random.default_rng(seed)),
-            np.random.default_rng(seed),
-        )
-
-    def test_requests_spanning_a_refill(self):
-        stream, bare = self.pair()
-        for count in (1, STREAM_CHUNK - 10, 100, 7, STREAM_CHUNK - 1):
-            assert np.array_equal(stream.take(count), bare.random(count))
-        assert stream.random() == bare.random()
-        assert stream.position == 2 * STREAM_CHUNK + 98
-
-    def test_large_requests_bypass_the_buffer(self):
-        stream, bare = self.pair()
-        stream.take(5)
-        bare.random(5)
-        big = stream.take(3 * STREAM_CHUNK)
-        assert np.array_equal(big, bare.random(3 * STREAM_CHUNK))
-        assert stream._buf.size == 0
-        assert stream.random() == bare.random()
-        assert stream.position == 3 * STREAM_CHUNK + 6
-
-    def test_shapes_and_scalars_match_generator(self):
-        stream, bare = self.pair()
-        assert np.array_equal(stream.random((3, 16)), bare.random((3, 16)))
-        value = stream.random()
-        assert type(value) is float
-        assert value == bare.random()
-        assert np.array_equal(stream.random(4), bare.random(4))
-
-    def test_peek_consumes_only_what_is_skipped(self):
-        stream, bare = self.pair()
-        stream.take(STREAM_CHUNK - 3)
-        bare.random(STREAM_CHUNK - 3)
-        buf, start = stream.peek(2048)
-        window = buf[start : start + 2048].copy()
-        assert np.array_equal(window[:10], bare.random(10))
-        stream.skip(10)
-        assert np.array_equal(stream.take(5), bare.random(5))
-        assert np.array_equal(window[10:15], buf[start + 10 : start + 15])
+        walked = [
+            model.law.resolve(int(keys[i]), float(u[i] - p_ok[i]), 4, i,
+                              int(versions[i]))
+            for i in err.tolist()
+        ]
+        assert loop.dtype == np.uint32
+        assert loop.tolist() == walked
+        assert np.count_nonzero(loop != keys[err]) > 100
 
 
 LANE_T = (0.025, 0.055, 0.07, 0.075, 0.1, 0.124)
 
 
 class TestListLane:
-    """``corrupt_list`` is ``block_cost_and_no_error`` plus
-    ``corrupt_block`` on lists: same cost, stored words, corrupted count
-    and stream position."""
-
-    @pytest.mark.parametrize("terms", [7, 8, 9])
-    def test_pairwise_order_matches_numpy(self, terms):
-        """Fails loudly if numpy changes its summation order."""
-        rng = np.random.default_rng(terms)
-        scales = np.array([1.0, 1e8, 1e-8])
-        for _ in range(200):
-            x = rng.random(terms) * rng.choice(scales, terms)
-            assert pairwise_sum(x.tolist()) == float(x.sum())
-        sums_differ = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0][:terms]
-        assert pairwise_sum(sums_differ) == float(np.array(sums_differ).sum())
-
-    def test_pairwise_sum_every_length_to_128(self):
-        rng = np.random.default_rng(0)
-        for n in range(1, 129):
-            x = rng.random(n) * rng.choice([1.0, 1e9, 1e-9], n)
-            assert pairwise_sum(x.tolist()) == float(x.sum()), n
+    """A block write of a short list takes the array's list lane, which
+    resolves it word by word with the Python forms: same stored words,
+    counts and write counts as the same block as an ndarray."""
 
     @pytest.mark.parametrize("t", LANE_T)
     def test_matches_block_path(self, t):
         model = get_model(MLCParams(t=t), samples_per_level=FIT)
         rng = np.random.default_rng(int(t * 1000))
-        erred = 0
+        lane, block = (
+            ApproxArray(np.zeros(64, np.uint32), model=model,
+                        precise_iterations=3.0, seed=8)
+            for _ in "ab"
+        )
         for trial in range(120):
             m = int(rng.integers(1, LIST_LANE_MAX_WORDS + 1))
+            start = int(rng.integers(0, 64 - m + 1))
             values = rng.integers(0, 2**32, m, dtype=np.uint64).astype(np.uint32)
             if trial % 10 == 0:
                 values[:] = 0
-            block, lane = (
-                UniformStream(np.random.default_rng((trial, m))) for _ in "ab"
-            )
-            block.take(trial)
-            lane.take(trial)
-            cost, p_ok = model.block_cost_and_no_error(values)
-            stored = model.corrupt_block(values, block, p_ok=p_ok)
-            lane_cost, lane_stored, corrupted = model.corrupt_list(
-                values.tolist(), lane
-            )
-            assert lane_cost == cost
-            assert lane_stored == stored.tolist()
-            assert corrupted == int(np.count_nonzero(stored != values))
-            assert lane.position == block.position
-            erred += corrupted
+            lane.write_block(start, values.tolist())
+            block.write_block(start, values)
+            assert lane.to_list() == block.to_list()
+            assert lane.stats.as_dict() == block.stats.as_dict()
+        assert np.array_equal(lane._versions, block._versions)
         if t >= 0.07:
-            assert erred > 0
+            assert lane.stats.corrupted_writes > 0
 
     def test_scalar_floor_bounds_every_word(self, sweet_model):
-        floor = sweet_model._scalar_no_error_floor
-        values = np.random.default_rng(4).integers(
-            0, 2**32, size=20_000, dtype=np.uint64
-        ).astype(np.uint32)
+        floor = sweet_model._floor
+        values = random_words(4, 20_000)
         assert min(
             sweet_model.word_no_error_probability(v) for v in values.tolist()
         ) >= floor
-        low = int(np.argmin(sweet_model._byte_p_ok))
+        low = int(np.argmin(sweet_model._byte_p_ok_list))
         word = low | low << 8 | low << 16 | low << 24
         assert sweet_model.word_no_error_probability(word) == floor
 

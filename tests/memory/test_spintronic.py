@@ -20,9 +20,9 @@ class TestErrorModel:
     def test_zero_ber_never_corrupts(self):
         m = model(0.0)
         rng = random.Random(0)
-        for _ in range(1_000):
+        for address in range(1_000):
             value = rng.getrandbits(32)
-            assert m.corrupt_word(value, rng) == value
+            assert m.corrupt_word(value, 0, address, 0) == value
 
     def test_word_error_rate_formula(self):
         m = model(1e-3)
@@ -38,18 +38,18 @@ class TestErrorModel:
         rng = random.Random(1)
         trials = 30_000
         flips = 0
-        for _ in range(trials):
+        for address in range(trials):
             value = rng.getrandbits(32)
-            if m.corrupt_word(value, rng) != value:
+            if m.corrupt_word(value, 1, address, 0) != value:
                 flips += 1
         assert flips / trials == pytest.approx(m.word_error_rate, rel=0.1)
 
     def test_corrupt_word_in_range(self):
         m = model(0.05)
         rng = random.Random(2)
-        for _ in range(2_000):
+        for address in range(2_000):
             value = rng.getrandbits(32)
-            assert 0 <= m.corrupt_word(value, rng) < 2**32
+            assert 0 <= m.corrupt_word(value, 2, address, 0) < 2**32
 
     def test_bit_flip_count_distribution(self):
         """High BER: average flipped bits per word ~ 32 * q."""
@@ -58,9 +58,9 @@ class TestErrorModel:
         rng = random.Random(3)
         total_flips = 0
         trials = 10_000
-        for _ in range(trials):
+        for address in range(trials):
             value = rng.getrandbits(32)
-            out = m.corrupt_word(value, rng)
+            out = m.corrupt_word(value, 3, address, 0)
             total_flips += bin(value ^ out).count("1")
         assert total_flips / trials == pytest.approx(WORD_BITS * q, rel=0.1)
 
@@ -70,15 +70,19 @@ class TestErrorModel:
         values = np_rng.integers(0, 2**32, size=50_000, dtype=np.uint64).astype(
             np.uint32
         )
-        out = m.corrupt_block(values, np_rng)
+        out = m.corrupt_block(
+            values, 4, slice(0, values.size), np.zeros(values.size, np.uint32)
+        )
         rate = float(np.mean(out != values))
         assert rate == pytest.approx(m.word_error_rate, rel=0.15)
 
     def test_block_zero_ber_identity(self):
         m = model(0.0)
-        np_rng = np.random.default_rng(5)
         values = np.arange(100, dtype=np.uint32)
-        assert np.array_equal(m.corrupt_block(values, np_rng), values)
+        assert np.array_equal(
+            m.corrupt_block(values, 5, slice(0, 100), np.zeros(100, np.uint32)),
+            values,
+        )
 
 
 class TestSpintronicArray:

@@ -142,10 +142,10 @@ def approx_operands(factory, keys, seed=3):
     return array, ids
 
 
-def summed(dicts):
+def summed(shard_stats):
     total = MemoryStats()
-    for entry in dicts:
-        total.merge(MemoryStats(**entry))
+    for entry in shard_stats:
+        total.merge(entry)
     return total
 
 
@@ -156,15 +156,12 @@ class TestAttribution:
     def test_operand_stats_are_the_shard_stats(self, pcm_sweet, algorithm):
         keys = uniform_keys(400, seed=12)
         array, ids = approx_operands(pcm_sweet, keys)
-        stream_at = array._stream.position
-        scalar_state = array._scalar_rng.bit_generator.state
         sorter = sharded(algorithm, shards=4, kernels="numpy")
         sorter.sort(array, ids)
         assert array.stats == summed(sorter.last_plan["shard_stats"])
-        # Neither operand stream moved: every corruption draw was a shard's.
-        assert array._stream.position == stream_at
-        assert array._scalar_rng.bit_generator.state == scalar_state
-        assert array._u_pos == 0 and array._u_buffer == []
+        # No operand word counts a write: every corruption draw was a
+        # shard's.
+        assert not array._versions.any()
         assert sorted(ids.peek_block_np(0, len(ids)).tolist()) == list(
             range(len(keys))
         )
@@ -287,7 +284,7 @@ class TestPlanIntrospection:
         assert plan["workers"] == 0
         assert len(plan["shard_stats"]) == 3
         # The aggregate is the shard sorts' traffic and nothing else.
-        shard_writes = sum(s["precise_writes"] for s in plan["shard_stats"])
+        shard_writes = sum(s.precise_writes for s in plan["shard_stats"])
         assert shard_writes == result[2]["precise_writes"] > 0
 
     def test_expected_key_writes_sums_shards(self):

@@ -1,13 +1,14 @@
-"""The small-segment list lanes against the paths they replace.
+"""The fast paths against the paths they replace.
 
 A block write of a list of at most ``LIST_LANE_MAX_WORDS`` valid words
-takes the arrays' list lane.  Under numpy kernels MSD and HMSD partition
-segments of at most ``SEGMENT_LANE_MAX_KEYS`` keys (and so their subtrees)
-by the scalar pass, whose block writes are such lists; on bare arrays with
-no trace hook quicksort partitions segments below 64 keys on a peeked
-list.  Each lane must issue the same writes, draw the same uniforms and
-add the same cost units in the same order as the path it replaces, so
-every result here is compared with the lanes switched off.
+takes the arrays' list lane, which resolves it word by word with the
+Python forms of the keyed sampler.  Under numpy kernels MSD and HMSD sort
+every segment of one depth in one level pass instead of walking segments
+depth first; on bare arrays with no trace hook quicksort partitions
+segments below 64 keys on a peeked list.  Each must write the same values
+to the same addresses the same number of times as the path it replaces,
+so under keyed corruption every result here is compared with the fast
+paths switched off.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import pytest
 
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.memory import approx_array
-from repro.memory.approx_array import ApproxArray, PreciseArray
-from repro.memory.error_model import LIST_LANE_MAX_WORDS
+from repro.memory.approx_array import (
+    LIST_LANE_MAX_WORDS, KeyedArray, PreciseArray,
+)
 from repro.obs import Tracer, set_tracer
-from repro.sorting import radix
 from repro.sorting.quicksort import Quicksort
+from repro.sorting.radix import MSDRadixSort
 from repro.workloads.generators import make_keys
 
 from ..conftest import make_pcm
@@ -34,8 +36,9 @@ LANE_SORTERS = ("msd3", "msd6", "hmsd3", "hmsd6", "quicksort")
 
 @pytest.fixture
 def count_lane_calls(monkeypatch):
-    """Count the block writes that take the list lane and quicksort's
-    ``swap`` calls (proof that a lane engaged)."""
+    """Count the block writes that take the list lane, the MSD level
+    passes and quicksort's ``swap`` calls (proof that a fast path
+    engaged)."""
     calls = []
     is_word_list = approx_array._is_word_list
 
@@ -46,7 +49,14 @@ def count_lane_calls(monkeypatch):
         return taken
 
     monkeypatch.setattr(approx_array, "_is_word_list", counted_gate)
-    for cls in (ApproxArray, PreciseArray):
+    level_pass = MSDRadixSort._level_pass
+
+    def counted_pass(self, *args):
+        calls.append("level")
+        return level_pass(self, *args)
+
+    monkeypatch.setattr(MSDRadixSort, "_level_pass", counted_pass)
+    for cls in (KeyedArray, PreciseArray):
         swap = cls.swap
 
         def counted_swap(self, i, j, _swap=swap):
@@ -61,7 +71,9 @@ def _run(run, monkeypatch, lanes):
     with monkeypatch.context() as patch:
         if not lanes:
             patch.setattr(approx_array, "LIST_LANE_MAX_WORDS", -1)
-            patch.setattr(radix, "SEGMENT_LANE_MAX_KEYS", 0)
+            patch.setattr(
+                MSDRadixSort, "_level_pass", MSDRadixSort._segment_walk
+            )
             patch.setattr(Quicksort, "_lanes", lambda self, keys, ids: False)
         return run()
 
@@ -86,7 +98,8 @@ def test_approx_refine_matches_lanes_off(
     with_lanes = _run(run, monkeypatch, True)
     if keyset == "uniform" and (kernels == "numpy" or sorter != "quicksort"):
         # Scalar quicksort writes word by word, so no lane is on its path;
-        # few distinct keys may leave MSD no segment small enough.
+        # few distinct keys may leave the scalar MSD walk no segment small
+        # enough for the list lane.
         assert count_lane_calls
     del count_lane_calls[:]
     assert with_lanes == _run(run, monkeypatch, False)
@@ -121,10 +134,10 @@ class TestBlockWriteListLane:
 
     @staticmethod
     def state(array):
-        position = (
-            array._stream.position if isinstance(array, ApproxArray) else None
+        counts = (
+            array._versions.tolist() if isinstance(array, KeyedArray) else None
         )
-        return array.to_list(), array.stats.as_dict(), position
+        return array.to_list(), array.stats.as_dict(), counts
 
     @pytest.mark.parametrize("kind", ["precise", 0.025, 0.075, 0.1])
     def test_matches_ndarray_path(self, kind, count_lane_calls):
@@ -154,7 +167,8 @@ class TestBlockWriteListLane:
 
 @pytest.mark.parametrize("sorter", ["msd3", "quicksort"])
 def test_depth_rollups_match_lanes_off(sorter, monkeypatch):
-    """The tracer's per-depth counters count the lanes' segments too."""
+    """The tracer's per-depth counters count the fast paths' segments
+    too."""
     keys = make_keys("uniform", 600, seed=6)
 
     def run():
@@ -228,3 +242,25 @@ class TestQuicksortGuardReads:
         assert keys.stats.precise_reads == 1 + 6 * 2 + 5 * 2 * 2
         assert keys.to_list() == [7] * 10
         assert ids.to_list() == [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("t", [0.055, 0.1])
+@pytest.mark.parametrize("n", [64, 300, 2048])
+@pytest.mark.parametrize("sorter", ["msd3", "msd6", "hmsd3", "hmsd6"])
+def test_level_pass_matches_depth_first_walk(sorter, n, t, monkeypatch):
+    """The numpy level pass stores what the scalar depth-first walk
+    stores, word for word, with the same stats and Rem~."""
+    keys = make_keys("uniform", n, seed=n)
+
+    def run(kernels):
+        result = run_approx_refine(
+            keys, sorter, make_pcm(t), seed=7, kernels=kernels
+        )
+        return (result.stats.as_dict(), result.rem_tilde,
+                result.approx_rem_ratio, result.final_ids.tolist())
+
+    walked = run("scalar")
+    assert walked == run("numpy")
+    assert walked == _run(lambda: run("numpy"), monkeypatch, False)
+    if t == 0.1:
+        assert walked[0]["corrupted_writes"] > 0
