@@ -1,4 +1,4 @@
-"""End-to-end sorter wall-clock: scalar vs numpy kernels.
+"""End-to-end sorter wall-clock on the default (numpy) kernel path.
 
 Usage::
 
@@ -6,14 +6,14 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sorters.py --n 100000 \
         --algos mergesort,lsd6 --out BENCH_sorters.json
 
-Times two public calls for each algorithm under both kernel modes: the
-full approx-refine pipeline (approx-stage sort + Rem measurement +
-refine), and the precise baseline ``run_precise_baseline``.  Each call's
-output must be exactly ``sorted(keys)``.  Each call is timed ``--repeats``
-times (default 5: one timing moves with the speed of a shared host).  One
-record per (algo, kernels, call) measurement is appended to a JSON array
-file (default ``BENCH_sorters.json`` at the repo root), in the same
-append-style format as ``BENCH_runner.json``::
+Times two public calls for each algorithm: the full approx-refine
+pipeline (approx-stage sort + Rem measurement + refine), and the precise
+baseline ``run_precise_baseline``.  Each call's output must be exactly
+``sorted(keys)``.  Each call is timed ``--repeats`` times (default 5: one
+timing moves with the speed of a shared host).  One record per (algo,
+call) measurement is appended to a JSON array file (default
+``BENCH_sorters.json`` at the repo root), in the same append-style format
+as ``BENCH_runner.json``::
 
     {"schema": 1, "timestamp": ..., "n": ..., "T": ..., "algo": ...,
      "kernels": ..., "seconds": ..., "median_s": ..., "max_s": ...,
@@ -22,8 +22,9 @@ append-style format as ``BENCH_runner.json``::
 ``seconds`` is the best (minimum) of the repeats, as in the records made
 before ``median_s``, ``max_s`` and ``repeats`` were added.  A
 precise-baseline record adds ``"mode": "precise"``, with ``"T": null`` and
-``"rem_tilde": null``.  The printed table reports the scalar/numpy
-speedup per algorithm and call.
+``"rem_tilde": null``.  ``"kernels"`` is always ``"numpy"``, the one
+default path; the scalar reference path, which gives the same results, is
+timed per hot path by ``bench_micro_hotpaths.py``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_sorters",
         description="Time approx-refine and the precise baseline end to"
-        " end, scalar vs numpy kernels.",
+        " end on the default kernel path.",
     )
     parser.add_argument("--n", type=int, default=100_000)
     parser.add_argument("--t", type=float, default=0.055, help="MLC T window")
@@ -91,62 +92,47 @@ def main(argv: list[str] | None = None) -> int:
     keys = make_keys("uniform", args.n, seed=args.seed)
     expected = np.sort(keys)
 
-    def approx_refine(algo: str, kernels: str):
-        return run_approx_refine(
-            keys, algo, memory, seed=args.seed, kernels=kernels
-        )
+    def approx_refine(algo: str):
+        return run_approx_refine(keys, algo, memory, seed=args.seed)
 
-    def precise(algo: str, kernels: str):
-        return run_precise_baseline(keys, algo, kernels=kernels)
+    def precise(algo: str):
+        return run_precise_baseline(keys, algo)
 
     calls = (("approx_refine", approx_refine), ("precise", precise))
     records: list[dict] = []
-    seconds: dict[tuple[str, str, str], float] = {}
     for algo in algos:
         for mode, call in calls:
-            for kernels in ("scalar", "numpy"):
-                times = []
-                rem_tilde = None
-                for _ in range(max(1, args.repeats)):
-                    start = time.perf_counter()
-                    result = call(algo, kernels)
-                    times.append(time.perf_counter() - start)
-                    rem_tilde = getattr(result, "rem_tilde", None)
-                    assert np.array_equal(result.final_keys, expected)
-                best, median = min(times), statistics.median(times)
-                seconds[(algo, mode, kernels)] = best
-                record = {
-                    "schema": 1,
-                    "timestamp": datetime.now(timezone.utc).isoformat(
-                        timespec="seconds"
-                    ),
-                    "n": args.n,
-                    "T": args.t if mode == "approx_refine" else None,
-                    "algo": algo,
-                    "kernels": kernels,
-                    "seconds": round(best, 3),
-                    "median_s": round(median, 3),
-                    "max_s": round(max(times), 3),
-                    "repeats": len(times),
-                    "rem_tilde": rem_tilde,
-                    "cpus": os.cpu_count(),
-                }
-                if mode == "precise":
-                    record["mode"] = mode
-                records.append(record)
-                print(f"{algo:>12s}  {mode:>13s}  {kernels:>6s}"
-                      f"  {best:8.3f}s  (median {median:.3f}s,"
-                      f" max {max(times):.3f}s, rem~ {rem_tilde})")
-
-    print()
-    print(f"{'algo':>12s}  {'call':>13s}  {'scalar':>9s}  {'numpy':>9s}"
-          f"  {'speedup':>8s}")
-    for algo in algos:
-        for mode, _ in calls:
-            s = seconds[(algo, mode, "scalar")]
-            v = seconds[(algo, mode, "numpy")]
-            print(f"{algo:>12s}  {mode:>13s}  {s:8.3f}s  {v:8.3f}s"
-                  f"  {s / v:7.1f}x")
+            times = []
+            rem_tilde = None
+            for _ in range(max(1, args.repeats)):
+                start = time.perf_counter()
+                result = call(algo)
+                times.append(time.perf_counter() - start)
+                rem_tilde = getattr(result, "rem_tilde", None)
+                assert np.array_equal(result.final_keys, expected)
+            best, median = min(times), statistics.median(times)
+            record = {
+                "schema": 1,
+                "timestamp": datetime.now(timezone.utc).isoformat(
+                    timespec="seconds"
+                ),
+                "n": args.n,
+                "T": args.t if mode == "approx_refine" else None,
+                "algo": algo,
+                "kernels": "numpy",
+                "seconds": round(best, 3),
+                "median_s": round(median, 3),
+                "max_s": round(max(times), 3),
+                "repeats": len(times),
+                "rem_tilde": rem_tilde,
+                "cpus": os.cpu_count(),
+            }
+            if mode == "precise":
+                record["mode"] = mode
+            records.append(record)
+            print(f"{algo:>12s}  {mode:>13s}  {best:8.3f}s"
+                  f"  (median {median:.3f}s, max {max(times):.3f}s,"
+                  f" rem~ {rem_tilde})")
 
     path = Path(args.out)
     _append_records(path, records)

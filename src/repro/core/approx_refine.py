@@ -78,7 +78,7 @@ def run_approx_refine(
     kernels:
         Execution-path override (``"scalar"``/``"numpy"``) applied to the
         sorter and the refine-stage functions; ``None`` keeps the sorter's
-        own mode and the ``REPRO_KERNELS`` process default.
+        own mode (numpy unless it was built with ``kernels="scalar"``).
     trace:
         Optional :class:`repro.pcmsim.trace.TraceRecorder`: when given,
         every accounted access of the pipeline's main arrays (Key0, ID,

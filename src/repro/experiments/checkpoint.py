@@ -26,7 +26,7 @@ Durability contract
 Resume semantics
 ----------------
 ``runner --resume <run-id>`` loads the manifest, checks that the current
-selection/scale/seed/kernels match the recorded configuration (mismatches
+selection/scale/seed match the recorded configuration (mismatches
 raise :class:`repro.errors.ConfigError` — a resumed run must be able to
 produce bit-identical tables to an uninterrupted one), restores every
 completed result, and re-runs only the remainder.  Completed cells of a
@@ -59,7 +59,7 @@ DEFAULT_RUNS_ROOT = ".repro_runs"
 
 #: Configuration keys that must match between a run and its resume for the
 #: resumed tables to be bit-identical to an uninterrupted run.
-CONFIG_KEYS = ("experiments", "scale", "seed", "kernels")
+CONFIG_KEYS = ("experiments", "scale", "seed")
 
 _TABLE_FIELDS = (
     "experiment", "title", "columns", "rows", "notes", "paper_reference",
@@ -266,8 +266,8 @@ class RunCheckpoint:
     def check_config(self, config: dict) -> None:
         """Reject a resume whose configuration differs from the recorded run.
 
-        Scale, seed, kernel mode and the experiment selection all feed the
-        measured numbers; silently mixing them would produce tables that are
+        Scale, seed and the experiment selection all feed the measured
+        numbers; silently mixing them would produce tables that are
         *not* bit-identical to an uninterrupted run.
         """
         mismatched = [

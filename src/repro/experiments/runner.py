@@ -35,12 +35,9 @@ errors (2).  The ``REPRO_FAULT`` environment variable injects test faults
 (``crash:<exp>[:limit]`` / ``hang:<exp>[:limit]``).
 
 ``--bench-json [PATH]`` appends a wall-clock record (per-experiment and
-total seconds, plus the scale/seed/jobs/kernels configuration) to a JSON
-array file, ``BENCH_runner.json`` by default.
-
-``--kernels numpy`` exports ``REPRO_KERNELS=numpy`` for the whole run
-(workers included), switching every sorter and refine call to the
-vectorized kernels; accounted counts are unchanged (DESIGN.md section 8).
+total seconds, plus the scale/seed/jobs configuration and the ``numpy``
+kernel path that ran) to a JSON array file, ``BENCH_runner.json`` by
+default.
 
 ``--sanitize`` exports ``REPRO_SANITIZE=1`` for the whole run: the
 pipelines wrap their arrays in the :mod:`repro.verify` runtime sanitizer,
@@ -86,7 +83,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.errors import CheckpointCorruptError, ConfigError
-from repro.kernels import KERNEL_MODES, KERNELS_ENV, resolve_kernels
 from repro.obs import TRACE_DIR_ENV, TRACE_RUN_ENV, close_tracer, get_tracer
 from repro.obs.flight import dump_flight, get_flight
 from repro.obs.io import merge_traces
@@ -684,13 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " file (default PATH: BENCH_runner.json)",
     )
     parser.add_argument(
-        "--kernels", choices=sorted(KERNEL_MODES), default=None,
-        help="execution kernels for every sorter/refine call: 'numpy'"
-        " enables the vectorized fast path (same accounted counts),"
-        " 'scalar' forces the reference loops; default: the"
-        f" {KERNELS_ENV} environment variable, else scalar",
-    )
-    parser.add_argument(
         "--sanitize", action="store_true",
         help="run with the repro.verify runtime sanitizer: every array"
         " access is invariant-checked against a precise shadow copy"
@@ -738,12 +727,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.kernels is not None:
-        # Exported (not passed down) so fork-inherited worker processes and
-        # every make_sorter()/refine call see the same mode.
-        os.environ[KERNELS_ENV] = args.kernels
     if args.sanitize:
-        # Same export pattern; the pipelines check it at allocation sites.
+        # Exported (not passed down) so fork-inherited worker processes see
+        # it too; the pipelines check it at allocation sites.
         os.environ[SANITIZE_ENV] = "1"
 
     if args.list:
@@ -808,14 +794,11 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 args.scale = recorded.get("scale")
             if args.seed is None:
                 args.seed = recorded.get("seed")
-            if args.kernels is None and recorded.get("kernels"):
-                os.environ[KERNELS_ENV] = recorded["kernels"]
         seed = args.seed if args.seed is not None else 0
         config = {
             "experiments": names,
             "scale": resolve_scale(args.scale),
             "seed": seed,
-            "kernels": resolve_kernels(args.kernels),
         }
         if args.resume is not None:
             checkpoint.check_config(config)
@@ -956,7 +939,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "jobs": args.jobs,
             "cpus": os.cpu_count(),
             "workers_effective": workers_effective,
-            "kernels": resolve_kernels(args.kernels),
+            "kernels": "numpy",  # the one default path
             "experiments": {name: round(t, 3) for name, t in timings.items()},
             "total_s": round(total, 3),
         }

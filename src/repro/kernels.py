@@ -1,7 +1,7 @@
 """Kernel-mode selection for the vectorized execution path.
 
 The studied algorithms and the refine heuristics each exist in two
-semantically equivalent implementations:
+implementations:
 
 * ``"scalar"`` — the reference path: per-element and per-block accesses in
   the order the paper's pseudocode performs them.  This path defines the
@@ -11,41 +11,33 @@ semantically equivalent implementations:
   (``read_block_np`` / ``write_block`` / ``gather_np`` / ``scatter_np``),
   with the per-element control flow replaced by vectorized numpy kernels.
 
-On precise memory both paths produce bit-identical outputs and identical
-accounted read/write counts; on approximate memory the numpy path draws its
-per-word corruption from the same batched samplers as the block path, so
-corruption rates agree in distribution (property-tested in
-``tests/sorting/test_kernel_equivalence.py``).  See DESIGN.md section 8.
+Both paths write the same values to the same addresses the same number of
+times, and approximate memory keys each write's corruption by (array,
+address, write count), so they give bit-identical outputs and accounted
+counts on precise and approximate memory alike
+(``tests/sorting/test_kernel_equivalence.py``, the ``scalar_numpy_*``
+classes of :mod:`repro.verify.oracle`; DESIGN.md section 8).
 
-The mode is chosen per sorter/call (``kernels=`` argument) with a
-process-wide default taken from the ``REPRO_KERNELS`` environment variable,
-which the experiment runner's ``--kernels`` flag sets — so every experiment
-module picks the mode up without per-module plumbing, and forked worker
-processes inherit it.
+Numpy is the one default.  The scalar path is selected only explicitly
+(``kernels="scalar"``), as the reference the oracle and the tests compare
+against; a sorter also stands down to it on its own where the batch
+primitives cannot apply (a trace hook, or a ``kernel_safe = False`` array).
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import ConfigError
-
-#: Environment variable holding the process-wide default kernel mode.
-KERNELS_ENV = "REPRO_KERNELS"
 
 #: Accepted kernel modes.
 KERNEL_MODES = ("scalar", "numpy")
 
 
 def resolve_kernels(kernels: "str | None" = None) -> str:
-    """Pick the kernel mode: explicit argument > ``REPRO_KERNELS`` > scalar."""
-    value = kernels if kernels is not None else os.environ.get(KERNELS_ENV)
-    if value is None or value == "":
-        return "scalar"
-    if value not in KERNEL_MODES:
+    """Validate an explicit kernel mode; ``None`` resolves to numpy."""
+    if kernels is None:
+        return "numpy"
+    if kernels not in KERNEL_MODES:
         raise ConfigError(
-            f"kernels must be one of {KERNEL_MODES}, got {value!r}"
-            f" (check the {KERNELS_ENV} environment variable or the"
-            " kernels= argument)"
+            f"kernels must be one of {KERNEL_MODES}, got {kernels!r}"
         )
-    return value
+    return kernels

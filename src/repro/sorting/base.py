@@ -43,13 +43,12 @@ class Sorter(Protocol):
 class BaseSorter:
     """Shared helpers: element swap/move mirrored across keys and IDs.
 
-    Every sorter carries a ``kernels`` mode (``"scalar"``/``"numpy"``, or
-    ``None`` to resolve the process default from ``REPRO_KERNELS`` at sort
-    time).  The numpy mode routes the algorithm through the vectorized
-    kernels built on the arrays' accounted batch primitives; on precise
-    memory both modes produce bit-identical output and identical accounted
-    counts (see DESIGN.md section 8 and
-    ``tests/sorting/test_kernel_equivalence.py``).
+    Every sorter carries a ``kernels`` mode: ``None`` (the default) or
+    ``"numpy"`` routes the algorithm through the vectorized kernels built
+    on the arrays' accounted batch primitives, and ``"scalar"`` selects the
+    reference path.  Both modes produce bit-identical output and identical
+    accounted counts, on precise and approximate memory (see DESIGN.md
+    section 8 and ``tests/sorting/test_kernel_equivalence.py``).
 
     A sorter that publishes a :meth:`precise_schedule` also gets the fused
     precise path: :meth:`sort` replaces the pass-by-pass run with one stable

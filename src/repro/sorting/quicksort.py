@@ -27,7 +27,7 @@ from .base import BaseSorter, nlog2n
 
 #: Segments below this size take the scalar partition even in numpy mode —
 #: the vectorized replay's fixed overhead beats Python loops only on larger
-#: segments, and both paths are bit-identical on precise memory anyway.
+#: segments, and both paths are bit-identical anyway.
 _NUMPY_SEGMENT_CUTOFF = 64
 
 
@@ -205,16 +205,18 @@ class Quicksort(BaseSorter):
         pivot, offset 0 first, forced stop at ``count-1`` from the ``i <
         hi`` guard) and the j-scan's is ``R[k]`` (descending offsets with
         value <= pivot, forced stop at 0), *until* the crossing iteration
-        ``s`` — the first with ``L[s] >= R[s]`` — where a scan can instead
-        stop on a value swapped in earlier, giving ``i = min(L[s],
-        R[s-1])`` and ``j = max(R[s], L[s-1])``.  Swap pairs are ``(L[k],
-        R[k])`` for ``k < s``.  Reads/writes are re-issued as accounted
-        batch operations with exactly the scalar counts, so on precise
-        memory output, split and stats are bit-identical.  On approximate
-        memory the swaps draw the keyed uniforms the scalar swaps would,
-        but a crossing-iteration stop on a corrupted swapped-in value is
-        not replayed, so the two kernel modes agree only statistically
-        (quicksort is not in ``APPROX_KERNEL_EXACT``).
+        ``s`` — the first with ``L[s] >= R[s]`` — whose scans read the
+        words the swaps ``(L[k], R[k])``, ``k < s``, stored.  So the
+        crossing stops are replayed on the segment as it stands after the
+        swaps: ``i`` stops on the first stored word ``>= pivot`` after
+        ``L[s-1]`` and ``j`` on the last one ``<= pivot`` before
+        ``R[s-1]`` (on precise memory, ``min(L[s], R[s-1])`` and
+        ``max(R[s], L[s-1])``).  Reads/writes are re-issued as accounted
+        batch operations with exactly the scalar counts.  Every swap draws
+        the keyed uniform its scalar twin would, and a scan that stops on
+        (or runs past) a corrupted swapped-in value does so on both paths,
+        so output, split and stats are bit-identical to :meth:`_partition`
+        on precise and approximate memory alike.
 
         A segment below :data:`_NUMPY_SEGMENT_CUTOFF` keys runs the scalar
         :meth:`_partition` instead; on bare arrays :meth:`_partition_lane`
@@ -242,16 +244,6 @@ class Quicksort(BaseSorter):
         if s == 0:
             i_final, j_final = int(L[0]), int(R[0])
         else:
-            i_final = min(int(L[s]), int(R[s - 1]))
-            j_final = max(int(R[s]), int(L[s - 1]))
-
-        # Scan reads: i touched offsets [0, min(i_final, count-2)], j
-        # touched [max(j_final, 1), count-1] (the guards skip hi and lo).
-        keys.read_block_np(lo, min(i_final, count - 2) + 1)
-        j_start = max(j_final, 1)
-        keys.read_block_np(lo + j_start, count - j_start)
-
-        if s > 0:
             swap_idx = np.concatenate((L[:s], R[:s])) + lo
             keys.gather_np(swap_idx)  # the swaps' accounted reads
             keys.scatter_np(
@@ -263,6 +255,19 @@ class Quicksort(BaseSorter):
                     swap_idx,
                     np.concatenate((id_vals[s:], id_vals[:s])),
                 )
+            # The crossing scans read what the swaps stored.
+            seg = keys.peek_block_np(lo, count)
+            i_start = int(L[s - 1]) + 1
+            stops = np.flatnonzero(seg[i_start : count - 1] >= pivot)
+            i_final = i_start + int(stops[0]) if stops.size else count - 1
+            stops = np.flatnonzero(seg[1 : int(R[s - 1])] <= pivot)
+            j_final = 1 + int(stops[-1]) if stops.size else 0
+
+        # Scan reads: i touched offsets [0, min(i_final, count-2)], j
+        # touched [max(j_final, 1), count-1] (the guards skip hi and lo).
+        keys.read_block_np(lo, min(i_final, count - 2) + 1)
+        j_start = max(j_final, 1)
+        keys.read_block_np(lo + j_start, count - j_start)
 
         return lo + min(j_final, count - 2)
 

@@ -6,7 +6,7 @@ Two subcommands:
     Run explicit configurations through the differential equivalence
     classes.  The CI kernel-equivalence gate is built on this::
 
-        python -m repro.verify oracle --algorithm all --n 300 --classes bit
+        python -m repro.verify oracle --algorithm all --n 300
 
 ``fuzz``
     Seeded random fuzzing within a time budget, sanitizer on, failures
@@ -70,15 +70,22 @@ def _algorithms(spec: str) -> list[str]:
     return names
 
 
+def _classes(spec: str) -> list[str]:
+    """argparse ``type`` for ``--classes``: 'all' or validated names."""
+    try:
+        return resolve_classes(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    classes = resolve_classes(args.classes)
     failures = 0
     for algorithm in args.algorithm:
         case = OracleCase(
             algorithm=algorithm, workload=args.workload, n=args.n,
             t=args.t, seed=args.seed,
         )
-        result = run_case(case, classes=classes)
+        result = run_case(case, classes=args.classes)
         if result.passed:
             print(f"ok   {case.describe()}  [{', '.join(result.classes_run)}]")
         else:
@@ -152,9 +159,8 @@ def main(argv=None) -> int:
     )
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument(
-        "--classes", default="bit",
-        help="'bit' (deterministic, default), 'all', or comma-separated"
-             " class names",
+        "--classes", default="all", type=_classes,
+        help="'all' (default) or comma-separated class names",
     )
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -167,8 +173,9 @@ def main(argv=None) -> int:
     )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument(
-        "--classes", default="bit",
-        help="equivalence classes to fuzz (default: deterministic 'bit')",
+        "--classes", default="all", type=_classes,
+        help="equivalence classes to fuzz: 'all' (default) or"
+             " comma-separated class names",
     )
     fuzz.add_argument("--max-n", type=int, default=400)
     fuzz.add_argument(

@@ -208,7 +208,7 @@ class _sanitized_env:
 def run_fuzz(
     budget_s: float,
     seed: int = 0,
-    classes: "str | list[str] | None" = "bit",
+    classes: "str | list[str] | None" = "all",
     max_n: int = 400,
     algorithms: Optional[list[str]] = None,
     case_dir: "str | Path" = DEFAULT_CASE_DIR,
@@ -217,10 +217,9 @@ def run_fuzz(
 ) -> FuzzStats:
     """Fuzz until ``budget_s`` seconds elapse; returns the session summary.
 
-    ``classes`` defaults to the deterministic bit-identity subset so a
-    bounded CI smoke can never flake on a statistical test; pass ``"all"``
-    for the full sweep.  ``report`` is an optional callable receiving one
-    line per case (the CLI wires it to stdout).
+    ``classes`` defaults to every equivalence class (each is
+    deterministic).  ``report`` is an optional callable receiving one line
+    per case (the CLI wires it to stdout).
     """
     class_names = resolve_classes(classes)
     names = algorithms or available_sorters()

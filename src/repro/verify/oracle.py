@@ -9,15 +9,10 @@ and compares everything observable:
     Scalar vs numpy kernels on precise memory — bit-identical final keys,
     final IDs, and :class:`MemoryStats` (DESIGN.md section 8's contract).
 ``scalar_numpy_approx``
-    Scalar vs numpy kernels on approximate PCM.  Bit-identical for every
-    sorter whose two paths write the same values to the same addresses
-    (:data:`repro.sorting.registry.APPROX_KERNEL_EXACT`: the radix family
-    and mergesort), because corruption is keyed by write, not by draw
-    order; distributional for quicksort, whose numpy partition does not
-    replay a crossing stop on a corrupted swapped-in value — compared over
-    several seeds with a two-sample Kolmogorov–Smirnov test on per-run
-    corruption rates (scipy when available, with a conservative built-in
-    fallback).
+    Scalar vs numpy kernels on approximate PCM — bit-identical final
+    keys, final IDs, Rem~ and stats for every sorter.  Both paths of each
+    sorter write the same values to the same addresses the same number of
+    times, and corruption is keyed by write, not by draw order.
 ``traced_untraced``
     The same run with a live file tracer vs the NullTracer default —
     bit-identical results *and* per-stage stats, plus the tiling law: the
@@ -59,7 +54,6 @@ persisting them.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import tempfile
 import time
@@ -74,12 +68,7 @@ from repro.memory.config import MLCParams
 from repro.memory.factories import PCMMemoryFactory
 from repro.memory.stats import MemoryStats
 from repro.obs import NULL_TRACER, Tracer, set_tracer
-from repro.sorting.registry import (
-    APPROX_KERNEL_EXACT,
-    available_sorters,
-    make_sorter,
-    with_kernels,
-)
+from repro.sorting.registry import available_sorters, make_sorter, with_kernels
 from repro.workloads.generators import GENERATORS, make_keys
 
 #: Monte-Carlo fit size for oracle-scope memory models (cached per T).
@@ -87,13 +76,6 @@ ORACLE_FIT_SAMPLES = 8_000
 
 #: T values the oracle/fuzzer draw from (paper Figure 9's sweep range).
 T_CHOICES = (0.04, 0.055, 0.07, 0.1)
-
-#: Seeds per kernel mode for the distributional class.
-STAT_SEEDS = 8
-
-#: KS-test significance level.  With derandomized seeds the test statistic
-#: is deterministic, so this does not flake in CI.
-KS_ALPHA = 1e-3
 
 #: Oracle-only workloads beyond the registered generators.  ``max_word``
 #: is seed-independent (every key is the largest representable word — the
@@ -258,61 +240,27 @@ def check_scalar_numpy_precise(case: OracleCase) -> list[Divergence]:
 
 
 def check_scalar_numpy_approx(case: OracleCase) -> list[Divergence]:
-    """Scalar vs numpy kernels on approximate memory.
-
-    Exact for the block writers; distributional (KS on corruption rates,
-    plus exact sortedness of every output) for quicksort/mergesort.
-    """
+    """Scalar ≡ numpy kernels on approximate memory, bit for bit."""
     out: list[Divergence] = []
     name = "scalar_numpy_approx"
     memory = memory_for(case.t)
     keys = case.keys()
-    if case.algorithm in APPROX_KERNEL_EXACT:
-        scalar = run_approx_refine(
-            keys, case.algorithm, memory, seed=case.seed, kernels="scalar"
-        )
-        vector = run_approx_refine(
-            keys, case.algorithm, memory, seed=case.seed, kernels="numpy"
-        )
-        _first_mismatch(out, name, "final_keys", np.sort(keys),
-                        scalar.final_keys)
-        _first_mismatch(out, name, "final_keys", scalar.final_keys,
-                        vector.final_keys)
-        _first_mismatch(out, name, "final_ids", scalar.final_ids,
-                        vector.final_ids)
-        if scalar.rem_tilde != vector.rem_tilde:
-            out.append(Divergence(
-                name, "rem_tilde", None, scalar.rem_tilde, vector.rem_tilde
-            ))
-        _compare_stats(out, name, "stats", scalar.stats, vector.stats)
-        return out
-
-    # Distributional: per-run corruption rates across seeds per mode.
-    rates: dict[str, list[float]] = {"scalar": [], "numpy": []}
-    for mode in rates:
-        for offset in range(STAT_SEEDS):
-            result = run_approx_refine(
-                keys, case.algorithm, memory,
-                seed=case.seed * STAT_SEEDS + offset, kernels=mode,
-            )
-            if not np.array_equal(result.final_keys, np.sort(keys)):
-                _first_mismatch(out, name, f"final_keys[{mode}]",
-                                np.sort(keys), result.final_keys)
-                return out
-            rates[mode].append(
-                result.stats.corrupted_writes
-                / max(1, result.stats.approx_writes)
-            )
-    p_value = _ks_p_value(rates["scalar"], rates["numpy"])
-    if p_value < KS_ALPHA:
+    scalar = run_approx_refine(
+        keys, case.algorithm, memory, seed=case.seed, kernels="scalar"
+    )
+    vector = run_approx_refine(
+        keys, case.algorithm, memory, seed=case.seed, kernels="numpy"
+    )
+    _first_mismatch(out, name, "final_keys", np.sort(keys), scalar.final_keys)
+    _first_mismatch(out, name, "final_keys", scalar.final_keys,
+                    vector.final_keys)
+    _first_mismatch(out, name, "final_ids", scalar.final_ids,
+                    vector.final_ids)
+    if scalar.rem_tilde != vector.rem_tilde:
         out.append(Divergence(
-            name, "corruption_rate_distribution", None,
-            f"KS p >= {KS_ALPHA}", f"p = {p_value:.2e}",
-            detail=(
-                f"scalar rates {rates['scalar']!r} vs"
-                f" numpy rates {rates['numpy']!r}"
-            ),
+            name, "rem_tilde", None, scalar.rem_tilde, vector.rem_tilde
         ))
+    _compare_stats(out, name, "stats", scalar.stats, vector.stats)
     return out
 
 
@@ -613,8 +561,7 @@ def check_write_budget(case: OracleCase) -> list[Divergence]:
     return out
 
 
-#: Registry of equivalence classes.  ``bit`` classes are deterministic;
-#: ``scalar_numpy_approx`` is distributional for non-block-writers.
+#: Registry of equivalence classes.  Every class is deterministic.
 EQUIVALENCE_CLASSES: dict[str, Callable[[OracleCase], list[Divergence]]] = {
     "scalar_numpy_precise": check_scalar_numpy_precise,
     "scalar_numpy_approx": check_scalar_numpy_approx,
@@ -625,29 +572,17 @@ EQUIVALENCE_CLASSES: dict[str, Callable[[OracleCase], list[Divergence]]] = {
     "write_order": check_write_order,
 }
 
-#: The deterministic subset (safe for tight CI gates and fuzz smoke).
-BIT_CLASSES = (
-    "scalar_numpy_precise",
-    "traced_untraced",
-    "resumed_uninterrupted",
-    "sharded_serial",
-    "write_budget",
-    "write_order",
-)
-
 
 def resolve_classes(spec: "str | list[str] | None") -> list[str]:
-    """Expand a class selection: ``None``/"all", "bit", or explicit names."""
+    """Expand a class selection: ``None``/"all", or explicit names."""
     if spec is None or spec == "all":
         return list(EQUIVALENCE_CLASSES)
-    if spec == "bit":
-        return list(BIT_CLASSES)
     names = spec.split(",") if isinstance(spec, str) else list(spec)
     for class_name in names:
         if class_name not in EQUIVALENCE_CLASSES:
             raise ValueError(
                 f"unknown equivalence class {class_name!r}; available:"
-                f" {', '.join(EQUIVALENCE_CLASSES)}, or 'bit'/'all'"
+                f" {', '.join(EQUIVALENCE_CLASSES)}, or 'all'"
             )
     return names
 
@@ -677,36 +612,3 @@ def run_case(
         if result.divergences:
             break  # report the first divergent class; fuzzer shrinks next
     return result
-
-
-# --------------------------------------------------------------------- #
-# KS test (scipy when present, exact small-sample fallback otherwise)
-# --------------------------------------------------------------------- #
-
-
-def _ks_p_value(a: list[float], b: list[float]) -> float:
-    try:
-        from scipy.stats import ks_2samp
-    except ImportError:  # pragma: no cover - scipy is in the image
-        return _ks_p_value_fallback(a, b)
-    return float(ks_2samp(a, b, method="auto").pvalue)
-
-
-def _ks_p_value_fallback(a: list[float], b: list[float]) -> float:
-    """Asymptotic two-sample KS p-value (Smirnov), dependency-free."""
-    xs = sorted(a)
-    ys = sorted(b)
-    d = 0.0
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        if xs[i] <= ys[j]:
-            i += 1
-        else:
-            j += 1
-        d = max(d, abs(i / len(xs) - j / len(ys)))
-    en = math.sqrt(len(xs) * len(ys) / (len(xs) + len(ys)))
-    lam = (en + 0.12 + 0.11 / en) * d
-    total = 0.0
-    for k in range(1, 101):
-        total += (-1) ** (k - 1) * math.exp(-2.0 * (lam * k) ** 2)
-    return max(0.0, min(1.0, 2.0 * total))

@@ -7,12 +7,12 @@ that the output is still exactly sorted and the costs stay bounded by the
 degenerate-case analysis (Rem~ <= n, refine <= 3n + alpha(n)).
 """
 
-import random
-
+import numpy as np
 import pytest
 
 from repro.core.approx_refine import run_approx_refine
 from repro.core.cost_model import hybrid_cost
+from repro.kernels import KERNEL_MODES
 from repro.memory.approx_array import InstrumentedArray, WORD_LIMIT, _check_word
 from repro.memory.stats import MemoryStats
 from repro.sorting.registry import make_sorter
@@ -20,40 +20,34 @@ from repro.workloads.generators import uniform_keys
 
 
 class _AdversarialArray(InstrumentedArray):
-    """Approximate array whose every write stores an adversarial value."""
+    """Approximate array whose every write stores an adversarial value.
+
+    It supplies the two store hooks of a real memory kind: the scalar
+    :meth:`write` and :meth:`_write_words`, the store of every block write
+    and scatter, so both kernel paths drive it.
+    """
 
     region = "approx"
 
-    def __init__(self, data, corrupt, stats=None, name="adversarial"):
-        super().__init__(data, stats=stats, name=name)
+    def __init__(self, data, corrupt, stats=None, trace=None,
+                 name="adversarial"):
+        super().__init__(data, stats=stats, trace=trace, name=name)
         self._corrupt = corrupt
 
-    def clone_empty(self, size=None, name=""):
-        n = len(self) if size is None else size
-        return _AdversarialArray(
-            [0] * n, self._corrupt, stats=self.stats, name=name or self.name
-        )
-
-    def read(self, index):
-        self.stats.record_approx_read()
-        return self._data.item(index)
-
-    def read_block(self, start, count):
-        self.stats.record_approx_read(count)
-        return self._data[start : start + count].tolist()
+    def _clone_args(self):
+        return {"corrupt": self._corrupt}
 
     def write(self, index, value):
-        _check_word(value)
-        stored = self._corrupt(index, value)
-        self.stats.record_approx_write(0.5, corrupted=stored != value)
-        self._data[index] = stored
+        self._write_words([index], [_check_word(value)])
 
-    def write_block(self, start, values):
-        for offset, value in enumerate(values):
-            self.write(start + offset, value)
-
-    def load_from(self, source):
-        self.write_block(0, [source.read(i) for i in range(len(source))])
+    def _write_words(self, slots, vals):
+        indices = range(len(self))[slots] if isinstance(slots, slice) else slots
+        # Python ints, so a corruption's arithmetic cannot wrap at 32 bits.
+        for index, value in zip(np.asarray(indices).tolist(),
+                                np.asarray(vals).tolist()):
+            stored = self._corrupt(index, value)
+            self.stats.record_approx_write(0.5, corrupted=stored != value)
+            self._data[index] = stored
 
 
 class _AdversarialFactory:
@@ -88,9 +82,19 @@ CORRUPTIONS = {
 def test_exact_under_total_corruption(corruption, algorithm):
     keys = uniform_keys(300, seed=1)
     memory = _AdversarialFactory(CORRUPTIONS[corruption])
-    result = run_approx_refine(keys, algorithm, memory, seed=2)
-    assert result.final_keys.tolist() == sorted(keys)
-    assert sorted(result.final_ids.tolist()) == list(range(len(keys)))
+    results = [
+        run_approx_refine(keys, algorithm, memory, seed=2, kernels=kernels)
+        for kernels in KERNEL_MODES
+    ]
+    for result in results:
+        assert result.final_keys.tolist() == sorted(keys)
+        assert sorted(result.final_ids.tolist()) == list(range(len(keys)))
+    # Both paths store the same values at the same addresses, so even a
+    # total adversary cannot tell them apart.
+    scalar, vector = results
+    assert scalar.final_ids.tolist() == vector.final_ids.tolist()
+    assert scalar.rem_tilde == vector.rem_tilde
+    assert scalar.stats == vector.stats
 
 
 @pytest.mark.parametrize("corruption", ["all_max", "complement"])

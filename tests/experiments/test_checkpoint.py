@@ -20,7 +20,6 @@ CONFIG = {
     "experiments": ["fig02", "table3"],
     "scale": "smoke",
     "seed": 0,
-    "kernels": "scalar",
 }
 
 
@@ -86,6 +85,38 @@ class TestRunCheckpoint:
         with pytest.raises(ConfigError, match="seed"):
             checkpoint.check_config(changed)
         checkpoint.check_config(dict(CONFIG))  # identical config passes
+
+    def test_manifest_recording_kernels_resumes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A run checkpointed while the runner still had a kernel option
+        recorded ``"kernels": "scalar"`` in its manifest.  It passes the
+        config check and resumes to the tables of an uninterrupted run."""
+        from repro.experiments.runner import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+
+        def tables(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith("[")]
+
+        argv = ["--exp", "fig02", "--exp", "table3", "--scale", "smoke"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--checkpoint", "old"]) == 0
+        capsys.readouterr()
+        directory = tmp_path / "runs" / "old"
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["config"]["kernels"] = "scalar"
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        (directory / "result-table3.json").unlink()  # interrupted before it
+
+        RunCheckpoint.load("old").check_config(CONFIG)
+        assert main(["--resume", "old"]) == 0
+        captured = capsys.readouterr()
+        assert "1/2 experiments restored" in captured.err
+        assert tables(captured.out) == tables(plain)
 
     def test_journal_records_events(self, tmp_path):
         checkpoint = RunCheckpoint.create(CONFIG, run_id="r1", root=tmp_path)

@@ -223,6 +223,14 @@ class TestRetiredOptions:
             main(["--exp", "fig02", "--shards", "2"])
         assert exc.value.code == 2
 
+    def test_no_kernel_option(self, capsys):
+        """Both kernel paths give the same tables, so no option chooses
+        between them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "kernel" not in capsys.readouterr().out
+
 
 class TestBenchScalingFields:
     def test_record_carries_machine_and_parallelism(self, capsys, tmp_path):
@@ -235,6 +243,7 @@ class TestBenchScalingFields:
         record = json.loads(path.read_text())[0]
         assert record["cpus"] == os.cpu_count()
         assert record["workers_effective"] == 1
+        assert record["kernels"] == "numpy"
         assert "shards" not in record
 
     def test_speedup_vs_serial_baseline(self, capsys, tmp_path):

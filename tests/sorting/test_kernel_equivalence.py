@@ -1,12 +1,11 @@
 """Scalar-vs-numpy kernel equivalence (DESIGN.md section 8).
 
 The scalar path is the reference semantics; the numpy kernels must be
-observationally identical on precise memory — bit-identical outputs AND
-identical accounted ``MemoryStats`` — for every sorter and for the refine
-stage.  On approximate memory the kernels draw per-word corruption from the
-same batched samplers, so algorithms whose scalar path already writes in
-blocks stay bit-identical, and the rest (quicksort's swap scatters) must
-agree statistically.
+observationally identical to it — bit-identical outputs AND identical
+accounted ``MemoryStats`` — for every sorter and for the refine stage.
+That holds on approximate memory too: both paths write the same values to
+the same addresses the same number of times, and each write's corruption
+is keyed by (array, address, write count).
 """
 
 import random
@@ -16,17 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.core.refine import find_rem_ids, merge_refined, sort_rem_ids
-from repro.kernels import KERNELS_ENV, resolve_kernels
+from repro.errors import ConfigError
+from repro.kernels import resolve_kernels
 from repro.memory.approx_array import PreciseArray, WORD_LIMIT
-from repro.memory.config import MLCParams
-from repro.memory.factories import PCMMemoryFactory
 from repro.memory.stats import MemoryStats
 from repro.sorting.registry import available_sorters, make_sorter
+from repro.verify.oracle import memory_for
 from repro.workloads.generators import make_keys
 
 ALL_SORTERS = available_sorters()
 FAST_SORTERS = [name for name in ALL_SORTERS if name != "insertion"]
-FIT = 8_000
 
 key_lists = st.lists(
     st.integers(min_value=0, max_value=WORD_LIMIT - 1), max_size=150
@@ -143,10 +141,6 @@ class TestRefineEquivalence:
 
 
 class TestPipelines:
-    @pytest.fixture(scope="class")
-    def memory(self):
-        return PCMMemoryFactory(MLCParams(t=0.055), fit_samples=FIT)
-
     def test_precise_baseline_identical(self):
         keys = make_keys("uniform", 500, seed=6)
         runs = [
@@ -157,14 +151,26 @@ class TestPipelines:
         assert runs[0].final_ids.tolist() == runs[1].final_ids.tolist()
         assert runs[0].stats.__dict__ == runs[1].stats.__dict__
 
-    @pytest.mark.parametrize("name", ["lsd6", "hmsd6", "natural_merge"])
-    def test_approx_refine_block_writers_bit_identical(self, memory, name):
-        """Sorters whose numpy path issues the same ``write_block`` calls as
-        the scalar path consume the same corruption stream, so even the
-        approx stage matches bit for bit."""
-        keys = make_keys("uniform", 600, seed=9)
+    @pytest.mark.parametrize(
+        ("name", "n", "t", "key_seed", "seed"),
+        [pytest.param(name, 600, 0.055, 9, 13, id=name)
+         for name in ALL_SORTERS]
+        # Here quicksort's crossing scans meet a corrupted swapped-in word,
+        # so a numpy replay that read the pre-swap snapshot instead of the
+        # stored words would end with Rem~ 103, not the scalar path's 99.
+        + [pytest.param("quicksort", 200, 0.1, 1, 1,
+                        id="quicksort-T0.1-n200")],
+    )
+    def test_approx_refine_block_writers_bit_identical(
+        self, name, n, t, key_seed, seed
+    ):
+        """Both kernel paths of every sorter write the same values to the
+        same addresses the same number of times, so under keyed corruption
+        the approx stage matches bit for bit."""
+        keys = make_keys("uniform", n, seed=key_seed)
         runs = [
-            run_approx_refine(keys, name, memory, seed=13, kernels=mode)
+            run_approx_refine(keys, name, memory_for(t), seed=seed,
+                              kernels=mode)
             for mode in ("scalar", "numpy")
         ]
         assert (
@@ -175,62 +181,16 @@ class TestPipelines:
         assert runs[0].rem_tilde == runs[1].rem_tilde
         assert runs[0].stats.__dict__ == runs[1].stats.__dict__
 
-    @pytest.mark.statistical
-    @pytest.mark.parametrize("name", ["quicksort", "mergesort"])
-    def test_approx_refine_statistical(self, memory, name):
-        """Quicksort's swap scatters and mergesort's level-grouped block
-        writes corrupt through different (equally distributed) sampler
-        streams; outputs stay exact and the corruption rates must agree
-        within sampling noise."""
-        keys = make_keys("uniform", 800, seed=2)
-        rates = {"scalar": [], "numpy": []}
-        rem = {"scalar": [], "numpy": []}
-        for mode in rates:
-            for seed in range(6):
-                result = run_approx_refine(
-                    keys, name, memory, seed=seed, kernels=mode
-                )
-                assert result.final_keys.tolist() == sorted(keys)
-                rates[mode].append(
-                    result.stats.corrupted_writes
-                    / max(1, result.stats.approx_writes)
-                )
-                rem[mode].append(result.rem_tilde)
-        mean_s = sum(rates["scalar"]) / len(rates["scalar"])
-        mean_n = sum(rates["numpy"]) / len(rates["numpy"])
-        # Word corruption at T=0.055 is a per-write Bernoulli with rate
-        # ~1e-3; across 6 runs x ~several thousand writes the means must
-        # land within a loose factor of each other.
-        assert mean_n == pytest.approx(mean_s, rel=1.0, abs=2e-3)
-        assert max(rem["numpy"]) <= 4 * max(1, max(rem["scalar"])) + 8
-
 
 class TestKernelResolution:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        assert resolve_kernels("scalar") == "scalar"
+    def test_invalid_mode_rejected(self):
+        """``None`` resolves to numpy; an invalid explicit mode raises."""
         assert resolve_kernels(None) == "numpy"
-
-    def test_env_default_scalar(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV, raising=False)
-        assert resolve_kernels(None) == "scalar"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
+        assert resolve_kernels("scalar") == "scalar"
+        with pytest.raises(ConfigError):
             resolve_kernels("simd")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             make_sorter("mergesort", kernels="avx2")
-        monkeypatch.setenv(KERNELS_ENV, "bogus")
-        with pytest.raises(ValueError):
-            resolve_kernels(None)
-
-    def test_env_var_drives_sorters(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        keys = make_keys("uniform", 120, seed=1)
-        stats = MemoryStats()
-        arr = PreciseArray(keys, stats=stats)
-        make_sorter("mergesort").sort(arr)
-        assert arr.to_list() == sorted(keys)
 
     def test_trace_forces_scalar_fallback(self):
         sorter = make_sorter("mergesort", kernels="numpy")

@@ -240,6 +240,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["oracle", "--algorithm", "bogosort"])
 
+    def test_bit_classes_refused(self, capsys):
+        """Every class is exact: there is no ``bit`` subset to select."""
+        for command in ("oracle", "fuzz"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--classes", "bit"])
+            assert exc.value.code == 2
+            assert "unknown equivalence class 'bit'" in capsys.readouterr().err
+
     def test_fuzz_subcommand_smoke(self, tmp_path, capsys):
         code = main([
             "fuzz", "--budget", "2", "--algorithm", "lsd4", "--classes",

@@ -6,24 +6,22 @@ import json
 import numpy as np
 import pytest
 
-from repro.sorting.registry import APPROX_KERNEL_EXACT, available_sorters
+from repro.sorting.registry import available_sorters
+from repro.verify import oracle
 from repro.verify.oracle import (
-    BIT_CLASSES,
     EQUIVALENCE_CLASSES,
     EXTRA_WORKLOADS,
     CaseResult,
     Divergence,
     OracleCase,
     _first_mismatch,
-    _ks_p_value,
-    _ks_p_value_fallback,
     digest_keys,
     resolve_classes,
     run_case,
 )
 
 # Representative sorters: one comparison sort, one radix block-writer, one
-# hybrid — small n keeps the full bit-class battery cheap.
+# hybrid — small n keeps the full class battery cheap.
 REPRESENTATIVES = ["quicksort", "lsd4", "hmsd4"]
 
 
@@ -62,10 +60,10 @@ class TestResolveClasses:
         assert resolve_classes(None) == list(EQUIVALENCE_CLASSES)
         assert resolve_classes("all") == list(EQUIVALENCE_CLASSES)
 
-    def test_bit_subset(self):
-        bit = resolve_classes("bit")
-        assert bit == list(BIT_CLASSES)
-        assert "scalar_numpy_approx" not in bit
+    def test_bit_selector_refused(self):
+        """Every class is bit-exact, so there is no ``bit`` subset."""
+        with pytest.raises(ValueError, match="unknown equivalence class"):
+            resolve_classes("bit")
 
     def test_comma_string_and_list(self):
         spec = "traced_untraced,scalar_numpy_precise"
@@ -80,45 +78,54 @@ class TestResolveClasses:
 
 
 class TestBitClasses:
+    """Every equivalence class is a bit-identity class."""
+
     @pytest.mark.parametrize("algorithm", REPRESENTATIVES)
     def test_bit_classes_pass(self, algorithm):
-        result = run_case(
-            OracleCase(algorithm, n=120, seed=1), classes="bit"
-        )
+        result = run_case(OracleCase(algorithm, n=120, seed=1))
         assert result.passed, [d.describe() for d in result.divergences]
-        assert result.classes_run == list(BIT_CLASSES)
+        assert result.classes_run == list(EQUIVALENCE_CLASSES)
 
     def test_edge_workloads_pass(self):
         for workload in ("all_equal", "max_word"):
-            result = run_case(
-                OracleCase("lsd4", workload=workload, n=40), classes="bit"
-            )
+            result = run_case(OracleCase("lsd4", workload=workload, n=40))
             assert result.passed, [d.describe() for d in result.divergences]
 
     def test_tiny_n_pass(self):
         for n in (0, 1, 2):
-            result = run_case(OracleCase("quicksort", n=n), classes="bit")
+            result = run_case(OracleCase("quicksort", n=n))
             assert result.passed, [d.describe() for d in result.divergences]
 
 
 class TestApproxClass:
     def test_block_writer_exact(self):
-        # lsd4 is in APPROX_KERNEL_EXACT: the approx class is bit-exact.
-        assert "lsd4" in APPROX_KERNEL_EXACT
         result = run_case(
             OracleCase("lsd4", n=150, t=0.055, seed=2),
             classes=["scalar_numpy_approx"],
         )
         assert result.passed, [d.describe() for d in result.divergences]
 
-    @pytest.mark.statistical
-    def test_statistical_sorter_distributional(self):
-        assert "quicksort" not in APPROX_KERNEL_EXACT
-        result = run_case(
-            OracleCase("quicksort", n=300, t=0.07, seed=0),
-            classes=["scalar_numpy_approx"],
-        )
+    def test_quicksort_exact(self, monkeypatch):
+        """Quicksort's two paths store the same words where its crossing
+        scans meet corrupted swapped-in values (T = 0.1), and the class
+        compares them exactly: one extra read on one path diverges."""
+        case = OracleCase("quicksort", n=200, t=0.1, seed=1)
+        result = run_case(case, classes=["scalar_numpy_approx"])
         assert result.passed, [d.describe() for d in result.divergences]
+
+        real = oracle.run_approx_refine
+
+        def one_more_read(*args, kernels=None, **kwargs):
+            result = real(*args, kernels=kernels, **kwargs)
+            if kernels == "numpy":
+                result.stats.record_approx_read()
+            return result
+
+        monkeypatch.setattr(oracle, "run_approx_refine", one_more_read)
+        result = run_case(case, classes=["scalar_numpy_approx"])
+        assert [d.field for d in result.divergences] == [
+            "stats.approx_reads"
+        ]
 
 
 class TestReporting:
@@ -196,29 +203,17 @@ class TestHelpers:
         assert out[1].detail == "length mismatch"
         json.dumps([d.__dict__ for d in out])
 
-    def test_ks_fallback_agrees_with_scipy(self):
-        a = [0.001, 0.002, 0.0015, 0.0012, 0.0025, 0.0018]
-        b = [0.0011, 0.0019, 0.0016, 0.0013, 0.0024, 0.0017]
-        same = _ks_p_value_fallback(a, b)
-        assert same > 0.5  # clearly the same distribution
-        far = _ks_p_value_fallback([0.0] * 8, [1.0] * 8)
-        assert far < 0.05
-        # scipy (present in the image) and the fallback must agree on the
-        # verdict side of KS_ALPHA for both shapes.
-        assert _ks_p_value(a, b) > 0.5
-        assert _ks_p_value([0.0] * 8, [1.0] * 8) < 0.05
-
     def test_all_sorters_known_to_registry(self):
-        # APPROX_KERNEL_EXACT must stay a subset of the live registry.
-        assert APPROX_KERNEL_EXACT <= frozenset(available_sorters())
+        # The oracle CLI's "all" is the live registry.
+        from repro.verify.__main__ import _algorithms
+
+        assert _algorithms("all") == available_sorters()
 
 
 class TestShardedSerialClass:
     def test_registered_and_bit(self):
-        from repro.verify.oracle import BIT_CLASSES, EQUIVALENCE_CLASSES
-
         assert "sharded_serial" in EQUIVALENCE_CLASSES
-        assert "sharded_serial" in BIT_CLASSES
+        assert "sharded_serial" in resolve_classes(None)
 
     @pytest.mark.parametrize("algorithm", ["lsd3", "quicksort"])
     def test_passes_for_representative_sorters(self, algorithm):

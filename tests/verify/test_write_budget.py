@@ -5,8 +5,8 @@ For every sorter that publishes a ``precise_schedule`` (mergesort,
 within the schedule's writes on precise *and* approximate memory, in both
 kernel modes.  The schedule is also what the fused path charges, so the
 class holds the charged formula to the sorter's real ``_sort``.  These
-tests pin the class's registration (in ``BIT_CLASSES``, so the CI oracle
-gate runs it for every sorter), its pass behaviour on the scheduled
+tests pin the class's registration (in the default ``all`` selection, so
+the CI oracle gate runs it for every sorter), its pass behaviour on the scheduled
 sorters, its degeneration to a no-op for value-dependent sorters, and —
 the part that proves the check has teeth — that a sorter whose schedule
 under-reports its writes, or whose ``_sort`` does not sort, is caught.
@@ -17,7 +17,6 @@ import pytest
 from repro.sorting.mergesort import Mergesort
 from repro.sorting.registry import available_sorters
 from repro.verify.oracle import (
-    BIT_CLASSES,
     EQUIVALENCE_CLASSES,
     OracleCase,
     check_write_budget,
@@ -32,8 +31,7 @@ UNSCHEDULED = ("quicksort", "msd6", "hmsd6", "insertion")
 class TestRegistration:
     def test_in_equivalence_classes_and_bit(self):
         assert "write_budget" in EQUIVALENCE_CLASSES
-        assert "write_budget" in BIT_CLASSES
-        assert "write_budget" in resolve_classes("bit")
+        assert "write_budget" in resolve_classes("all")
         assert "write_budget" in resolve_classes(None)
 
     def test_selectable_by_name(self):

@@ -16,8 +16,8 @@ What is run, and how:
   records, so ``--save`` examples never clobber the repository and
   plotting examples find their inputs.  It does not turn the sanitizer on
   for every command: a sanitized fig09 smoke run takes about ten times as
-  long as a plain one, and the runner's sanitized runs have their own CI
-  steps.  A documented command that passes ``--sanitize`` still runs
+  long as a plain one, and the runner's sanitized run has its own CI
+  step.  A documented command that passes ``--sanitize`` still runs
   sanitized.
 * Rewrites keep runtimes in seconds: explicit ``default``/``large``
   scales become ``smoke``, ``--all`` becomes a two-experiment selection,
