@@ -162,7 +162,8 @@ def test_keyed_list_write(benchmark):
 
 
 def test_keyed_scalar_write(benchmark):
-    """One scalar write at T = 0.1 (quicksort's swaps write this way)."""
+    """One scalar write at T = 0.1 (the scalar quicksort walk's swaps
+    write this way)."""
     model = get_model(MLCParams(t=0.1), samples_per_level=FIT)
     array = ApproxArray(
         np.zeros(1, dtype=np.uint32), model=model, precise_iterations=3.0,
@@ -188,19 +189,18 @@ def test_msd3_level_pass(benchmark):
     benchmark(run)
 
 
-def test_quicksort_partition_lane_approx(benchmark, model):
-    """One 48-key quicksort partition on approximate memory under numpy
-    kernels: below 64 keys it runs on a peeked list, one array call per
-    swap."""
-    keys = uniform_keys(48, seed=27)
+def test_quicksort_level_pass(benchmark, model):
+    """quicksort under numpy kernels at n = 2048 and T = 0.055, fig09's
+    grain: one level pass per recursion level over every segment of that
+    level."""
+    keys = uniform_keys(2048, seed=27)
     sorter = make_sorter("quicksort", kernels="numpy")
 
     def run():
         array = ApproxArray(
             keys, model=model, precise_iterations=3.0, seed=28
         )
-        ids = PreciseArray(range(48), stats=array.stats)
-        return sorter._partition_lane(array, ids, 0, 47)
+        sorter.sort(array, PreciseArray(range(len(keys)), stats=array.stats))
 
     benchmark(run)
 

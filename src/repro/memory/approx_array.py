@@ -289,7 +289,7 @@ class InstrumentedArray:
         """Charge ``count`` accounted reads of words the caller already holds.
 
         Reads have no side effect in any memory model here, so a kernel
-        that kept the values (quicksort's list lane, the numpy refine
+        that kept the values (quicksort's level pass, the numpy refine
         merge) charges its repeat reads instead of re-issuing them.  Its
         callers run only on untraced arrays, so it emits no trace events.
         """
@@ -432,18 +432,6 @@ class PreciseArray(InstrumentedArray):
         if self.trace is not None:
             self.trace("W", self.region, index)
 
-    def swap(self, i: int, j: int) -> "tuple[int, int]":
-        """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
-        ``write(j, old_i)`` as one call; returns the stored pair.  Only
-        quicksort's small-partition lane calls it, on untraced arrays, so
-        it emits no trace events (DESIGN.md section 8)."""
-        mv = self._mv
-        a, b = mv[i], mv[j]
-        self.stats.record_precise_read(2)
-        self.stats.record_precise_write(2)
-        mv[i], mv[j] = b, a
-        return b, a
-
     def _write_words(
         self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"
     ) -> None:
@@ -496,10 +484,9 @@ class KeyedArray(InstrumentedArray):
             raise _index_error(index, len(self._mv))
         self._store(int(index), _check_word(value))
 
-    def _store(self, index: int, value: int) -> int:
+    def _store(self, index: int, value: int) -> None:
         """Cost, corrupt, account, trace and store one checked word at a
-        checked ``index``; returns the stored word.  The one body of
-        :meth:`write` and :meth:`swap`."""
+        checked ``index``."""
         versions = self._version_mv
         version = versions[index]
         versions[index] = version + 1
@@ -511,18 +498,6 @@ class KeyedArray(InstrumentedArray):
         if self.trace is not None:
             self.trace("W", self.region, index)
         self._mv[index] = stored
-        return stored
-
-    def swap(self, i: int, j: int) -> "tuple[int, int]":
-        """Accounted swap: ``read(i)``, ``read(j)``, ``write(i, old_j)``,
-        ``write(j, old_i)`` as one call; returns the stored pair.  The
-        writes are :meth:`write`'s own.  Only quicksort's small-partition
-        lane calls it, on untraced arrays, so it emits no read trace
-        events."""
-        mv = self._mv
-        a, b = mv[i], mv[j]
-        self.stats.record_approx_read(2)
-        return self._store(i, b), self._store(j, a)
 
     def _write_words(
         self, slots: "slice | np.ndarray", vals: "np.ndarray | list[int]"

@@ -13,9 +13,8 @@ The observability layer has four pieces:
   worker process, merged by the experiment runner).
 * :mod:`repro.obs.report` — ``python -m repro.obs.report`` aggregates one or
   more trace files into per-phase tables: writes/reads/TEPMW and wall-clock
-  by span, scalar-vs-numpy kernel comparison, and a Figure-11-style
-  sort/refine/copy breakdown, with exact p50/p95/p99 of every span name's
-  wall-clock and of every gauge.
+  by span and a Figure-11-style sort/refine/copy breakdown, with exact
+  p50/p95/p99 of every span name's wall-clock and of every gauge.
 * :mod:`repro.obs.flight` — an always-on, always-cheap in-memory ring of
   recent obs events, dumped to ``flight-<pid>.jsonl`` on crash, SIGKILL or
   fault-injection trip when ``REPRO_FLIGHT_DIR`` is armed.

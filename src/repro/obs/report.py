@@ -16,7 +16,6 @@ Sections (any of which may be empty for a given trace):
   ``approx_refine`` run, grouped by algorithm (copy is the approx-prep
   ``Key0 -> Key~`` transfer, sort the approx stage, refine the three
   Listing-1/2 steps).
-* **kernels** — scalar-vs-numpy wall-clock comparison of ``sort.*`` spans.
 * **counters / gauges** — e.g. the sorters' per-depth rollups, the
   worker pool's task counts, task latencies and queue depth, and the
   pcmsim per-bank queue-depth gauges, with nearest-rank percentiles over
@@ -162,35 +161,6 @@ def build_report(events: list[dict]) -> dict:
         if row["total"]:
             row["refine_frac"] = row["refine"] / row["total"]
 
-    # -- scalar-vs-numpy kernel comparison of sort spans --------------- #
-    kernel_cells: dict[tuple[str, str], dict] = {}
-    for event in span_ends:
-        if not event["name"].startswith("sort."):
-            continue
-        attrs = event.get("attrs") or {}
-        algo = attrs.get("algo", event["name"][len("sort."):])
-        mode = attrs.get("kernels", "?")
-        cell = kernel_cells.setdefault(
-            (algo, mode), {"count": 0, "wall_s": 0.0}
-        )
-        cell["count"] += 1
-        cell["wall_s"] += event["wall_s"]
-    kernels: dict[str, dict] = {}
-    for (algo, mode), cell in kernel_cells.items():
-        row = kernels.setdefault(
-            algo,
-            {"algo": algo, "scalar_runs": 0, "scalar_s": 0.0,
-             "numpy_runs": 0, "numpy_s": 0.0, "speedup": None},
-        )
-        if mode in ("scalar", "numpy"):
-            row[f"{mode}_runs"] += cell["count"]
-            row[f"{mode}_s"] += cell["wall_s"]
-    for row in kernels.values():
-        if row["scalar_runs"] and row["numpy_runs"] and row["numpy_s"] > 0:
-            scalar_mean = row["scalar_s"] / row["scalar_runs"]
-            numpy_mean = row["numpy_s"] / row["numpy_runs"]
-            row["speedup"] = scalar_mean / numpy_mean
-
     # -- counters and gauges ------------------------------------------- #
     counters: dict[str, dict] = {}
     gauges: dict[str, dict] = {}
@@ -224,7 +194,6 @@ def build_report(events: list[dict]) -> dict:
         "breakdown": sorted(
             breakdown.values(), key=lambda r: r["algorithm"]
         ),
-        "kernels": sorted(kernels.values(), key=lambda r: r["algo"]),
         "counters": sorted(counters.values(), key=lambda r: r["name"]),
         "gauges": sorted(gauges.values(), key=lambda r: r["name"]),
     }
@@ -304,8 +273,6 @@ _SECTIONS = (
     ("breakdown", "Sort/refine/copy TEPMW breakdown (Fig-11 style)",
      ["algorithm", "runs", "copy", "sort", "refine", "total",
       "refine_frac", "wall_s"]),
-    ("kernels", "Kernel comparison (sort.* spans)",
-     ["algo", "scalar_runs", "scalar_s", "numpy_runs", "numpy_s", "speedup"]),
     ("counters", "Counters", ["name", "events", "total"]),
     ("gauges", "Gauges",
      ["name", "events", "min", "max", "p50", "p95", "p99"]),

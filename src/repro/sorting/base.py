@@ -118,24 +118,13 @@ class BaseSorter:
         every wrapper (sanitizer shadows, write-combining fronts) on
         :meth:`_sort`.
         """
-        if not self._bare_numpy(keys, ids, (PreciseArray,)):
+        if resolve_kernels(self.kernels) != "numpy" or not all(
+            array is None
+            or (type(array) is PreciseArray and array.trace is None)
+            for array in (keys, ids)
+        ):
             return None
         return self.precise_schedule(len(keys))
-
-    def _bare_numpy(
-        self,
-        keys: InstrumentedArray,
-        ids: Optional[InstrumentedArray],
-        kinds: tuple,
-    ) -> bool:
-        """Numpy kernels, and every operand a bare instance of ``kinds``
-        (an exact type, so no wrapper passes) with no trace hook."""
-        if resolve_kernels(self.kernels) != "numpy":
-            return False
-        return all(
-            array is None or (type(array) in kinds and array.trace is None)
-            for array in (keys, ids)
-        )
 
     def _run(
         self,

@@ -114,8 +114,8 @@ class SanitizedArray:
     def __getattr__(self, attribute):
         # Only called for attributes not found on the proxy itself.  Every
         # method of the checked interface is defined here, so an inner
-        # method that reaches this point (``poke_block_np``, quicksort's
-        # lane entry point ``swap``, ...) would run unchecked.
+        # method that reaches this point (``poke_block_np``, ...) would run
+        # unchecked.
         value = getattr(self.inner, attribute)
         if callable(value):
             self._fail(

@@ -268,7 +268,7 @@ class TestGridDigest:
         "lsd3", "lsd4", "lsd5", "lsd6", "msd3", "msd4", "msd5", "msd6",
         "quicksort", "mergesort",
     )
-    DIGEST = "6ad14ccd40c01ec0bcf650d736e64a1c741a559f241e2d7f588da374262f638a"
+    DIGEST = "16cf912615a29fff0633fb30cb10e17cf853242b6e04422b768af3162946bddc"
 
     def test_grid_digest_pinned(self):
         keys = uniform_keys(512, seed=0)

@@ -82,10 +82,6 @@ class TestBuildReport:
                  "p50": 0.25, "p95": 0.5, "p99": 0.5},
             ],
             "breakdown": [],
-            "kernels": [
-                {"algo": "lsd3", "scalar_runs": 1, "scalar_s": 0.5,
-                 "numpy_runs": 1, "numpy_s": 0.25, "speedup": 2.0},
-            ],
             "counters": [
                 {"name": "refine.rem_count", "events": 1, "total": 5},
             ],
@@ -269,7 +265,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "== Spans (rolled up by name) ==" in out
         assert "sort.lsd3" in out
-        assert "== Kernel comparison (sort.* spans) ==" in out
 
     def test_check_ok_on_valid_trace(self, tmp_path, capsys):
         path = self._write(tmp_path, _approx_refine_events())

@@ -156,8 +156,9 @@ class TestPipelines:
         [pytest.param(name, 600, 0.055, 9, 13, id=name)
          for name in ALL_SORTERS]
         # Here quicksort's crossing scans meet a corrupted swapped-in word,
-        # so a numpy replay that read the pre-swap snapshot instead of the
-        # stored words would end with Rem~ 103, not the scalar path's 99.
+        # so a level pass that replayed them on the snapshot with precise
+        # swaps instead of the stored words would end with Rem~ 88, not the
+        # scalar path's 90.
         + [pytest.param("quicksort", 200, 0.1, 1, 1,
                         id="quicksort-T0.1-n200")],
     )

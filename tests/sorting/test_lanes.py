@@ -2,13 +2,12 @@
 
 A block write of a list of at most ``LIST_LANE_MAX_WORDS`` valid words
 takes the arrays' list lane, which resolves it word by word with the
-Python forms of the keyed sampler.  Under numpy kernels MSD and HMSD sort
-every segment of one depth in one level pass instead of walking segments
-depth first; on bare arrays with no trace hook quicksort partitions
-segments below 64 keys on a peeked list.  Each must write the same values
-to the same addresses the same number of times as the path it replaces,
-so under keyed corruption every result here is compared with the fast
-paths switched off.
+Python forms of the keyed sampler.  Under numpy kernels MSD, HMSD and
+quicksort sort every segment of one depth in one level pass instead of
+walking segments depth first.  Each must write the same values to the
+same addresses the same number of times as the path it replaces, so under
+keyed corruption every result here is compared with the fast paths
+switched off.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ LANE_SORTERS = ("msd3", "msd6", "hmsd3", "hmsd6", "quicksort")
 
 @pytest.fixture
 def count_lane_calls(monkeypatch):
-    """Count the block writes that take the list lane, the MSD level
-    passes and quicksort's ``swap`` calls (proof that a fast path
-    engaged)."""
+    """Count the block writes that take the list lane and the MSD and
+    quicksort level passes (proof that a fast path engaged)."""
     calls = []
     is_word_list = approx_array._is_word_list
 
@@ -49,21 +47,14 @@ def count_lane_calls(monkeypatch):
         return taken
 
     monkeypatch.setattr(approx_array, "_is_word_list", counted_gate)
-    level_pass = MSDRadixSort._level_pass
+    for cls in (MSDRadixSort, Quicksort):
+        level_pass = cls._level_pass
 
-    def counted_pass(self, *args):
-        calls.append("level")
-        return level_pass(self, *args)
+        def counted_pass(self, *args, _level_pass=level_pass):
+            calls.append("level")
+            return _level_pass(self, *args)
 
-    monkeypatch.setattr(MSDRadixSort, "_level_pass", counted_pass)
-    for cls in (KeyedArray, PreciseArray):
-        swap = cls.swap
-
-        def counted_swap(self, i, j, _swap=swap):
-            calls.append("swap")
-            return _swap(self, i, j)
-
-        monkeypatch.setattr(cls, "swap", counted_swap)
+        monkeypatch.setattr(cls, "_level_pass", counted_pass)
     return calls
 
 
@@ -74,7 +65,7 @@ def _run(run, monkeypatch, lanes):
             patch.setattr(
                 MSDRadixSort, "_level_pass", MSDRadixSort._segment_walk
             )
-            patch.setattr(Quicksort, "_lanes", lambda self, keys, ids: False)
+            patch.setattr(Quicksort, "_level_pass", Quicksort._walk)
         return run()
 
 
@@ -192,8 +183,8 @@ def test_depth_rollups_match_lanes_off(sorter, monkeypatch):
 
 
 class TestQuicksortGuardReads:
-    """The lane counts the scan's reads on its list exactly as the scalar
-    partition's bounds-guarded ``read`` calls charge them."""
+    """The level pass charges the scans' reads of one segment exactly as
+    the scalar partition's bounds-guarded ``read`` calls do."""
 
     SEGMENTS = {
         "all_equal": [7] * 40,
@@ -215,15 +206,20 @@ class TestQuicksortGuardReads:
     @pytest.mark.parametrize("segment", list(SEGMENTS))
     def test_lane_partition_matches_scalar(self, segment, kind):
         values = self.SEGMENTS[segment]
+        hi = len(values) - 1
         runs = []
-        for partition in ("_partition", "_partition_lane"):
+        for level in (False, True):
             keys, ids = self.operands(values, kind)
             sorter = Quicksort(seed=2, kernels="numpy")
-            split = getattr(sorter, partition)(keys, ids, 0, len(values) - 1)
-            runs.append((
-                split, keys.stats.as_dict(), keys.to_list(), ids.to_list(),
-                sorter._rng.getstate(),
-            ))
+            if level:
+                split, = sorter._partition_level(
+                    keys, ids, np.array([0]), np.array([hi])
+                ).tolist()
+            else:
+                split = sorter._partition(keys, ids, 0, hi)
+            runs.append(
+                (split, keys.stats.as_dict(), keys.to_list(), ids.to_list())
+            )
         assert runs[0] == runs[1]
         stats = runs[0][1]
         assert stats["precise_reads" if kind == "precise" else "approx_reads"]
@@ -233,8 +229,10 @@ class TestQuicksortGuardReads:
         pivot read plus two per swap round, and swaps read twice more."""
         keys, ids = self.operands([7] * 10, "precise")
         sorter = Quicksort(seed=0, kernels="numpy")
-        sorter._rng.randint = lambda lo, hi: lo  # pivot at lo: no pre-swap
-        split = sorter._partition_lane(keys, ids, 0, 9)
+        sorter._pivots = lambda los, his: los  # pivot at lo: no pre-swap
+        split, = sorter._partition_level(
+            keys, ids, np.array([0]), np.array([9])
+        ).tolist()
         # Rounds stop at (i, j) = (0, 9), (1, 8), ..., (4, 5) and swap,
         # then cross at (5, 4): the pivot read, 6 rounds of 2 scan reads,
         # and 5 swaps of 2 key and 2 id reads (one shared stats object).
@@ -246,7 +244,9 @@ class TestQuicksortGuardReads:
 
 @pytest.mark.parametrize("t", [0.055, 0.1])
 @pytest.mark.parametrize("n", [64, 300, 2048])
-@pytest.mark.parametrize("sorter", ["msd3", "msd6", "hmsd3", "hmsd6"])
+@pytest.mark.parametrize(
+    "sorter", ["msd3", "msd6", "hmsd3", "hmsd6", "quicksort"]
+)
 def test_level_pass_matches_depth_first_walk(sorter, n, t, monkeypatch):
     """The numpy level pass stores what the scalar depth-first walk
     stores, word for word, with the same stats and Rem~."""

@@ -41,10 +41,11 @@ class TestRegistry:
 
     def test_kwargs_forwarded(self):
         sorter = make_sorter("quicksort", seed=99)
-        # The seed drives pivot choice; two sorters with the same seed make
-        # identical pivot sequences.
+        # The seed keys pivot choice; two sorters with the same seed pick
+        # identical pivots.
         other = make_sorter("quicksort", seed=99)
-        assert sorter._rng.random() == other._rng.random()
+        assert sorter.seed == 99
+        assert sorter._pivot(3, 1000) == other._pivot(3, 1000)
 
     def test_kwargs_preserve_bits(self):
         sorter = make_sorter("msd4", bits=4)

@@ -215,8 +215,7 @@ class TestUnwrappedMethods:
     @pytest.mark.parametrize("kind", ["precise", "approx"])
     @pytest.mark.parametrize("call", [
         lambda a: a.poke_block_np(0, np.array([5, 6], dtype=np.uint32)),
-        lambda a: a.swap(0, 1),
-    ], ids=["poke_block_np", "swap"])
+    ], ids=["poke_block_np"])
     def test_refused(self, kind, call, pcm_aggressive):
         inner = (
             PreciseArray([1, 2, 3, 4]) if kind == "precise"
