@@ -143,12 +143,12 @@ def run_approx_refine(
 
         # Refine step 1: find LIS~ / REMID~.
         with stages.stage("refine_find_rem"):
-            rem_ids = find_rem_ids(ids, key0, kernels=kernels)
+            rem_ids = find_rem_ids(ids, key0, kernels=algorithm.kernels)
 
         # Refine step 2: sort REMID~ by key value.
         with stages.stage("refine_sort_rem"):
             sorted_rem_ids = sort_rem_ids(
-                rem_ids, key0, algorithm, stats, kernels=kernels
+                rem_ids, key0, algorithm, stats, kernels=algorithm.kernels
             )
 
         # Refine step 3: merge into the final precise output.
@@ -163,7 +163,7 @@ def run_approx_refine(
             ))
             merge_refined(
                 ids, key0, sorted_rem_ids, final_keys, final_ids,
-                kernels=kernels,
+                kernels=algorithm.kernels,
             )
 
     if tracer.enabled and checks_performed() > checks_before:

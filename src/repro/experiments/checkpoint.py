@@ -4,7 +4,7 @@ Layout (DESIGN.md section 10)::
 
     .repro_runs/<run-id>/
         manifest.json        # schema version + the run's configuration
-        journal.jsonl        # append-only event log (start/done/retry/...)
+        journal.jsonl        # append-only event log (start/done/failed/...)
         result-<exp>.json    # one schema-versioned record per finished
                              # experiment, written atomically
         cells-<exp>.jsonl    # per-cell journal of a cell-parallel
@@ -364,7 +364,7 @@ class CellJournal:
 
     ``map_cells`` records each finished cell as one JSONL line keyed by the
     cell's index and an argument fingerprint; on re-run, matching cells are
-    restored instead of recomputed, so a crashed or timed-out experiment
+    restored instead of recomputed, so a crashed or interrupted experiment
     re-fans only its missing cells.  A fingerprint mismatch means the store
     does not belong to this configuration and raises
     :class:`CheckpointCorruptError` rather than mixing measurements.

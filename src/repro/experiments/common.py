@@ -24,7 +24,6 @@ own Figure 10 (and Equation 4) shows are stable across sizes.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import threading
@@ -35,9 +34,6 @@ from pathlib import Path
 from repro.errors import ConfigError
 
 SCALES = ("smoke", "default", "large", "paper")
-
-#: Environment variable: default seconds between heartbeat lines.
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_S"
 
 #: Environment variable relocating the saved-results directory (used by the
 #: docs-example smoke checker to keep the committed records pristine).
@@ -57,26 +53,6 @@ def resolve_scale(scale: str | None = None) -> str:
         raise ConfigError(
             f"scale must be one of {SCALES}, got {value!r} (set --scale or"
             " the REPRO_SCALE environment variable)"
-        )
-    return value
-
-
-def env_seconds(name: str, default: float) -> float:
-    """Seconds from environment variable ``name``; ``default`` if unset/empty.
-
-    A value that is not a finite number, or is negative, raises
-    :class:`~repro.errors.ConfigError` naming the variable.
-    """
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0:
-        raise ConfigError(
-            f"{name} must be a finite number of seconds >= 0, got {raw!r}"
         )
     return value
 
@@ -188,11 +164,10 @@ def fmt_pct(value: float) -> str:
 class Heartbeat:
     """Periodic progress lines on stderr while a long run is in flight.
 
-    ``interval`` is the seconds between lines; ``None`` reads the
-    ``REPRO_HEARTBEAT_S`` environment variable (default 30) and ``0``
-    disables the thread entirely.  Call :meth:`start` only *after*
-    submitting work to a process pool — forking a process that already
-    carries threads is best avoided (and deprecated on newer Pythons).
+    ``interval`` is the seconds between lines; ``0`` disables the thread
+    entirely.  Call :meth:`start` only *after* submitting work to a
+    process pool — forking a process that already carries threads is best
+    avoided (and deprecated on newer Pythons).
 
     :meth:`advance` counts completed top-level units (experiments);
     :meth:`set_detail` carries finer-grained in-flight progress — the
@@ -202,11 +177,7 @@ class Heartbeat:
     cells)`` on long runs.
     """
 
-    def __init__(
-        self, label: str, total: int, interval: "float | None" = None
-    ) -> None:
-        if interval is None:
-            interval = env_seconds(HEARTBEAT_ENV, 30.0)
+    def __init__(self, label: str, total: int, interval: float) -> None:
         self.label = label
         self.total = total
         self.interval = interval
@@ -252,7 +223,7 @@ class Heartbeat:
 
 #: The heartbeat of the run currently in flight, when execution happens in
 #: this process (the runner's unsupervised path); ``None`` otherwise.  A
-#: supervised attempt runs in a forked child and cannot reach the parent's
+#: supervised experiment runs in a forked child and cannot reach the parent's
 #: heartbeat — there the per-experiment granularity stands.
 _CURRENT_HEARTBEAT: "Heartbeat | None" = None
 
@@ -284,8 +255,8 @@ def map_cells(fn, cells: list[tuple], jobs: int = 1, journal=None) -> list:
     ``journal`` (a :class:`repro.experiments.checkpoint.CellJournal`)
     makes the fan-out resumable: cells already recorded for these exact
     arguments are restored instead of recomputed, and every fresh result is
-    journaled the moment it lands — so a crashed or timed-out experiment
-    re-fans only its missing cells on the next attempt.  Restored values
+    journaled the moment it lands — so a crashed or interrupted experiment
+    re-fans only its missing cells when the run resumes.  Restored values
     round-trip through JSON (tuples come back as lists; floats are exact).
     """
     results: list = [None] * len(cells)
@@ -336,97 +307,46 @@ def map_cells(fn, cells: list[tuple], jobs: int = 1, journal=None) -> list:
 # Fault injection (testing hooks for the resilience layer)
 # ---------------------------------------------------------------------- #
 
-#: Environment variable holding fault clauses: ``kind:experiment[:limit]``
-#: comma-separated, e.g. ``crash:fig09`` or ``crash:fig09:1,hang:table3``.
+#: Environment variable holding fault clauses, comma-separated
+#: ``crash:<experiment>``, e.g. ``crash:fig09`` or ``crash:fig09,crash:table3``.
 FAULT_ENV = "REPRO_FAULT"
-
-#: Directory where counted fault clauses persist their trip counts (so a
-#: ``crash:fig09:1`` clause stops firing after one crash even though each
-#: attempt runs in a fresh process).
-FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 
 #: Exit status of an injected crash (distinct from real Python failures).
 FAULT_CRASH_EXIT = 86
 
-_FAULT_KINDS = ("crash", "hang")
 
-
-def parse_fault_spec(spec: str) -> list[tuple[str, str, int | None]]:
-    """Parse ``REPRO_FAULT`` into ``(kind, experiment, limit)`` clauses."""
-    clauses = []
+def parse_fault_spec(spec: str) -> list[str]:
+    """The experiments that ``REPRO_FAULT``'s clauses crash."""
+    targets = []
     for clause in spec.split(","):
-        parts = clause.strip().split(":")
-        if len(parts) not in (2, 3) or parts[0] not in _FAULT_KINDS:
+        kind, _, target = clause.strip().partition(":")
+        if kind != "crash" or not target or ":" in target:
             raise ConfigError(
                 f"bad {FAULT_ENV} clause {clause!r}; expected"
-                f" kind:experiment[:limit] with kind in {_FAULT_KINDS}"
+                " crash:<experiment>"
             )
-        limit = None
-        if len(parts) == 3:
-            try:
-                limit = int(parts[2])
-            except ValueError:
-                raise ConfigError(
-                    f"bad {FAULT_ENV} limit {parts[2]!r} in {clause!r};"
-                    " expected an integer attempt count"
-                ) from None
-        clauses.append((parts[0], parts[1], limit))
-    return clauses
-
-
-def _fault_trips(kind: str, name: str) -> "tuple[int, Path]":
-    """Trips already fired for this clause, and where they are counted."""
-    directory = os.environ.get(FAULT_DIR_ENV)
-    if not directory:
-        raise ConfigError(
-            f"counted {FAULT_ENV} clauses need {FAULT_DIR_ENV} to persist"
-            " their trip counts across worker processes"
-        )
-    path = Path(directory) / f"{kind}-{name}.trips"
-    try:
-        return path.stat().st_size, path
-    except OSError:
-        return 0, path
+        targets.append(target)
+    return targets
 
 
 def maybe_inject_fault(name: str) -> None:
-    """Fire any ``REPRO_FAULT`` clause targeting experiment ``name``.
+    """Crash this process if a ``REPRO_FAULT`` clause names ``name``.
 
-    ``crash`` exits the process immediately via ``os._exit`` (no cleanup,
-    like an OOM kill); ``hang`` sleeps forever (until the supervisor's
-    ``--timeout`` kills the worker).  A ``:limit`` suffix fires the clause
-    on the first ``limit`` attempts only — the mechanism retry tests use to
-    let a later attempt succeed.
+    The crash exits immediately via ``os._exit`` (no cleanup, like an OOM
+    kill).
     """
     spec = os.environ.get(FAULT_ENV)
-    if not spec:
+    if not spec or name not in parse_fault_spec(spec):
         return
-    for kind, target, limit in parse_fault_spec(spec):
-        if target != name:
-            continue
-        if limit is not None:
-            trips, path = _fault_trips(kind, name)
-            if trips >= limit:
-                continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "ab") as sink:
-                sink.write(b"x")
-        # The flight ring's whole reason to exist: the dying process writes
-        # its own post-mortem (when REPRO_FLIGHT_DIR arms dumping) before
-        # os._exit skips every other teardown path.
-        from repro.obs.flight import dump_flight, get_flight
+    # The flight ring's whole reason to exist: the dying process writes
+    # its own post-mortem (when REPRO_FLIGHT_DIR arms dumping) before
+    # os._exit skips every other teardown path.
+    from repro.obs.flight import dump_flight, get_flight
 
-        get_flight().record("fault_injected", name, fault=kind)
-        dump_flight(f"fault-{kind}:{name}")
-        if kind == "crash":
-            print(
-                f"[fault] injected crash in {name} (pid {os.getpid()})",
-                file=sys.stderr, flush=True,
-            )
-            os._exit(FAULT_CRASH_EXIT)
-        print(
-            f"[fault] injected hang in {name} (pid {os.getpid()})",
-            file=sys.stderr, flush=True,
-        )
-        while True:  # pragma: no cover - only ever exits by being killed
-            time.sleep(60)
+    get_flight().record("fault_injected", name, fault="crash")
+    dump_flight(f"fault-crash:{name}")
+    print(
+        f"[fault] injected crash in {name} (pid {os.getpid()})",
+        file=sys.stderr, flush=True,
+    )
+    os._exit(FAULT_CRASH_EXIT)

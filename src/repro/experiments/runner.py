@@ -24,15 +24,14 @@ completed experiment (and every completed *cell* of a cell-parallel
 experiment) under ``.repro_runs/<run-id>/``; after a crash, OOM kill or
 Ctrl-C, ``--resume RUN_ID`` restores the finished results and re-fans only
 the remainder, producing bit-identical tables to an uninterrupted run.
-``--timeout S`` bounds each experiment attempt, ``--retries N`` re-runs a
-crashed/hung/failed experiment with exponential backoff, and any of these
-flags switches execution to supervised mode: each experiment runs in its
-own process group, so a hung or crashed worker is killed and isolated
-without taking down the rest of the run.  On partial failure the runner
-still prints every completed table, appends a ``FAILED`` summary table, and
-exits with status :data:`EXIT_PARTIAL` (3) — distinct from usage/config
-errors (2).  The ``REPRO_FAULT`` environment variable injects test faults
-(``crash:<exp>[:limit]`` / ``hang:<exp>[:limit]``).
+Every table is a deterministic function of its configuration and seed, so
+a failed experiment is re-run by resuming, never retried in place.  When
+``--jobs`` fans several experiments, each runs in its own process group
+under a supervisor, so a crashed worker costs only its own experiment.  On
+partial failure the runner still prints every completed table, appends a
+``FAILED`` summary table, and exits with status :data:`EXIT_PARTIAL` (3) —
+distinct from usage/config errors (2).  The ``REPRO_FAULT`` environment
+variable injects test crashes (``crash:<exp>``).
 
 ``--bench-json [PATH]`` appends a wall-clock record (per-experiment and
 total seconds, plus the scale/seed/jobs configuration and the ``numpy``
@@ -56,8 +55,8 @@ A per-run id (``REPRO_TRACE_RUN``) is exported alongside the trace
 directory and stamped into every process's ``meta`` event.
 ``--profile`` additionally runs each experiment
 under :mod:`cProfile`, dumping ``<name>.prof`` next to the trace.
-Resumes and retries are traced too: a ``run.resume`` span plus
-``run.restored``, ``run.retry`` and ``run.experiment_failed`` counters.
+Resumes and failures are traced too: a ``run.resume`` span plus
+``run.restored`` and ``run.experiment_failed`` counters.
 
 ``--quiet`` suppresses the result tables (timing lines still print);
 ``--heartbeat S`` prints a progress line to stderr every ``S`` seconds
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from multiprocessing.connection import Connection, wait as _mp_wait
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import CheckpointCorruptError, ConfigError
 from repro.obs import TRACE_DIR_ENV, TRACE_RUN_ENV, close_tracer, get_tracer
@@ -90,11 +89,12 @@ from repro.verify import SANITIZE_ENV
 
 from .checkpoint import RunCheckpoint
 from .common import (
+    FAULT_ENV,
     ExperimentTable,
     Heartbeat,
     SCALES,
-    env_seconds,
     maybe_inject_fault,
+    parse_fault_spec,
     resolve_scale,
     set_current_heartbeat,
 )
@@ -159,10 +159,6 @@ EXIT_PARTIAL = 3
 #: Exit status after Ctrl-C (the shell convention for SIGINT).
 EXIT_INTERRUPTED = 130
 
-#: Environment variable: base seconds of the exponential retry backoff
-#: (attempt k waits ``base * 2**(k-1)``; default 1.0; tests set 0).
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF_S"
-
 
 def _run_single(
     name: str,
@@ -207,17 +203,15 @@ def _supervised_worker(
     name: str,
     scale: str | None,
     seed: int,
-    jobs: int,
     profile_dir: str | None,
     cell_journal_path: str | None,
 ) -> None:
     """Child-process entry: run one experiment, ship the result back.
 
     The child detaches into its own session (and hence process group), so
-    the supervisor can kill it *and any grandchildren it forked* — e.g. a
-    cell-parallel experiment's pool workers — with one ``killpg``, and so
-    a terminal Ctrl-C reaches only the supervisor, which shuts the
-    children down deliberately.
+    the supervisor can kill it *and any grandchildren it forked* with one
+    ``killpg``, and so a terminal Ctrl-C reaches only the supervisor,
+    which shuts the children down deliberately.
     """
     try:
         os.setsid()
@@ -225,7 +219,8 @@ def _supervised_worker(
         pass
     try:
         _, table, elapsed = _run_single(
-            name, scale, seed, jobs, profile_dir, cell_journal_path
+            name, scale, seed, profile_dir=profile_dir,
+            cell_journal_path=cell_journal_path,
         )
     except BaseException as exc:
         try:
@@ -301,25 +296,21 @@ class _OrderedEmitter:
 
 @dataclass
 class _Job:
-    """One experiment's supervision state."""
+    """One running experiment: its worker process and result pipe."""
 
     name: str
-    attempt: int = 1
-    not_before: float = 0.0
-    deadline: float = math.inf
-    process: "multiprocessing.process.BaseProcess | None" = None
-    conn: Optional[Connection] = None
+    process: "multiprocessing.process.BaseProcess"
+    conn: Connection
 
 
 class _Supervisor:
-    """Fault-isolating scheduler: one process group per experiment attempt.
+    """Fault-isolating scheduler: one process group per experiment.
 
     Unlike a shared ``ProcessPoolExecutor`` — where one worker dying of a
-    hard crash breaks the whole pool — every attempt here is its own
-    process (in its own session), so a crash, OOM kill, injected fault, or
-    timeout costs exactly that attempt.  Failures are retried up to
-    ``retries`` times with exponential backoff; exhausted experiments are
-    reported and the rest of the run continues.
+    hard crash breaks the whole pool — every experiment here is its own
+    process (in its own session), so a crash, OOM kill or injected fault
+    costs exactly that experiment; it is reported and the rest of the run
+    continues.
     """
 
     def __init__(
@@ -328,28 +319,20 @@ class _Supervisor:
         *,
         scale: str | None,
         seed: int,
-        child_jobs: int,
         max_workers: int,
-        timeout: float | None,
-        retries: int,
-        backoff: float,
         profile_dir: str | None,
         checkpoint: RunCheckpoint | None,
         emitter: _OrderedEmitter,
     ) -> None:
         self.scale = scale
         self.seed = seed
-        self.child_jobs = child_jobs
         self.max_workers = max_workers
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.profile_dir = profile_dir
         self.checkpoint = checkpoint
         self.emitter = emitter
-        self.waiting: list[_Job] = [_Job(name) for name in pending]
+        self.waiting: list[str] = list(pending)
         self.running: list[_Job] = []
-        self.failures: dict[str, tuple[int, str]] = {}
+        self.failures: dict[str, str] = {}
         if "fork" in multiprocessing.get_all_start_methods():
             # Fork keeps the in-memory model cache and env warm in children.
             self._ctx = multiprocessing.get_context("fork")
@@ -358,87 +341,54 @@ class _Supervisor:
 
     # ------------------------------------------------------------------ #
 
-    def run(self) -> dict[str, tuple[int, str]]:
-        """Supervise until every experiment completed or exhausted retries."""
+    def run(self) -> dict[str, str]:
+        """Supervise until every experiment completed or failed."""
         try:
             while self.waiting or self.running:
-                self._launch_eligible()
-                if not self.running:
-                    # Everyone is waiting out a backoff window.
-                    pause = min(j.not_before for j in self.waiting)
-                    time.sleep(max(pause - time.monotonic(), 0.01))
-                    continue
+                while self.waiting and len(self.running) < self.max_workers:
+                    self.running.append(self._start(self.waiting.pop(0)))
                 self._await_events()
         except BaseException:
             self._terminate_running()
             raise
         return self.failures
 
-    def _launch_eligible(self) -> None:
-        now = time.monotonic()
-        for job in list(self.waiting):
-            if len(self.running) >= self.max_workers:
-                break
-            if job.not_before > now:
-                continue
-            self.waiting.remove(job)
-            self._start(job)
-            self.running.append(job)
-
-    def _start(self, job: _Job) -> None:
+    def _start(self, name: str) -> _Job:
         cell_path = None
-        if self.checkpoint is not None and job.name in CELL_PARALLEL:
-            cell_path = str(self.checkpoint.cell_journal_path(job.name))
+        if self.checkpoint is not None and name in CELL_PARALLEL:
+            cell_path = str(self.checkpoint.cell_journal_path(name))
         recv, send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_supervised_worker,
             args=(
-                send, job.name, self.scale, self.seed, self.child_jobs,
-                self.profile_dir, cell_path,
+                send, name, self.scale, self.seed, self.profile_dir,
+                cell_path,
             ),
-            name=f"repro-{job.name}",
+            name=f"repro-{name}",
         )
         process.start()
         send.close()
-        job.process, job.conn = process, recv
-        job.deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None else math.inf
-        )
         if self.checkpoint is not None:
             self.checkpoint.journal_event(
-                "attempt", experiment=job.name, attempt=job.attempt,
-                pid=process.pid,
+                "attempt", experiment=name, pid=process.pid
             )
+        return _Job(name, process, recv)
 
     def _await_events(self) -> None:
-        now = time.monotonic()
-        horizons = [j.deadline - now for j in self.running]
-        # Only backoff windows bound the wait; a job queued purely because
-        # max_workers is reached (not_before in the past) must not clamp
-        # the timeout to zero and spin the supervisor.
-        horizons += [
-            j.not_before - now for j in self.waiting if j.not_before > now
-        ]
-        wait_s = max(min(horizons), 0.0) if horizons else None
-        if wait_s is not None and math.isinf(wait_s):
-            wait_s = None
+        """Block until a worker reports or exits; settle every finished one."""
         handles = []
         for job in self.running:
             handles.append(job.conn)
             handles.append(job.process.sentinel)
-        _mp_wait(handles, timeout=wait_s)
-        now = time.monotonic()
+        _mp_wait(handles)
         for job in list(self.running):
-            outcome = self._poll(job, now)
+            outcome = self._poll(job)
             if outcome is None:
                 continue
             self.running.remove(job)
-            self._finish_attempt(job, *outcome)
+            self._finish(job, *outcome)
 
-    def _poll(
-        self, job: _Job, now: float
-    ) -> "tuple[str, object, object] | None":
+    def _poll(self, job: _Job) -> "tuple[str, object, object] | None":
         if job.conn.poll():
             try:
                 message = job.conn.recv()
@@ -451,21 +401,16 @@ class _Supervisor:
             return ("crash", None, None)
         if not job.process.is_alive():
             return ("crash", None, None)
-        if now >= job.deadline:
-            self._kill(job)
-            return ("timeout", None, None)
         return None
 
     def _kill(self, job: _Job) -> None:
-        """SIGKILL the attempt's whole process group (grandchildren too).
+        """SIGKILL the experiment's whole process group (grandchildren too).
 
         SIGKILL gives the child no chance to write its own post-mortem, so
-        the supervisor dumps *its* flight ring — which holds the attempt
-        history leading up to the kill — on the child's behalf.
+        the supervisor dumps *its* flight ring — which holds the run's
+        history up to the kill — on the child's behalf.
         """
-        get_flight().record(
-            "sigkill", job.name, attempt=job.attempt, pid=job.process.pid
-        )
+        get_flight().record("sigkill", job.name, pid=job.process.pid)
         dump_flight(f"sigkill:{job.name}")
         process = job.process
         try:
@@ -479,9 +424,8 @@ class _Supervisor:
             job.process.join()
         self.running.clear()
 
-    def _finish_attempt(self, job: _Job, kind: str, payload, extra) -> None:
+    def _finish(self, job: _Job, kind: str, payload, extra) -> None:
         job.process.join()
-        exitcode = job.process.exitcode
         job.conn.close()
         if kind == "ok":
             table, elapsed = payload, extra
@@ -489,76 +433,45 @@ class _Supervisor:
                 self.checkpoint.record(job.name, table, elapsed)
             self.emitter.ready(job.name, table, elapsed)
             return
-        if kind == "timeout":
-            reason = f"timed out after {self.timeout:g}s"
-        elif kind == "error":
+        if kind == "error":
             reason = str(payload)
         else:
-            reason = f"crashed (exit code {exitcode})"
+            reason = f"crashed (exit code {job.process.exitcode})"
         get_flight().record(
-            "attempt_failed", job.name, outcome=kind, attempt=job.attempt,
-            reason=reason,
+            "experiment_failed", job.name, outcome=kind, reason=reason
         )
         if kind == "crash":
             # A crashed child took the no-cleanup exit; leave a parent-side
             # post-mortem next to whatever the child managed to dump.
             dump_flight(f"crash:{job.name}")
-        if job.attempt <= self.retries:
-            delay = self.backoff * (2 ** (job.attempt - 1))
-            get_tracer().counter(
-                "run.retry",
-                attrs={
-                    "experiment": job.name, "attempt": job.attempt,
-                    "reason": reason,
-                },
-            )
-            if self.checkpoint is not None:
-                self.checkpoint.journal_event(
-                    "retry", experiment=job.name, attempt=job.attempt,
-                    reason=reason,
-                )
-            print(
-                f"[{job.name} attempt {job.attempt} {reason};"
-                f" retrying in {delay:g}s]",
-                file=sys.stderr, flush=True,
-            )
-            job.attempt += 1
-            job.not_before = time.monotonic() + delay
-            job.process = job.conn = None
-            job.deadline = math.inf
-            self.waiting.append(job)
-            return
-        self.failures[job.name] = (job.attempt, reason)
+        self.failures[job.name] = reason
         get_tracer().counter(
             "run.experiment_failed",
             attrs={"experiment": job.name, "reason": reason},
         )
         if self.checkpoint is not None:
             self.checkpoint.journal_event(
-                "failed", experiment=job.name, attempts=job.attempt,
-                reason=reason,
+                "failed", experiment=job.name, reason=reason
             )
-        noun = "attempt" if job.attempt == 1 else "attempts"
         print(
-            f"[{job.name} failed after {job.attempt} {noun}: {reason}]",
-            file=sys.stderr, flush=True,
+            f"[{job.name} failed: {reason}]", file=sys.stderr, flush=True
         )
         self.emitter.failed(job.name)
 
 
-def _failed_table(failures: dict[str, tuple[int, str]]) -> ExperimentTable:
+def _failed_table(failures: dict[str, str]) -> ExperimentTable:
     """The partial-failure summary appended after the completed tables."""
     table = ExperimentTable(
         experiment="FAILED",
         title="experiments that did not complete",
-        columns=["experiment", "attempts", "reason"],
+        columns=["experiment", "reason"],
         notes=[
             "the completed tables above are valid; re-run (or --resume a"
             " checkpointed run) to fill in the rest",
         ],
     )
-    for name, (attempts, reason) in failures.items():
-        table.add_row(name, attempts, reason)
+    for name, reason in failures.items():
+        table.add_row(name, reason)
     return table
 
 
@@ -663,17 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " .repro_runs)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-experiment attempt budget; a hung worker's whole process"
-        " group is killed without taking down the run",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="re-run a crashed/hung/failed experiment up to N times with"
-        f" exponential backoff ({RETRY_BACKOFF_ENV} seconds base,"
-        " default 1)",
-    )
-    parser.add_argument(
         "--bench-json", nargs="?", const="BENCH_runner.json", default=None,
         metavar="PATH",
         help="append per-experiment wall-clock seconds to a JSON array"
@@ -703,11 +605,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suppress result tables; timing lines still print",
     )
     parser.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="seconds between progress lines on stderr (default:"
-        " REPRO_HEARTBEAT_S or 30; 0 disables)",
+        "--heartbeat", type=_seconds, default=30.0, metavar="SECONDS",
+        help="seconds between progress lines on stderr (default 30;"
+        " 0 disables)",
     )
     return parser
+
+
+def _seconds(text: str) -> float:
+    """``--heartbeat``'s type: a finite number of seconds >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text!r}"
+        )
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -743,10 +658,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
     if args.resume is not None and args.checkpoint is not None:
         parser.error("--resume already journals to the resumed run;"
                       " drop --checkpoint")
@@ -754,6 +665,11 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     names = list(EXPERIMENTS) if args.all else list(args.exp or [])
     if not names and args.resume is None:
         parser.error("choose experiments with --exp/--all (or use --list)")
+    spec = os.environ.get(FAULT_ENV)
+    if spec:
+        # Refused here, before any work: a malformed spec is the run's
+        # configuration error, not a failure of each experiment.
+        parse_fault_spec(spec)
 
     # Tracing: every process (this one and fork-inherited workers) appends
     # to its own per-pid file in the parts directory; merged afterwards.
@@ -777,7 +693,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checkpoint: RunCheckpoint | None = None
     restored: dict[str, tuple[ExperimentTable, float]] = {}
     timings: dict[str, float] = {}
-    failures: dict[str, tuple[int, str]] = {}
+    failures: dict[str, str] = {}
     wall_start = time.perf_counter()
     try:
         if args.resume is not None:
@@ -841,22 +757,13 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for name, (table, elapsed) in restored.items():
             emitter.ready(name, table, elapsed, restored=True)
 
-        supervise = pending and (
-            args.timeout is not None
-            or args.retries > 0
-            or (args.jobs > 1 and len(pending) > 1)
-        )
         try:
-            if supervise:
+            if args.jobs > 1 and len(pending) > 1:
                 supervisor = _Supervisor(
                     pending,
                     scale=args.scale,
                     seed=seed,
-                    child_jobs=args.jobs if len(pending) == 1 else 1,
                     max_workers=min(args.jobs, len(pending)),
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    backoff=env_seconds(RETRY_BACKOFF_ENV, 1.0),
                     profile_dir=profile_dir,
                     checkpoint=checkpoint,
                     emitter=emitter,
@@ -962,7 +869,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(_failed_table(failures).to_text())
         if checkpoint is not None:
             print(
-                f"[partial failure] retry the failed experiments with:"
+                f"[partial failure] re-run the failed experiments with:"
                 f" --resume {checkpoint.run_id}",
                 file=sys.stderr,
             )

@@ -1,13 +1,13 @@
 """The flight recorder: a crash-time ring buffer of recent obs events.
 
-Post-mortems of a poisoned shard or a SIGKILLed experiment need the last
+Post-mortems of a poisoned shard or a crashed experiment need the last
 few hundred observability events — but a crashed process can't be asked
 after the fact, and full tracing is too expensive to leave on.  The
 flight recorder is the black box in between: an always-cheap in-memory
 ring (a bounded :class:`collections.deque` of small dicts) that costs a
 few appends while healthy and is dumped to a schema-stamped
 ``flight-<pid>.jsonl`` only when something goes wrong — a worker task
-raising, a supervisor SIGKILL after timeout, or a fault-injection trip.
+raising, a supervised experiment crashing, or a fault-injection trip.
 
 Recording is unconditional and cheap; *dumping* is gated on the
 ``REPRO_FLIGHT_DIR`` environment variable so failing tests and ordinary

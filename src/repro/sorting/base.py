@@ -94,10 +94,15 @@ class BaseSorter:
         tracer = get_tracer()
         schedule = self._fused_schedule(keys, ids)
         if tracer.enabled:
+            # The path that runs, not the requested mode: a sorter stands
+            # down to scalar where the batch primitives cannot apply.
+            kernels = (
+                "numpy" if self._use_numpy_kernels(keys, ids) else "scalar"
+            )
             with tracer.span(
                 f"sort.{self.name}", stats=keys.stats,
                 attrs={"algo": self.name, "n": len(keys),
-                       "kernels": resolve_kernels(self.kernels),
+                       "kernels": kernels,
                        "region": keys.region,
                        "fused": schedule is not None},
             ):

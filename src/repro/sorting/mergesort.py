@@ -41,11 +41,8 @@ class Mergesort(BaseSorter):
         dst_keys = keys.clone_empty(name=f"{keys.name}.merge-buffer")
         src_ids = ids
         dst_ids = ids.clone_empty(name=f"{ids.name}.merge-buffer") if ids is not None else None
-        one_level = (
-            self._level_numpy
-            if self._use_numpy_kernels(keys, ids)
-            else self._level_scalar
-        )
+        vector = self._use_numpy_kernels(keys, ids)
+        one_level = self._level_numpy if vector else self._level_scalar
 
         tracer = get_tracer()
         width = 1
@@ -69,7 +66,7 @@ class Mergesort(BaseSorter):
             # An odd number of passes left the result in the scratch buffer;
             # copy it home (accounted — these writes are real on hardware).
             with tracer.span("merge.copy_home", stats=keys.stats):
-                copy_block(src_keys, src_ids, keys, ids, 0, n, False)
+                copy_block(src_keys, src_ids, keys, ids, 0, n, vector)
 
     def _level_scalar(
         self,

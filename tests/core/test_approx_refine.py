@@ -252,6 +252,32 @@ class TestDeterminism:
         assert a.rem_tilde != b.rem_tilde
 
 
+class TestRefineFollowsSorterMode:
+    def test_scalar_sorter_refines_on_scalar(self, pcm_aggressive, monkeypatch):
+        """With ``kernels=None`` the refine stage keeps a scalar-built
+        sorter's mode, and its output is the numpy run's, bit for bit."""
+        from repro.core import refine
+        from repro.sorting.registry import make_sorter
+
+        keys = uniform_keys(600, seed=5)
+        numpy_run = run_approx_refine(keys, "quicksort", pcm_aggressive, seed=3)
+        gate = refine._use_np
+
+        def scalar_only(kernels, *arrays):
+            if gate(kernels, *arrays):
+                raise AssertionError("a numpy refine helper ran")
+            return False
+
+        monkeypatch.setattr(refine, "_use_np", scalar_only)
+        result = run_approx_refine(
+            keys, make_sorter("quicksort", kernels="scalar"), pcm_aggressive,
+            seed=3,
+        )
+        assert result.final_ids.tolist() == numpy_run.final_ids.tolist()
+        assert result.rem_tilde == numpy_run.rem_tilde
+        assert result.stats.as_dict() == numpy_run.stats.as_dict()
+
+
 class TestGridDigest:
     """Every count of a small fig09 grid, pinned.
 

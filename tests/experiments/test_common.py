@@ -4,9 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.experiments.common import (
-    HEARTBEAT_ENV,
     ExperimentTable,
     Heartbeat,
     current_heartbeat,
@@ -93,24 +91,6 @@ class TestExperimentTable:
 
 def _identity(x):
     return x
-
-
-class TestHeartbeatInterval:
-    def test_env_default_and_value(self, monkeypatch):
-        monkeypatch.delenv(HEARTBEAT_ENV, raising=False)
-        assert Heartbeat("run", total=1).interval == 30.0
-        monkeypatch.setenv(HEARTBEAT_ENV, "")
-        assert Heartbeat("run", total=1).interval == 30.0
-        monkeypatch.setenv(HEARTBEAT_ENV, "2.5")
-        assert Heartbeat("run", total=1).interval == 2.5
-        monkeypatch.setenv(HEARTBEAT_ENV, "0")
-        assert Heartbeat("run", total=1).interval == 0.0
-
-    @pytest.mark.parametrize("raw", ["abc", "-1", "nan", "inf"])
-    def test_malformed_env_raises_config_error(self, monkeypatch, raw):
-        monkeypatch.setenv(HEARTBEAT_ENV, raw)
-        with pytest.raises(ConfigError, match=HEARTBEAT_ENV):
-            Heartbeat("run", total=1)
 
 
 class TestHeartbeatDetail:

@@ -1,5 +1,5 @@
-"""Tests for the runner's resilience layer: supervision, retries,
-timeouts, fault injection, and checkpoint/resume (DESIGN.md section 10).
+"""Tests for the runner's resilience layer: crash isolation, fault
+injection, and checkpoint/resume (DESIGN.md section 10).
 """
 
 import json
@@ -20,10 +20,9 @@ from repro.experiments.runner import EXIT_PARTIAL, main
 
 @pytest.fixture()
 def sandbox(tmp_path, monkeypatch):
-    """Isolated cwd + checkpoint root + instant retry backoff."""
+    """Isolated cwd + checkpoint root, no injected faults."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0.01")
     monkeypatch.delenv("REPRO_FAULT", raising=False)
     return tmp_path
 
@@ -39,26 +38,36 @@ def tables(text: str) -> list[str]:
 
 class TestFaultSpec:
     def test_parses_clauses(self):
-        assert parse_fault_spec("crash:fig09") == [("crash", "fig09", None)]
-        assert parse_fault_spec("crash:fig09:1,hang:table3") == [
-            ("crash", "fig09", 1), ("hang", "table3", None),
+        assert parse_fault_spec("crash:fig09") == ["fig09"]
+        assert parse_fault_spec("crash:fig09, crash:table3") == [
+            "fig09", "table3",
         ]
 
     def test_rejects_bad_kind(self):
-        with pytest.raises(ConfigError, match="clause"):
-            parse_fault_spec("explode:fig09")
+        for spec in ("explode:fig09", "hang:fig09", "crash"):
+            with pytest.raises(ConfigError, match="clause"):
+                parse_fault_spec(spec)
 
     def test_rejects_bad_limit(self):
-        with pytest.raises(ConfigError, match="limit"):
-            parse_fault_spec("crash:fig09:soon")
+        # A clause fires on every run of its experiment: no attempt count.
+        for spec in ("crash:fig09:1", "crash:fig09:soon"):
+            with pytest.raises(ConfigError, match="clause"):
+                parse_fault_spec(spec)
 
-    def test_counted_clause_requires_fault_dir(self, monkeypatch):
-        from repro.experiments.common import maybe_inject_fault
-
-        monkeypatch.setenv("REPRO_FAULT", "crash:fig02:1")
-        monkeypatch.delenv("REPRO_FAULT_DIR", raising=False)
-        with pytest.raises(ConfigError, match="REPRO_FAULT_DIR"):
-            maybe_inject_fault("fig02")
+    @pytest.mark.parametrize("spec", ["hang:fig02", "crash:fig02:1"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_runner_refuses_bad_spec_before_any_work(
+        self, sandbox, monkeypatch, capsys, spec, jobs
+    ):
+        monkeypatch.setenv("REPRO_FAULT", spec)
+        assert main(
+            ["--exp", "fig02", "--exp", "table3", "--scale", "smoke",
+             "--jobs", jobs, "--checkpoint", "demo"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad REPRO_FAULT clause")
+        assert "== " not in captured.out
+        assert not (sandbox / "runs" / "demo").exists()
 
     def test_no_spec_is_a_noop(self, monkeypatch):
         from repro.experiments.common import maybe_inject_fault
@@ -68,20 +77,7 @@ class TestFaultSpec:
 
 
 class TestSupervision:
-    """--timeout/--retries run each experiment in its own process group."""
-
-    def test_retry_succeeds_after_injected_crash(
-        self, sandbox, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_FAULT", "crash:fig02:1")
-        monkeypatch.setenv("REPRO_FAULT_DIR", str(sandbox / "faults"))
-        assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--retries", "2"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "retrying" in captured.err
-        assert f"exit code {FAULT_CRASH_EXIT}" in captured.err
-        assert "== fig02" in captured.out
+    """--jobs over several experiments runs each in its own process group."""
 
     def test_crash_is_isolated_from_other_experiments(
         self, sandbox, monkeypatch, capsys
@@ -97,18 +93,9 @@ class TestSupervision:
         assert "== table3" in captured.out
         assert "== FAILED" in captured.out
         assert "fig02" in captured.out.split("== FAILED")[1]
-
-    def test_timeout_kills_hung_worker(self, sandbox, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FAULT", "hang:fig02")
-        code = main(
-            ["--exp", "fig02", "--exp", "table3", "--scale", "smoke",
-             "--timeout", "2"]
+        assert f"[fig02 failed: crashed (exit code {FAULT_CRASH_EXIT})]" in (
+            captured.err
         )
-        assert code == EXIT_PARTIAL
-        captured = capsys.readouterr()
-        assert "timed out after 2s" in captured.err
-        assert "== table3" in captured.out
-        assert "== FAILED" in captured.out
 
     def test_worker_exception_is_reported_not_raised(
         self, sandbox, monkeypatch, capsys
@@ -123,32 +110,28 @@ class TestSupervision:
 
         monkeypatch.setitem(runner.EXPERIMENTS, "fig02", boom)
         code = main(
-            ["--exp", "fig02", "--scale", "smoke", "--timeout", "30"]
+            ["--exp", "fig02", "--exp", "table3", "--scale", "smoke",
+             "--jobs", "2"]
         )
         assert code == EXIT_PARTIAL
         captured = capsys.readouterr()
         assert "ValueError: the experiment itself broke" in captured.err
+        assert "== table3" in captured.out
         assert "== FAILED" in captured.out
 
     def test_queued_jobs_do_not_clamp_wait_to_zero(self, monkeypatch):
-        # Jobs queued only because max_workers is reached (not_before in the
-        # past) must not bound the supervisor's wait: a zero timeout makes
-        # _mp_wait return immediately and the loop hot-spin for the whole
-        # run whenever pending experiments exceed --jobs.
-        import math
-        import time
-
+        # Experiments queued because max_workers is reached must not bound
+        # the supervisor's wait: a zero timeout makes _mp_wait return
+        # immediately and the loop hot-spin for the whole run whenever
+        # pending experiments exceed --jobs.
         from repro.experiments import runner as runner_mod
         from repro.experiments.runner import _Job, _Supervisor
 
         sup = _Supervisor.__new__(_Supervisor)
-        running = _Job("fig02")
-        running.deadline = math.inf
-        running.process = type("H", (), {"sentinel": object()})()
-        running.conn = object()
-        sup.running = [running]
-        sup.waiting = [_Job("fig03"), _Job("fig04")]  # queued, not backing off
-        sup._poll = lambda job, now: None
+        process = type("H", (), {"sentinel": object()})()
+        sup.running = [_Job("fig02", process, object())]
+        sup.waiting = ["fig03", "fig04"]
+        sup._poll = lambda job: None
 
         captured = {}
 
@@ -160,19 +143,13 @@ class TestSupervision:
         sup._await_events()
         assert captured["timeout"] is None  # block until a child event
 
-        # A genuine backoff window still bounds the wait.
-        sup.waiting[0].not_before = time.monotonic() + 5.0
-        sup._await_events()
-        assert 0.0 < captured["timeout"] <= 5.0
-
     def test_supervised_output_identical_to_sequential(
         self, sandbox, capsys
     ):
-        assert main(["--exp", "fig02", "--scale", "smoke"]) == 0
+        argv = ["--exp", "fig02", "--exp", "table3", "--scale", "smoke"]
+        assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--retries", "1"]
-        ) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         supervised = capsys.readouterr().out
         assert tables(supervised) == tables(plain)
 
@@ -230,6 +207,28 @@ class TestCheckpointResumeCLI:
         assert "corrupt checkpoint" in err
         assert str(journal) in err
 
+    def test_resume_tolerates_retired_journal_events(self, sandbox, capsys):
+        # Older runners journaled numbered attempts and retries; a run
+        # directory they left behind still resumes.
+        argv = ["--exp", "fig02", "--scale", "smoke"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--checkpoint", "demo"]) == 0
+        capsys.readouterr()
+        journal = sandbox / "runs" / "demo" / "journal.jsonl"
+        with open(journal, "a") as sink:
+            for event in (
+                {"ev": "attempt", "experiment": "fig02", "attempt": 1,
+                 "pid": 1},
+                {"ev": "retry", "experiment": "fig02", "attempt": 1,
+                 "reason": "crashed (exit code 86)"},
+            ):
+                sink.write(json.dumps({"schema": 1, "t": 0.0, **event}) + "\n")
+        assert main(["--resume", "demo"]) == 0
+        captured = capsys.readouterr()
+        assert "1/1 experiments restored" in captured.err
+        assert tables(captured.out) == tables(plain)
+
     def test_resume_plus_checkpoint_rejected(self, sandbox):
         with pytest.raises(SystemExit):
             main(["--resume", "a", "--checkpoint", "b"])
@@ -252,8 +251,8 @@ class TestCheckpointResumeCLI:
 
 @pytest.mark.slow
 class TestInterruptedRunRegression:
-    """The acceptance criterion: a run interrupted by a crash or hang and
-    then resumed produces bit-identical tables to an uninterrupted run.
+    """The acceptance criterion: a run interrupted by a crash and then
+    resumed produces bit-identical tables to an uninterrupted run.
 
     Driven through real subprocesses because the injected crash takes the
     whole worker (or, unsupervised, the whole runner) down via os._exit.
@@ -269,7 +268,6 @@ class TestInterruptedRunRegression:
             os.environ,
             PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
             REPRO_RUNS_DIR=str(tmp_path / "runs"),
-            REPRO_RETRY_BACKOFF_S="0.01",
         )
         env.pop("REPRO_FAULT", None)
         if fault is not None:
@@ -299,23 +297,8 @@ class TestInterruptedRunRegression:
         assert "restored from checkpoint" in resumed.stdout
         assert tables(resumed.stdout) == tables(plain.stdout)
 
-    def test_hang_timeout_then_resume_bit_identical(self, tmp_path):
-        plain = self._run(tmp_path, [])
-        assert plain.returncode == 0, plain.stderr
-
-        hung = self._run(
-            tmp_path, ["--checkpoint", "bits", "--timeout", "3"],
-            fault="hang:table3",
-        )
-        assert hung.returncode == EXIT_PARTIAL, hung.stderr
-        assert "timed out" in hung.stderr
-
-        resumed = self._run(tmp_path, ["--resume", "bits"])
-        assert resumed.returncode == 0, resumed.stderr
-        assert tables(resumed.stdout) == tables(plain.stdout)
-
     def test_unsupervised_crash_then_resume(self, tmp_path):
-        # jobs=1, no retries/timeout: the injected crash kills the runner
+        # jobs=1, unsupervised: the injected crash kills the runner
         # itself mid-run — the closest simulation of a real OOM kill or
         # power loss — and the journaled prefix still resumes cleanly.
         plain = self._run(tmp_path, ["--jobs", "1"])
@@ -348,20 +331,20 @@ class TestResumeTracing:
         counters = {e["name"] for e in events if e.get("ev") == "counter"}
         assert "run.restored" in counters
 
-    def test_retry_emits_counter(self, sandbox, monkeypatch, capsys):
+    def test_failure_emits_counter(self, sandbox, monkeypatch, capsys):
         from repro.obs.io import iter_events
 
-        monkeypatch.setenv("REPRO_FAULT", "crash:fig02:1")
-        monkeypatch.setenv("REPRO_FAULT_DIR", str(sandbox / "faults"))
+        monkeypatch.setenv("REPRO_FAULT", "crash:fig02")
         trace = sandbox / "trace.jsonl"
         assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--retries", "2",
-             "--trace", str(trace)]
-        ) == 0
+            ["--exp", "fig02", "--exp", "table3", "--scale", "smoke",
+             "--jobs", "2", "--trace", str(trace)]
+        ) == EXIT_PARTIAL
         events = list(iter_events(trace))
-        retries = [
+        failed = [
             e for e in events
-            if e.get("ev") == "counter" and e["name"] == "run.retry"
+            if e.get("ev") == "counter"
+            and e["name"] == "run.experiment_failed"
         ]
-        assert len(retries) == 1
-        assert retries[0]["attrs"]["experiment"] == "fig02"
+        assert len(failed) == 1
+        assert failed[0]["attrs"]["experiment"] == "fig02"

@@ -44,6 +44,14 @@ class TestRunnerCLI:
         assert main(["--exp", "fig02", "--scale", "smoke", "--save"]) == 0
         assert (tmp_path / "fig02.json").exists()
 
+    def test_heartbeat_default_and_value(self):
+        from repro.experiments.runner import _build_parser
+
+        parse = _build_parser().parse_args
+        assert parse([]).heartbeat == 30.0
+        assert parse(["--heartbeat", "2.5"]).heartbeat == 2.5
+        assert parse(["--heartbeat", "0"]).heartbeat == 0.0  # disabled
+
     def test_requires_selection(self, capsys):
         with pytest.raises(SystemExit):
             main([])
@@ -231,6 +239,19 @@ class TestRetiredOptions:
         assert exc.value.code == 0
         assert "kernel" not in capsys.readouterr().out
 
+    def test_no_retry_or_timeout_option(self, capsys):
+        """A table is a deterministic function of its configuration, so a
+        failed experiment is re-run with --resume, not retried in place."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--retries" not in out and "--timeout" not in out
+        for flag in (["--retries", "1"], ["--timeout", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["--exp", "fig02", *flag])
+            assert exc.value.code == 2
+
 
 class TestBenchScalingFields:
     def test_record_carries_machine_and_parallelism(self, capsys, tmp_path):
@@ -273,24 +294,15 @@ class TestBenchScalingFields:
 
 
 class TestMalformedEnvironment:
-    """Malformed float variables fail as config errors (exit 2), not
-    with a traceback."""
+    """Malformed seconds fail as usage errors (exit 2), not with a
+    traceback."""
 
-    @pytest.mark.parametrize("raw", ["abc", "-0.5"])
-    def test_bad_heartbeat_exits_2(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", raw)
-        assert main(["--exp", "fig02", "--scale", "smoke"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: REPRO_HEARTBEAT_S")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("raw", ["abc", "-0.5"])
-    def test_bad_retry_backoff_exits_2(self, capsys, monkeypatch, raw):
-        monkeypatch.delenv("REPRO_HEARTBEAT_S", raising=False)
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", raw)
-        assert main(
-            ["--exp", "fig02", "--scale", "smoke", "--retries", "1"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: REPRO_RETRY_BACKOFF_S")
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("raw", ["abc", "-0.5", "-1", "inf", "nan"])
+    def test_bad_heartbeat_exits_2(self, capsys, raw):
+        with pytest.raises(SystemExit) as exc:
+            main(["--exp", "fig02", "--scale", "smoke", "--heartbeat", raw])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --heartbeat: must be a finite number" in captured.err
+        assert "Traceback" not in captured.err
+        assert "== fig02" not in captured.out

@@ -187,21 +187,26 @@ def test_alpha_of_fewer_than_two_keys_is_zero(name):
         assert ids_array.stats.precise_writes == 0
 
 
+def _sort_span_attrs(name, keys_array, kernels="numpy") -> dict:
+    """The attrs of the ``sort.<name>`` span a traced sort emits."""
+    sink = io.StringIO()
+    previous = set_tracer(Tracer(sink=sink))
+    try:
+        make_sorter(name, kernels=kernels).sort(keys_array)
+    finally:
+        set_tracer(previous)
+    (start,) = [
+        event
+        for event in map(json.loads, sink.getvalue().splitlines())
+        if event["ev"] == "span_start" and event["name"] == f"sort.{name}"
+    ]
+    return start["attrs"]
+
+
 class TestTraceSaysWhichPathRan:
     @staticmethod
     def _fused_attr(keys_array) -> bool:
-        sink = io.StringIO()
-        previous = set_tracer(Tracer(sink=sink))
-        try:
-            make_sorter("mergesort", kernels="numpy").sort(keys_array)
-        finally:
-            set_tracer(previous)
-        (start,) = [
-            event
-            for event in map(json.loads, sink.getvalue().splitlines())
-            if event["ev"] == "span_start" and event["name"] == "sort.mergesort"
-        ]
-        return start["attrs"]["fused"]
+        return _sort_span_attrs("mergesort", keys_array)["fused"]
 
     def test_precise_numpy_mergesort_reports_fused(self):
         keys_array, _ = _operands(uniform_keys(100, seed=2), False)
@@ -214,3 +219,27 @@ class TestTraceSaysWhichPathRan:
     def test_sanitized_precise_reports_not_fused(self):
         keys_array, _ = _operands(uniform_keys(100, seed=2), False, sanitize)
         assert self._fused_attr(keys_array) is False
+
+
+class TestTraceNamesTheKernelPath:
+    """``kernels`` on a ``sort.*`` span is the path that ran, not the
+    mode the sorter was built with."""
+
+    def test_numpy_sort_reports_numpy(self):
+        keys_array, _ = _operands(uniform_keys(100, seed=2), False)
+        assert _sort_span_attrs("lsd6", keys_array)["kernels"] == "numpy"
+
+    def test_scalar_mode_reports_scalar(self):
+        keys_array, _ = _operands(uniform_keys(100, seed=2), False)
+        attrs = _sort_span_attrs("lsd6", keys_array, kernels="scalar")
+        assert attrs["kernels"] == "scalar"
+
+    def test_trace_hook_reports_scalar(self):
+        keys_array, _ = _operands(uniform_keys(100, seed=2), False)
+        keys_array.trace = lambda *event: None
+        assert _sort_span_attrs("lsd6", keys_array)["kernels"] == "scalar"
+
+    def test_write_combining_front_reports_scalar(self):
+        keys_array, _ = _operands(uniform_keys(100, seed=2), False)
+        front = WriteCombiningArray(keys_array, capacity=8)
+        assert _sort_span_attrs("quicksort", front)["kernels"] == "scalar"

@@ -56,6 +56,24 @@ class TestMergesort:
         _, _, stats = run(keys)
         assert stats.precise_writes == 12 * n
 
+    def test_numpy_copy_home_stays_in_numpy(self, pcm_sweet, monkeypatch):
+        """n = 2048 takes 11 levels (odd), so the result is copied home;
+        on the numpy path that copy reads arrays, never Python lists."""
+        from repro.memory.approx_array import ApproxArray, InstrumentedArray
+
+        def no_list_reads(self, start, count):
+            raise AssertionError("read_block on the numpy path")
+
+        # ApproxArray's class body rebinds read_block, so patch both.
+        for cls in (InstrumentedArray, ApproxArray):
+            monkeypatch.setattr(cls, "read_block", no_list_reads)
+        keys = uniform_keys(2048, seed=6)
+        stats = MemoryStats()
+        array = pcm_sweet.make_array(keys, stats=stats, seed=1)
+        ids = PreciseArray(range(len(keys)), stats=stats)
+        Mergesort(kernels="numpy").sort(array, ids)
+        assert sorted(ids.to_list()) == list(range(len(keys)))
+
     def test_paper_alpha_reference(self):
         assert Mergesort.paper_alpha(1024) == pytest.approx(1024 * 10)
 

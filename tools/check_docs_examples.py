@@ -124,8 +124,6 @@ def rewrite_shell(command: str) -> str | None:
     # Oracle examples document CI-gate sizes; tiny inputs prove the paths.
     if "repro.verify" in command:
         command = re.sub(r"--n \d+", "--n 60", command)
-    # Fault examples write trip counts; keep them inside the scratch dir.
-    command = command.replace("/tmp/faults", "faults")
     # Examples live in the repo, not the scratch dir; shrink their input.
     command = re.sub(
         r"python examples/(\w+\.py)(?! \d)",
@@ -167,7 +165,6 @@ def check_file(path: Path, verbose: bool) -> list[str]:
             PYTHONPATH=str(REPO_ROOT / "src"),
             REPRO_SCALE="smoke",
             REPRO_RESULTS_DIR=str(results_dir),
-            REPRO_RETRY_BACKOFF_S="0.01",
         )
 
         def run(argv: list[str] | str, shell: bool, label: str) -> None:
